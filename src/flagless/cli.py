@@ -32,14 +32,12 @@ from .competition import (
     audit_all,
     build_submission,
     challenge_changeset,
-    challenges_in,
-    compute_scoreboard,
     new_challenge,
     register_team,
     scoreboard_bytes,
 )
 from .sigproof import PROFILES
-from .validator import CompetitionHost, ValidationVerdict, apply_changeset
+from .validator import CompetitionHost, ValidationVerdict
 
 
 class CliError(Exception):
@@ -73,28 +71,26 @@ class LocalTarget:
         with open(self.path, "rb") as fh:
             return fh.read()
 
-    def chain(self):
-        return ledger.load_chain(self.ledger_bytes())
+    def host(self) -> CompetitionHost:
+        return CompetitionHost(ledger.load_chain(self.ledger_bytes()))
 
     def challenges(self) -> list[ChallengeDescriptor]:
-        found = challenges_in(ledger.replay(self.chain()))
-        return [found[k] for k in sorted(found)]
+        return self.host().challenges()
 
     def scoreboard(self) -> list[ScoreboardRow]:
-        chain = self.chain()
-        return compute_scoreboard(ledger.replay(chain), chain)
+        return self.host().scoreboard()
 
     def submit(self, changeset) -> dict:
         with _locked(self.path):
-            chain = self.chain()
-            result = apply_changeset(chain, changeset, int(time.time()))
+            host = self.host()
+            result = host.apply(changeset, int(time.time()))
             if isinstance(result, ValidationVerdict):
                 return {
                     "outcome": "REJECT",
                     "code": result.code.name,
                     "message": result.message,
                 }
-            ledger.write_ledger(self.path, chain)
+            ledger.write_ledger(self.path, host.chain)
             return {
                 "outcome": "ACCEPT",
                 "index": result.index,

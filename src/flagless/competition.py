@@ -11,8 +11,12 @@ State is nothing but files in the replayed ledger:
 Descriptors carry everything a solver needs to derive the challenge key
 (salt, KDF cost parameters, public key) and nothing the organizer must
 keep secret: the flag and the challenge signing key are discarded the
-moment a challenge is created.  The scoreboard and the full audit are pure
-functions of the chain, so any replica can recompute both.
+moment a challenge is created.
+
+CompetitionState folds the chain once, entry by entry, into typed records
+and running totals; the validator, the host, the scoreboard, the audit and
+the CLI all read it.  It holds nothing but what the chain says, so any
+replica that folds the same chain gets the same verdicts and scoreboard.
 """
 
 from __future__ import annotations
@@ -198,10 +202,6 @@ class TeamSecret:
     team_id: str
     seed: bytes
 
-    @property
-    def secret_key(self) -> bytes:
-        return self.seed
-
     def keypair(self) -> KeyPair:
         return sigproof.keypair_from_seed(self.seed)
 
@@ -362,103 +362,217 @@ def build_submission(
     return record, changeset
 
 
-def _parse_json(content: bytes) -> dict:
+def _parse_json(content: bytes):
     try:
         return json.loads(content.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # UnicodeDecodeError included
         raise ValueError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError("invalid JSON: nested too deeply") from exc
+
+
+class _Records:
+    """Latest content per id, decoded (point decompression included) on
+    the first lookup only, then cached.
+
+    Content that does not decode is a missing record, not an error: it
+    cannot enter a validator-accepted chain, and in forged chains the audit
+    flags the entry that wrote it.
+    """
+
+    __slots__ = ("_decode", "content", "_decoded")
+
+    def __init__(self, decode):
+        self._decode = decode
+        self.content: dict[str, bytes] = {}
+        self._decoded: dict[str, object] = {}
+
+    def put(self, key: str, content: bytes) -> None:
+        self.content[key] = content
+        self._decoded.pop(key, None)
+
+    def get(self, key: str):
+        if key in self._decoded:
+            return self._decoded[key]
+        if key not in self.content:
+            return None
+        try:
+            record = self._decode(_parse_json(self.content[key]))
+        except ValueError:
+            record = None
+        self._decoded[key] = record
+        return record
+
+    def all(self) -> dict:
+        """Every well-formed record, by id."""
+        return {k: r for k in sorted(self.content) if (r := self.get(k)) is not None}
+
+
+def _key_hex(content: bytes | None) -> str | None:
+    """The undecoded public key field of a team file, if it has one."""
+    try:
+        doc = _parse_json(content) if content is not None else None
+    except ValueError:
+        return None
+    key = doc.get("public_key") if isinstance(doc, dict) else None
+    return key if isinstance(key, str) else None
+
+
+class CompetitionState:
+    """The chain folded into what the validator, the host, the scoreboard
+    and the audit read; `fold` takes each entry exactly once.
+
+    Holds every file (a path's latest write wins, as in LedgerState), teams
+    by id and by public key, challenges by id, the ledger index of the
+    first submission of each (team, challenge) pair, and running per-team
+    totals.  Records are decoded on first lookup; the totals are counted
+    on the first scoreboard read and kept up to date from then on, except
+    after a team or challenge path is rewritten (possible only in forged
+    chains), when the next read counts them again from the first solves.
+    Not thread-safe: the host calls it under its lock.
+    """
+
+    def __init__(self) -> None:
+        self.files: dict[str, bytes] = {}
+        self._teams = _Records(TeamRecord.from_json_dict)
+        self._challenges = _Records(ChallengeDescriptor.from_json_dict)
+        self._key_owners: dict[str, list[str]] = {}  # public key hex -> team ids
+        self._solves: dict[str, int] = {}  # submission path -> first index
+        # team id -> [points, solves, last solve index]; None: count on next read
+        self._totals: dict[str, list[int]] | None = None
+
+    @classmethod
+    def from_chain(cls, chain: list[LedgerEntry]) -> "CompetitionState":
+        """Fold of `chain`; the caller verifies the chain first."""
+        state = cls()
+        for entry in chain:
+            state.fold(entry)
+        return state
+
+    @classmethod
+    def from_files(cls, files: dict[str, bytes]) -> "CompetitionState":
+        """State of a bare path -> content map, which has no entry indices
+        and therefore no solves."""
+        state = cls()
+        for path, content in files.items():
+            state._write(path, content, None)
+        return state
+
+    def __contains__(self, path: str) -> bool:
+        return path in self.files
+
+    def fold(self, entry: LedgerEntry) -> None:
+        for change in entry.changeset.changes:
+            self._write(change.path, change.content, entry.index)
+
+    def _write(self, path: str, content: bytes, index: int | None) -> None:
+        rewrite = path in self.files
+        self.files[path] = content
+        if _SUBMISSION_PATH_RE.match(path):
+            if index is None or path in self._solves:
+                return
+            self._solves[path] = index
+            if self._totals is not None:
+                try:
+                    self._tally(self._totals, path, index)
+                except AuditError:
+                    self._totals = None
+            return
+        if match := _TEAM_PATH_RE.match(path):
+            team_id = match.group(1)
+            old_key = _key_hex(self._teams.content.get(team_id))
+            if old_key is not None:
+                self._key_owners[old_key].remove(team_id)
+            self._teams.put(team_id, content)
+            new_key = _key_hex(content)
+            if new_key is not None:
+                self._key_owners.setdefault(new_key, []).append(team_id)
+        elif match := _CHALLENGE_PATH_RE.match(path):
+            self._challenges.put(match.group(1), content)
+        else:
+            return
+        if rewrite:
+            self._totals = None
+
+    def team(self, team_id: str) -> TeamRecord | None:
+        return self._teams.get(team_id)
+
+    def challenge(self, challenge_id: str) -> ChallengeDescriptor | None:
+        return self._challenges.get(challenge_id)
+
+    def team_with_key(self, public_key: bytes) -> TeamRecord | None:
+        """The well-formed team registered with `public_key`; the first by
+        team path if a forged chain holds several."""
+        owners = self._key_owners.get(to_hex(public_key), ())
+        for team_id in sorted(owners, key=team_path):
+            record = self.team(team_id)
+            if record is not None:
+                return record
+        return None
+
+    def teams(self) -> dict[str, TeamRecord]:
+        return self._teams.all()
+
+    def challenges(self) -> dict[str, ChallengeDescriptor]:
+        return self._challenges.all()
+
+    def _tally(self, totals: dict[str, list[int]], path: str, index: int) -> None:
+        team_id, challenge_id = _SUBMISSION_PATH_RE.match(path).groups()
+        if self.team(team_id) is None:
+            raise AuditError(f"submission for unknown team {team_id!r} at entry {index}")
+        challenge = self.challenge(challenge_id)
+        if challenge is None:
+            raise AuditError(
+                f"submission for unknown challenge {challenge_id!r} at entry {index}"
+            )
+        row = totals.setdefault(team_id, [0, 0, index])
+        row[0] += challenge.points
+        row[1] += 1
+        row[2] = max(row[2], index)
+
+    def scoreboard(self) -> list[ScoreboardRow]:
+        """Rank teams by points; ties go to the earlier last solve (ledger
+        order, not claimed wall clocks), then team id.  Raises AuditError
+        when a solve names a team or challenge the state lacks."""
+        if self._totals is None:
+            totals: dict[str, list[int]] = {}
+            for path, index in self._solves.items():
+                self._tally(totals, path, index)
+            self._totals = totals
+        rows = [
+            (team_id, *self._totals.get(team_id, (0, 0, None)))
+            for team_id in self.teams()
+        ]
+        rows.sort(key=lambda r: (-r[1], r[3] if r[3] is not None else float("inf"), r[0]))
+        return [
+            ScoreboardRow(
+                rank=rank,
+                team_id=team_id,
+                points=points,
+                solves=solves,
+                last_solve_index=last,
+            )
+            for rank, (team_id, points, solves, last) in enumerate(rows, start=1)
+        ]
 
 
 def teams_in(state: LedgerState) -> dict[str, TeamRecord]:
-    """Well-formed team records in the state.
-
-    Content that does not parse is skipped, not raised on: it cannot enter
-    a validator-accepted chain, and in forged chains the audit flags the
-    entry that wrote it.
-    """
-    teams: dict[str, TeamRecord] = {}
-    for path in state.paths(TEAM_PREFIX):
-        match = _TEAM_PATH_RE.match(path)
-        if not match:
-            continue
-        try:
-            record = TeamRecord.from_json_dict(_parse_json(state.files[path]))
-        except ValueError:
-            continue
-        teams[match.group(1)] = record
-    return teams
+    """Well-formed team records among `state`'s files (one-shot fold)."""
+    return CompetitionState.from_files(state.files).teams()
 
 
 def challenges_in(state: LedgerState) -> dict[str, ChallengeDescriptor]:
-    """Well-formed challenge descriptors in the state (see teams_in)."""
-    challenges: dict[str, ChallengeDescriptor] = {}
-    for path in state.paths(CHALLENGE_PREFIX):
-        match = _CHALLENGE_PATH_RE.match(path)
-        if not match:
-            continue
-        try:
-            descriptor = ChallengeDescriptor.from_json_dict(
-                _parse_json(state.files[path])
-            )
-        except ValueError:
-            continue
-        challenges[match.group(1)] = descriptor
-    return challenges
-
-
-def solves_in(chain: list[LedgerEntry]) -> dict[tuple[str, str], int]:
-    """(team_id, challenge_id) -> ledger index of the first accepted
-    submission; later duplicates never double-count."""
-    solves: dict[tuple[str, str], int] = {}
-    for entry in chain:
-        for change in entry.changeset.changes:
-            match = _SUBMISSION_PATH_RE.match(change.path)
-            if match:
-                solves.setdefault((match.group(1), match.group(2)), entry.index)
-    return solves
+    """Well-formed challenge descriptors among `state`'s files (one-shot
+    fold)."""
+    return CompetitionState.from_files(state.files).challenges()
 
 
 def compute_scoreboard(
     state: LedgerState, chain: list[LedgerEntry]
 ) -> list[ScoreboardRow]:
-    """Rank teams by points; ties go to the earlier last solve (ledger
-    order, not claimed wall clocks), then team id."""
-    teams = teams_in(state)
-    challenges = challenges_in(state)
-    points: dict[str, int] = {team_id: 0 for team_id in teams}
-    solves: dict[str, int] = {team_id: 0 for team_id in teams}
-    last: dict[str, int | None] = {team_id: None for team_id in teams}
-    for (team_id, challenge_id), index in solves_in(chain).items():
-        if team_id not in teams:
-            raise AuditError(f"submission for unknown team {team_id!r} at entry {index}")
-        if challenge_id not in challenges:
-            raise AuditError(
-                f"submission for unknown challenge {challenge_id!r} at entry {index}"
-            )
-        points[team_id] += challenges[challenge_id].points
-        solves[team_id] += 1
-        prev = last[team_id]
-        last[team_id] = index if prev is None else max(prev, index)
-
-    def sort_key(team_id: str):
-        last_index = last[team_id]
-        return (
-            -points[team_id],
-            last_index if last_index is not None else float("inf"),
-            team_id,
-        )
-
-    ordered = sorted(teams, key=sort_key)
-    return [
-        ScoreboardRow(
-            rank=rank,
-            team_id=team_id,
-            points=points[team_id],
-            solves=solves[team_id],
-            last_solve_index=last[team_id],
-        )
-        for rank, team_id in enumerate(ordered, start=1)
-    ]
+    """Scoreboard of `chain` by a one-shot fold.  `state` must be the
+    chain's replay; the fold recomputes it, so it is not read."""
+    return CompetitionState.from_chain(chain).scoreboard()
 
 
 def scoreboard_bytes(rows: list[ScoreboardRow]) -> bytes:
@@ -514,7 +628,7 @@ def audit_all(chain: list[LedgerEntry]) -> AuditReport:
     if not chain:
         return AuditReport(findings=[], scoreboard=[], entries=0)
 
-    state = LedgerState()
+    state = CompetitionState()
     for entry in chain:
         if entry.index == 0:
             for change in entry.changeset.changes:
@@ -570,10 +684,10 @@ def audit_all(chain: list[LedgerEntry]) -> AuditReport:
                         team_verdict.message,
                     )
                 )
-        state.apply(entry.changeset)
+        state.fold(entry)
 
     try:
-        scoreboard = compute_scoreboard(state, chain)
+        scoreboard = state.scoreboard()
     except AuditError as exc:
         findings.append(AuditFinding(len(chain) - 1, "SCOREBOARD", str(exc)))
         scoreboard = []

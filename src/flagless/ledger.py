@@ -101,6 +101,11 @@ class Changeset:
         return cls(changes=tuple(changes), author=obj["author"])
 
 
+def _is_int(value) -> bool:
+    """JSON integers only: `true` parses to a bool, which is an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, slots=True)
 class LedgerEntry:
     index: int
@@ -111,9 +116,9 @@ class LedgerEntry:
     hash: bytes
 
     def __post_init__(self) -> None:
-        if not isinstance(self.index, int) or self.index < 0:
+        if not _is_int(self.index) or self.index < 0:
             raise ValueError("index must be a non-negative integer")
-        if not isinstance(self.timestamp, int) or self.timestamp < 0:
+        if not _is_int(self.timestamp) or self.timestamp < 0:
             raise ValueError("timestamp must be non-negative UTC seconds")
         if len(self.prev_hash) != HASH_LEN or len(self.hash) != HASH_LEN:
             raise ValueError("hashes must be 32 bytes")
@@ -164,9 +169,6 @@ class LedgerState:
     def apply(self, changeset: Changeset) -> None:
         for change in changeset.changes:
             self.files[change.path] = change.content
-
-    def copy(self) -> "LedgerState":
-        return LedgerState(files=dict(self.files))
 
 
 def signing_bytes(
@@ -371,7 +373,7 @@ def load_chain(data: bytes) -> list[LedgerEntry]:
         try:
             obj = json.loads(line.decode("utf-8"))
             entry = LedgerEntry.from_json_dict(obj)
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
             raise ChainError(f"ledger line {lineno}: {exc}") from exc
         if dump_entry(entry) != line:
             raise ChainError(f"ledger line {lineno}: not in canonical form")

@@ -9,8 +9,10 @@ Wire contract (HTTP/1.1, canonical JSON on every response body):
     GET  /scoreboard   200, scoreboard rows
     GET  /ledger       200, full NDJSON ledger (application/x-ndjson)
 
-Malformed request bodies get 400, bodies over 1 MiB get 413.  Appends are
-serialized by the host; reads come from a consistent snapshot.  Transient
+Malformed request bodies (a missing or negative Content-Length, bytes that
+are not UTF-8 JSON or nest too deeply, a changeset that does not parse) get
+400, bodies over 1 MiB get 413.  The host serializes appends and reads, so
+every read sees the state between two appends.  Transient
 5xx answers are safe to retry because duplicate submissions are rejected
 deterministically.
 """
@@ -35,6 +37,9 @@ log = logging.getLogger(__name__)
 class _Handler(BaseHTTPRequestHandler):
     server_version = "flagless"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate writes; without TCP_NODELAY the
+    # second waits on the client's delayed ACK (~40 ms on keep-alive).
+    disable_nagle_algorithm = True
     host: CompetitionHost  # set by make_server on the handler subclass
 
     def log_message(self, fmt: str, *args) -> None:
@@ -69,6 +74,8 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", ""))
         except ValueError:
+            length = -1
+        if length < 0:
             self._respond_json(400, {"error": "missing or invalid Content-Length"})
             return
         if length > MAX_BODY_BYTES:
@@ -77,8 +84,11 @@ class _Handler(BaseHTTPRequestHandler):
         body = self.rfile.read(length)
         try:
             changeset = Changeset.from_json_dict(json.loads(body.decode("utf-8")))
-        except (ValueError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # UnicodeDecodeError included
             self._respond_json(400, {"error": f"malformed changeset: {exc}"})
+            return
+        except RecursionError:
+            self._respond_json(400, {"error": "malformed changeset: nested too deeply"})
             return
         result = self.host.apply(changeset)
         if isinstance(result, ValidationVerdict):
@@ -101,16 +111,6 @@ def make_server(host: CompetitionHost, address: tuple[str, int]) -> ThreadingHTT
     server = ThreadingHTTPServer(address, handler)
     server.daemon_threads = True
     return server
-
-
-def serve(host: CompetitionHost, address: tuple[str, int]) -> None:
-    """Run until interrupted."""
-    server = make_server(host, address)
-    log.info("serving on http://%s:%d", *server.server_address)
-    try:
-        server.serve_forever()
-    finally:
-        server.server_close()
 
 
 class BackgroundService:

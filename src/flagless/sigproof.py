@@ -186,11 +186,6 @@ class Proof:
     def to_base64(self) -> str:
         return base64.b64encode(self.serialize()).decode("ascii")
 
-    @classmethod
-    def from_base64(cls, text: str) -> "Proof":
-        raw = base64.b64decode(text.encode("ascii"), validate=True)
-        return cls.parse(raw)
-
 
 def keypair_from_seed(seed: bytes) -> KeyPair:
     """Deterministic key pair for a 32-byte seed (the seed is the secret)."""

@@ -22,14 +22,13 @@ from dataclasses import dataclass
 from . import competition, ledger, sigproof
 from .competition import (
     ChallengeDescriptor,
+    CompetitionState,
     ScoreboardRow,
     SubmissionRecord,
     TeamRecord,
     _SUBMISSION_PATH_RE,
     _TEAM_PATH_RE,
-    challenges_in,
     slugify,
-    teams_in,
 )
 from .ledger import Changeset, LedgerEntry, LedgerState
 
@@ -68,7 +67,7 @@ ACCEPT = ValidationVerdict.accept()
 
 
 def _validate_registration(
-    state: LedgerState, path: str, content: bytes, team_id: str
+    state: CompetitionState, content: bytes, team_id: str
 ) -> ValidationVerdict:
     try:
         record = TeamRecord.from_json_dict(competition._parse_json(content))
@@ -83,23 +82,23 @@ def _validate_registration(
             ReasonCode.MALFORMED_RECORD,
             f"id {record.id!r} is not the slug of name {record.name!r}",
         )
-    for existing in teams_in(state).values():
-        if existing.public_key == record.public_key:
-            return ValidationVerdict.reject(
-                ReasonCode.DUPLICATE_TEAM,
-                f"public key already registered to {existing.id!r}",
-            )
+    existing = state.team_with_key(record.public_key)
+    if existing is not None:
+        return ValidationVerdict.reject(
+            ReasonCode.DUPLICATE_TEAM,
+            f"public key already registered to {existing.id!r}",
+        )
     return ACCEPT
 
 
 def _validate_submission(
-    state: LedgerState, path: str, content: bytes, team_id: str, challenge_id: str
+    state: CompetitionState, content: bytes, team_id: str, challenge_id: str
 ) -> ValidationVerdict:
-    teams = teams_in(state)
-    if team_id not in teams:
+    team = state.team(team_id)
+    if team is None:
         return ValidationVerdict.reject(ReasonCode.UNKNOWN_TEAM, f"team {team_id!r}")
-    challenges = challenges_in(state)
-    if challenge_id not in challenges:
+    challenge = state.challenge(challenge_id)
+    if challenge is None:
         return ValidationVerdict.reject(
             ReasonCode.UNKNOWN_CHALLENGE, f"challenge {challenge_id!r}"
         )
@@ -112,8 +111,8 @@ def _validate_submission(
             ReasonCode.MALFORMED_RECORD, "record ids do not match the path"
         )
     if not sigproof.verify_proof(
-        teams[team_id].public_key,
-        challenges[challenge_id].public_key,
+        team.public_key,
+        challenge.public_key,
         challenge_id.encode("ascii"),
         record.proof,
     ):
@@ -121,8 +120,11 @@ def _validate_submission(
     return ACCEPT
 
 
-def validate_changeset(state: LedgerState, changeset: Changeset) -> ValidationVerdict:
-    """Decide whether a team-originated changeset may be appended.
+def validate_changeset(state: CompetitionState, changeset: Changeset) -> ValidationVerdict:
+    """Decide whether a team-originated changeset may be appended to the
+    chain that `state` folds.  Costs two signature verifies for a
+    submission and one point decompression for a registration, plus one
+    the first time a team or challenge record is looked up.
 
     Every outcome is a verdict; nothing here raises on untrusted input.
     """
@@ -162,32 +164,18 @@ def validate_changeset(state: LedgerState, changeset: Changeset) -> ValidationVe
     kind, payload = classified[0]
     if kind == "registration":
         change, team_id = payload
-        return _validate_registration(state, change.path, change.content, team_id)
+        return _validate_registration(state, change.content, team_id)
     change, team_id, challenge_id = payload
-    return _validate_submission(state, change.path, change.content, team_id, challenge_id)
-
-
-def apply_changeset(
-    chain: list[LedgerEntry], changeset: Changeset, timestamp: int | None = None
-) -> LedgerEntry | ValidationVerdict:
-    """Validate against the chain's replay and append on ACCEPT.
-
-    On REJECT the chain is untouched and the verdict comes back instead.
-    Callers must serialize invocations (single-writer contract); use
-    CompetitionHost when multiple threads are in play.
-    """
-    state = ledger.replay(chain)
-    verdict = validate_changeset(state, changeset)
-    if not verdict:
-        return verdict
-    return ledger.append(chain, changeset, timestamp)
+    return _validate_submission(state, change.content, team_id, challenge_id)
 
 
 class CompetitionHost:
-    """Owns a chain: serializes all appends, keeps the replayed state hot.
+    """Owns a chain and its folded state, and serializes every append.
 
-    Reads (scoreboard, challenge list, ledger dump) take a consistent
-    snapshot and never block longer than a state copy.
+    All reads and appends take one lock.  An append folds its new entry
+    into the state; a scoreboard read sorts the running totals and a
+    challenge read lists the decoded descriptors, so neither scans the
+    chain nor copies the state.
     """
 
     def __init__(self, chain: list[LedgerEntry]):
@@ -198,9 +186,7 @@ class CompetitionHost:
             )
         self._lock = threading.Lock()
         self._chain = list(chain)
-        self._state = LedgerState()
-        for entry in self._chain:
-            self._state.apply(entry.changeset)
+        self._state = CompetitionState.from_chain(self._chain)
 
     @classmethod
     def bootstrap(
@@ -223,7 +209,7 @@ class CompetitionHost:
             if not verdict:
                 return verdict
             entry = ledger.append(self._chain, changeset, timestamp)
-            self._state.apply(changeset)
+            self._state.fold(entry)
             return entry
 
     def apply_organizer(
@@ -236,12 +222,13 @@ class CompetitionHost:
         auditors can tell it apart from team traffic."""
         with self._lock:
             entry = ledger.append(self._chain, changeset, timestamp, org_secret=org_secret)
-            self._state.apply(changeset)
+            self._state.fold(entry)
             return entry
 
     def snapshot(self) -> tuple[list[LedgerEntry], LedgerState]:
+        """Copies of the chain and of its files, taken at one instant."""
         with self._lock:
-            return list(self._chain), self._state.copy()
+            return list(self._chain), LedgerState(files=dict(self._state.files))
 
     @property
     def chain(self) -> list[LedgerEntry]:
@@ -249,14 +236,12 @@ class CompetitionHost:
             return list(self._chain)
 
     def ledger_bytes(self) -> bytes:
-        chain, _ = self.snapshot()
-        return ledger.dump_chain(chain)
+        return ledger.dump_chain(self.chain)
 
     def scoreboard(self) -> list[ScoreboardRow]:
-        chain, state = self.snapshot()
-        return competition.compute_scoreboard(state, chain)
+        with self._lock:
+            return self._state.scoreboard()
 
     def challenges(self) -> list[ChallengeDescriptor]:
-        _, state = self.snapshot()
-        found = challenges_in(state)
-        return [found[k] for k in sorted(found)]
+        with self._lock:
+            return list(self._state.challenges().values())

@@ -1,0 +1,371 @@
+"""The folded competition state against the rescanning algorithm it replaced.
+
+The oracle below re-parses every team and challenge record of a plain
+LedgerState on each call and rescans the whole chain for solves, as the
+validator and scoreboard once did.  Over simulated and forged chains, the
+fold must give the same verdict for every entry and every probe, and the
+same scoreboard (or the same AuditError) after every entry.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from flagless import ledger, sigproof
+from flagless.canonical import canonical_bytes, to_hex
+from flagless.competition import (
+    AuditError,
+    ChallengeDescriptor,
+    CompetitionState,
+    ScoreboardRow,
+    SubmissionRecord,
+    TeamRecord,
+    _CHALLENGE_PATH_RE,
+    _SUBMISSION_PATH_RE,
+    _TEAM_PATH_RE,
+    _parse_json,
+    audit_all,
+    build_submission,
+    challenge_path,
+    register_team,
+    slugify,
+    submission_path,
+    team_path,
+)
+from flagless.ledger import Changeset, FileChange, LedgerState
+from flagless.validator import ReasonCode, ValidationVerdict, validate_changeset
+
+from helpers import simulate
+
+# ------------------------------------------------------------------ oracle
+
+
+def oracle_teams(state: LedgerState) -> dict[str, TeamRecord]:
+    teams = {}
+    for path in state.paths("teams/"):
+        match = _TEAM_PATH_RE.match(path)
+        if not match:
+            continue
+        try:
+            record = TeamRecord.from_json_dict(_parse_json(state.files[path]))
+        except ValueError:
+            continue
+        teams[match.group(1)] = record
+    return teams
+
+
+def oracle_challenges(state: LedgerState) -> dict[str, ChallengeDescriptor]:
+    challenges = {}
+    for path in state.paths("challenges/"):
+        match = _CHALLENGE_PATH_RE.match(path)
+        if not match:
+            continue
+        try:
+            descriptor = ChallengeDescriptor.from_json_dict(_parse_json(state.files[path]))
+        except ValueError:
+            continue
+        challenges[match.group(1)] = descriptor
+    return challenges
+
+
+def oracle_scoreboard(state: LedgerState, chain) -> list[ScoreboardRow]:
+    teams, challenges = oracle_teams(state), oracle_challenges(state)
+    solves: dict[tuple[str, str], int] = {}
+    for entry in chain:
+        for change in entry.changeset.changes:
+            match = _SUBMISSION_PATH_RE.match(change.path)
+            if match:
+                solves.setdefault((match.group(1), match.group(2)), entry.index)
+    points = {t: 0 for t in teams}
+    count = {t: 0 for t in teams}
+    last: dict[str, int | None] = {t: None for t in teams}
+    for (team_id, challenge_id), index in solves.items():
+        if team_id not in teams:
+            raise AuditError(f"submission for unknown team {team_id!r} at entry {index}")
+        if challenge_id not in challenges:
+            raise AuditError(
+                f"submission for unknown challenge {challenge_id!r} at entry {index}"
+            )
+        points[team_id] += challenges[challenge_id].points
+        count[team_id] += 1
+        last[team_id] = index if last[team_id] is None else max(last[team_id], index)
+    ordered = sorted(
+        teams,
+        key=lambda t: (-points[t], last[t] if last[t] is not None else float("inf"), t),
+    )
+    return [
+        ScoreboardRow(rank, t, points[t], count[t], last[t])
+        for rank, t in enumerate(ordered, start=1)
+    ]
+
+
+def _reject(code, message=""):
+    return ValidationVerdict.reject(code, message)
+
+
+def oracle_validate(state: LedgerState, changeset: Changeset) -> ValidationVerdict:
+    actions = []
+    for change in changeset.changes:
+        team_match = _TEAM_PATH_RE.match(change.path)
+        sub_match = _SUBMISSION_PATH_RE.match(change.path)
+        if change.path in state:
+            if sub_match:
+                return _reject(
+                    ReasonCode.DUPLICATE_SUBMISSION,
+                    f"{sub_match.group(1)!r} already solved {sub_match.group(2)!r}",
+                )
+            if team_match:
+                return _reject(
+                    ReasonCode.DUPLICATE_TEAM,
+                    f"team {team_match.group(1)!r} already registered",
+                )
+            return _reject(ReasonCode.IMMUTABLE_PATH, f"{change.path!r} is already committed")
+        if team_match:
+            actions.append((change, team_match.group(1), None))
+        elif sub_match:
+            actions.append((change, sub_match.group(1), sub_match.group(2)))
+        else:
+            return _reject(ReasonCode.BAD_PATH, f"{change.path!r} is not a team-writable path")
+    if len(actions) != 1:
+        return _reject(
+            ReasonCode.MIXED_CONCERNS, f"changeset carries {len(actions)} actions, expected 1"
+        )
+    change, team_id, challenge_id = actions[0]
+    if challenge_id is None:
+        try:
+            record = TeamRecord.from_json_dict(_parse_json(change.content))
+        except ValueError as exc:
+            return _reject(ReasonCode.MALFORMED_RECORD, str(exc))
+        if record.id != team_id:
+            return _reject(
+                ReasonCode.MALFORMED_RECORD, f"record id {record.id!r} does not match path"
+            )
+        if record.id != slugify(record.name):
+            return _reject(
+                ReasonCode.MALFORMED_RECORD,
+                f"id {record.id!r} is not the slug of name {record.name!r}",
+            )
+        for existing in oracle_teams(state).values():
+            if existing.public_key == record.public_key:
+                return _reject(
+                    ReasonCode.DUPLICATE_TEAM,
+                    f"public key already registered to {existing.id!r}",
+                )
+        return ValidationVerdict.accept()
+    teams = oracle_teams(state)
+    if team_id not in teams:
+        return _reject(ReasonCode.UNKNOWN_TEAM, f"team {team_id!r}")
+    challenges = oracle_challenges(state)
+    if challenge_id not in challenges:
+        return _reject(ReasonCode.UNKNOWN_CHALLENGE, f"challenge {challenge_id!r}")
+    try:
+        record = SubmissionRecord.from_json_dict(_parse_json(change.content))
+    except ValueError as exc:
+        return _reject(ReasonCode.MALFORMED_RECORD, str(exc))
+    if record.team_id != team_id or record.challenge_id != challenge_id:
+        return _reject(ReasonCode.MALFORMED_RECORD, "record ids do not match the path")
+    if not sigproof.verify_proof(
+        teams[team_id].public_key,
+        challenges[challenge_id].public_key,
+        challenge_id.encode("ascii"),
+        record.proof,
+    ):
+        return _reject(ReasonCode.INVALID_PROOF)
+    return ValidationVerdict.accept()
+
+
+# ------------------------------------------------------------------ chains
+
+
+def _team_file(team_id: str, name: str, public_key: bytes) -> bytes:
+    return canonical_bytes({"id": team_id, "name": name, "public_key": to_hex(public_key)})
+
+
+class Forge:
+    """Appends entries no validator would accept, hashes kept consistent."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.chain = sim.chain()
+        self.extra_secrets = {}
+
+    def team_entry(self, path: str, content: bytes) -> None:
+        changeset = Changeset(changes=(FileChange(path=path, content=content),), author="x")
+        ledger.append(self.chain, changeset, self.chain[-1].timestamp + 1)
+
+    def org_entry(self, path: str, content: bytes) -> None:
+        changeset = Changeset(changes=(FileChange(path=path, content=content),), author="org")
+        ledger.append(
+            self.chain, changeset, self.chain[-1].timestamp + 1, org_secret=self.sim.org_seed
+        )
+
+    def solve(self, secret, challenge_id: str) -> None:
+        _, changeset = build_submission(
+            secret, self.sim.descriptors[challenge_id], self.sim.flags[challenge_id]
+        )
+        ledger.append(self.chain, changeset, self.chain[-1].timestamp + 1)
+
+
+def overwritten_team(forge, rng):
+    team_id = sorted(forge.sim.teams)[0]
+    record, secret, _ = register_team(forge.sim.teams[team_id].name, rng=rng)
+    forge.team_entry(team_path(team_id), record.serialize())
+    forge.solve(secret, sorted(forge.sim.descriptors)[-1])  # the new key now counts
+    forge.solve(forge.sim.secrets[team_id], sorted(forge.sim.descriptors)[0])
+
+
+def organizer_team(forge, rng):
+    record, secret, _ = register_team("Org Made", rng=rng)
+    forge.org_entry(team_path(record.id), record.serialize())
+    forge.solve(secret, sorted(forge.sim.descriptors)[0])
+    forge.extra_secrets[record.id] = secret
+
+
+def malformed_team(forge, rng):
+    team_id = sorted(forge.sim.teams)[1]
+    forge.team_entry(team_path(team_id), b'{"evil":1}')
+
+
+def reused_key(forge, rng):
+    victim = forge.sim.teams[sorted(forge.sim.teams)[0]]
+    # "copycat-a" sorts before "copycat" by id but after it by path
+    for team_id in ("copycat", "copycat-a"):
+        forge.team_entry(team_path(team_id), _team_file(team_id, team_id, victim.public_key))
+
+
+def unknown_team(forge, rng):
+    forge.team_entry(submission_path("ghost", sorted(forge.sim.descriptors)[0]), b"{}")
+
+
+def unknown_challenge(forge, rng):
+    forge.team_entry(submission_path(sorted(forge.sim.teams)[0], "ghost-chal"), b"{}")
+
+
+def late_challenge(forge, rng):
+    # a solve recorded before its challenge exists, then the release
+    forge.team_entry(submission_path(sorted(forge.sim.teams)[0], "late"), b"{}")
+    descriptor = ChallengeDescriptor.from_json_dict(
+        {**forge.sim.descriptors[sorted(forge.sim.descriptors)[0]].to_json_dict(), "id": "late"}
+    )
+    forge.org_entry(challenge_path("late"), descriptor.serialize())
+
+
+def repointed_challenge(forge, rng):
+    cid = sorted(forge.sim.descriptors)[0]
+    descriptor = forge.sim.descriptors[cid]
+    doubled = ChallengeDescriptor.from_json_dict(
+        {**descriptor.to_json_dict(), "points": descriptor.points * 2}
+    )
+    forge.org_entry(challenge_path(cid), doubled.serialize())
+    forge.org_entry(challenge_path(sorted(forge.sim.descriptors)[-1]), b"not json")
+
+
+FORGERIES = [
+    overwritten_team,
+    organizer_team,
+    malformed_team,
+    reused_key,
+    unknown_team,
+    unknown_challenge,
+    late_challenge,
+    repointed_challenge,
+]
+
+
+# ------------------------------------------------------------------ checks
+
+
+def _scoreboard(fn):
+    try:
+        return fn()
+    except AuditError as exc:
+        return ("AuditError", str(exc))
+
+
+def _probes(sim, secrets, rng):
+    """One of each verdict the final state can give."""
+    probes = [register_team("Fresh Crew", rng=rng)[2]]
+    for team_id, record in sorted(sim.teams.items()):
+        probes.append(
+            Changeset(
+                changes=(
+                    FileChange(
+                        path=team_path("reuse"),
+                        content=_team_file("reuse", "Reuse", record.public_key),
+                    ),
+                ),
+                author="reuse",
+            )
+        )
+    for team_id, secret in sorted(secrets.items()):
+        for cid in sorted(sim.descriptors):
+            probes.append(build_submission(secret, sim.descriptors[cid], sim.flags[cid])[1])
+    probes.append(
+        Changeset(changes=(FileChange(path=submission_path("ghost", "x"), content=b"{}"),), author="g")
+    )
+    return probes
+
+
+def assert_fold_matches_oracle(sim, chain, secrets, rng):
+    oracle = LedgerState()
+    fold = CompetitionState()
+    for entry in chain:
+        if entry.index > 0 and entry.org_sig is None:
+            assert validate_changeset(fold, entry.changeset) == oracle_validate(
+                oracle, entry.changeset
+            ), entry.index
+        oracle.apply(entry.changeset)
+        fold.fold(entry)
+        prefix = chain[: entry.index + 1]
+        expected = _scoreboard(lambda: oracle_scoreboard(oracle, prefix))
+        # read the incrementally kept totals after every entry ...
+        assert _scoreboard(fold.scoreboard) == expected, entry.index
+    # ... and count them once from a fresh fold
+    assert _scoreboard(CompetitionState.from_chain(chain).scoreboard) == expected
+    report = audit_all(chain)
+    if isinstance(expected, tuple):
+        assert report.scoreboard == [] and report.findings[-1].code == "SCOREBOARD"
+        assert report.findings[-1].message == expected[1]
+    else:
+        assert report.scoreboard == expected
+    for probe in _probes(sim, secrets, rng):
+        assert validate_changeset(fold, probe) == oracle_validate(oracle, probe)
+
+
+def test_simulated_chain(rng):
+    sim = simulate(rng, n_challenges=3, n_teams=4, solve_prob=0.5)
+    assert_fold_matches_oracle(sim, sim.chain(), sim.secrets, rng)
+
+
+@pytest.mark.parametrize("forgery", FORGERIES, ids=lambda f: f.__name__)
+def test_forged_chain(rng, forgery):
+    sim = simulate(rng, n_challenges=2, n_teams=3, solve_prob=0.5)
+    forge = Forge(sim)
+    forgery(forge, rng)
+    assert ledger.verify_chain(forge.chain)
+    assert_fold_matches_oracle(sim, forge.chain, {**sim.secrets, **forge.extra_secrets}, rng)
+
+
+def test_all_forgeries_on_one_chain(rng):
+    sim = simulate(rng, n_challenges=2, n_teams=3, solve_prob=0.5)
+    forge = Forge(sim)
+    for forgery in FORGERIES:
+        forgery(forge, rng)
+    assert ledger.verify_chain(forge.chain)
+    assert_fold_matches_oracle(sim, forge.chain, {**sim.secrets, **forge.extra_secrets}, rng)
+
+
+def test_team_records_decode_once_and_only_on_lookup(rng, monkeypatch):
+    sim = simulate(rng, n_challenges=1, n_teams=5, solve_prob=0.0)
+    calls = []
+    decode = TeamRecord.from_json_dict
+    monkeypatch.setattr(TeamRecord, "from_json_dict", lambda obj: calls.append(1) or decode(obj))
+    state = CompetitionState.from_chain(sim.chain())
+    assert calls == []
+    team_id = sorted(sim.teams)[0]
+    assert state.team(team_id) == sim.teams[team_id]
+    assert state.team(team_id) == sim.teams[team_id]
+    assert len(calls) == 1
+    state.scoreboard()
+    state.scoreboard()
+    assert len(calls) == len(sim.teams)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagless import ledger
+from flagless.canonical import canonical_bytes
 from flagless.ledger import (
     ZERO_HASH,
     ChainError,
@@ -281,6 +282,37 @@ class TestCanonicalNdjson:
         lines.insert(1, b"")
         with pytest.raises(ChainError):
             load_chain(b"\n".join(lines))
+
+    def test_boolean_index_and_timestamp_rejected(self, rng):
+        # JSON `true` decodes to a bool, which Python counts as the int 1
+        org = _org(rng)
+        changeset = genesis(org.public, b'{"name":"t"}', timestamp=0).changeset
+
+        def line(index, timestamp, prev_hash):
+            digest = ledger.entry_hash(index, timestamp, prev_hash, changeset, None)
+            return digest, canonical_bytes(
+                {
+                    "changeset": changeset.to_json_dict(),
+                    "hash": digest.hex(),
+                    "index": index,
+                    "org_sig": None,
+                    "prev_hash": prev_hash.hex(),
+                    "timestamp": timestamp,
+                }
+            ) + b"\n"
+
+        good_hash, good = line(0, 1, ZERO_HASH)
+        bool_hash, bool_time = line(0, True, ZERO_HASH)
+        with pytest.raises(ChainError, match="timestamp"):
+            load_chain(bool_time)
+        with pytest.raises(ChainError, match="index"):
+            load_chain(good + line(True, 1, good_hash)[1])
+        with pytest.raises(ChainError):
+            load_chain(bool_time + line(True, 1, bool_hash)[1])
+
+    def test_deeply_nested_line_rejected(self):
+        with pytest.raises(ChainError):
+            load_chain(b"[" * 100_000 + b"\n")
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagless import sigproof
+from flagless.competition import SubmissionRecord
 from flagless.sigproof import (
     INVALID,
     KdfParams,
@@ -227,7 +228,8 @@ class TestProofScheme:
         raw = proof.serialize()
         assert len(raw) == 128 + len(challenge_id)
         assert Proof.parse(raw) == proof
-        assert Proof.from_base64(proof.to_base64()) == proof
+        record = SubmissionRecord(team_id="t", challenge_id="some-challenge", proof=proof)
+        assert SubmissionRecord.from_json_dict(record.to_json_dict()).proof == proof
 
     def test_deterministic_proof(self, rng):
         team, challenge = self._fresh(rng)

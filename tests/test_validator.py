@@ -9,6 +9,7 @@ import pytest
 from flagless import ledger
 from flagless.canonical import canonical_bytes, to_hex
 from flagless.competition import (
+    CompetitionState,
     build_submission,
     challenge_path,
     register_team,
@@ -21,7 +22,6 @@ from flagless.validator import (
     CompetitionHost,
     ReasonCode,
     ValidationVerdict,
-    apply_changeset,
     validate_changeset,
 )
 
@@ -39,7 +39,7 @@ def sim(rng):
 
 @pytest.fixture
 def state(sim):
-    return ledger.replay(sim.chain())
+    return CompetitionState.from_chain(sim.chain())
 
 
 class TestRegistrationRules:
@@ -115,7 +115,7 @@ class TestSubmissionRules:
         fresh = simulate(rng, n_challenges=1, n_teams=0)
         cid = next(iter(fresh.descriptors))
         changeset = _single(submission_path("ghosts", cid), b"{}")
-        verdict = validate_changeset(ledger.replay(fresh.chain()), changeset)
+        verdict = validate_changeset(CompetitionState.from_chain(fresh.chain()), changeset)
         assert verdict.code is ReasonCode.UNKNOWN_TEAM
 
     def test_unknown_challenge(self, sim, state):
@@ -135,12 +135,12 @@ class TestSubmissionRules:
             "team_id": team_b,
         }
         changeset = _single(submission_path(team_b, cid), canonical_bytes(forged), author=team_b)
-        verdict = validate_changeset(ledger.replay(sim.chain()), changeset)
+        verdict = validate_changeset(CompetitionState.from_chain(sim.chain()), changeset)
         assert verdict.code is ReasonCode.INVALID_PROOF
 
     def test_record_ids_must_match_path(self, sim, rng):
         fresh = simulate(rng, n_challenges=2, n_teams=1, solve_prob=0.0)
-        state = ledger.replay(fresh.chain())
+        state = CompetitionState.from_chain(fresh.chain())
         (team_id,) = fresh.teams
         c1, c2 = sorted(fresh.descriptors)
         record, _ = build_submission(fresh.secrets[team_id], fresh.descriptors[c1], fresh.flags[c1])
@@ -152,7 +152,7 @@ class TestSubmissionRules:
 
     def test_fuzzed_proofs_always_rejected(self, rng):
         fresh = simulate(rng, n_challenges=1, n_teams=1, solve_prob=0.0)
-        fresh_state = ledger.replay(fresh.chain())
+        fresh_state = CompetitionState.from_chain(fresh.chain())
         (team_id,) = fresh.teams
         (cid,) = fresh.descriptors
         for _ in range(50):
@@ -207,23 +207,26 @@ class TestVerdictInvariants:
         chain = sim.chain()
         length = len(chain)
         hashes = [e.hash for e in chain]
-        result = apply_changeset(chain, _single("loot/x", b""), chain[-1].timestamp + 1)
+        result = sim.host.apply(_single("loot/x", b""), chain[-1].timestamp + 1)
         assert isinstance(result, ValidationVerdict) and not result
+        chain = sim.chain()
         assert len(chain) == length and [e.hash for e in chain] == hashes
 
     def test_accept_adds_exactly_one_entry(self, sim, rng):
         chain = sim.chain()
         length = len(chain)
         _, _, changeset = register_team("Delta Crew", rng=rng)
-        result = apply_changeset(chain, changeset, chain[-1].timestamp + 1)
+        result = sim.host.apply(changeset, chain[-1].timestamp + 1)
         assert not isinstance(result, ValidationVerdict)
+        chain = sim.chain()
         assert len(chain) == length + 1 and chain[-1] is result
 
     def test_replica_reaches_identical_verdicts(self, sim, rng):
         # no privileged knowledge: an auditor's replica validates the same
         chain = sim.chain()
         replica = ledger.load_chain(ledger.dump_chain(chain))
-        state, replica_state = ledger.replay(chain), ledger.replay(replica)
+        state = CompetitionState.from_chain(chain)
+        replica_state = CompetitionState.from_chain(replica)
         probes = [
             register_team("Echo Crew", rng=rng)[2],
             _single("loot/x", b"{}"),
