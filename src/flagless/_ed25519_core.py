@@ -15,10 +15,17 @@ Verification recomputes R' = s*B - h*A and compares its canonical encoding
 against the R carried in the signature.  This accepts every honestly
 produced signature and additionally rejects non-canonical R encodings,
 which keeps the accept/reject decision identical across kernels.
+
+`verify` decodes the public key through a 1024-entry LRU memo of
+`decompress`: a competition checks thousands of signatures under a few
+hundred team, challenge and organizer keys, so a repeated key costs no
+square root.  `decompress` is a pure function, so the memo changes nothing
+but timing; `decompress` itself stays uncached.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 P = 2**255 - 19
@@ -83,6 +90,11 @@ def decompress(encoded: bytes) -> tuple[int, int] | None:
     return x, y
 
 
+@functools.lru_cache(maxsize=1024)
+def _decoded_key(public: bytes) -> tuple[int, int] | None:
+    return decompress(public)
+
+
 def public_from_seed(seed: bytes, kernel) -> bytes:
     if len(seed) != 32:
         raise ValueError("seed must be exactly 32 bytes")
@@ -110,7 +122,7 @@ def verify(public: bytes, signature: bytes, message: bytes, kernel) -> bool:
         raise ValueError("public key must be exactly 32 bytes")
     if len(signature) != 64:
         raise ValueError("signature must be exactly 64 bytes")
-    point = decompress(public)
+    point = _decoded_key(bytes(public))
     if point is None:
         return False
     r_enc = signature[:32]

@@ -28,7 +28,7 @@ import unicodedata
 from dataclasses import dataclass
 from random import Random
 
-from .canonical import canonical_bytes, from_b64, from_hex, to_hex
+from .canonical import canonical_bytes, from_b64, from_hex, to_b64, to_hex
 from .ledger import (
     Changeset,
     FileChange,
@@ -235,7 +235,7 @@ class SubmissionRecord:
     def to_json_dict(self) -> dict:
         return {
             "challenge_id": self.challenge_id,
-            "proof": self.proof.to_base64(),
+            "proof": to_b64(self.proof.serialize()),
             "team_id": self.team_id,
         }
 

@@ -11,10 +11,13 @@ Wire contract (HTTP/1.1, canonical JSON on every response body):
 
 Malformed request bodies (a missing or negative Content-Length, bytes that
 are not UTF-8 JSON or nest too deeply, a changeset that does not parse) get
-400, bodies over 1 MiB get 413.  The host serializes appends and reads, so
-every read sees the state between two appends.  Transient
-5xx answers are safe to retry because duplicate submissions are rejected
-deterministically.
+400, bodies over 1 MiB get 413.  A connection that stays silent for
+`_Handler.timeout` seconds, mid-request (say, a body shorter than its
+Content-Length) or between keep-alive requests, is closed without an
+answer, so a stalled client cannot pin a handler thread.  The host
+serializes appends and reads, so every read sees the state between two
+appends.  Transient 5xx answers are safe to retry because duplicate
+submissions are rejected deterministically.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ class _Handler(BaseHTTPRequestHandler):
     # Headers and body go out in separate writes; without TCP_NODELAY the
     # second waits on the client's delayed ACK (~40 ms on keep-alive).
     disable_nagle_algorithm = True
+    # Socket timeout in seconds; a read that times out closes the connection.
+    timeout = 30
     host: CompetitionHost  # set by make_server on the handler subclass
 
     def log_message(self, fmt: str, *args) -> None:

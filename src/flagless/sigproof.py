@@ -21,7 +21,6 @@ INVALID, never an exception; exceptions are reserved for malformed inputs.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 from dataclasses import dataclass
 
@@ -86,11 +85,8 @@ class KdfParams:
             raise ValueError("block_r and parallel_p must be >= 1")
         if self.out_len != SEED_LEN:
             raise ValueError(f"out_len must be {SEED_LEN}")
-        if self.maxmem() > _MAXMEM_CAP:
+        if _scrypt_maxmem(self.cost_n, self.block_r, self.parallel_p) > _MAXMEM_CAP:
             raise ValueError("cost parameters exceed the supported memory budget")
-
-    def maxmem(self) -> int:
-        return 128 * self.block_r * (self.cost_n + self.parallel_p) + (1 << 20)
 
     def to_json_dict(self) -> dict:
         return {
@@ -183,9 +179,6 @@ class Proof:
             challenge_id=raw[2 * SIGNATURE_LEN :],
         )
 
-    def to_base64(self) -> str:
-        return base64.b64encode(self.serialize()).decode("ascii")
-
 
 def keypair_from_seed(seed: bytes) -> KeyPair:
     """Deterministic key pair for a 32-byte seed (the seed is the secret)."""
@@ -199,6 +192,11 @@ def normalize_flag(flag: str) -> bytes:
     return flag.strip(ASCII_WHITESPACE).encode("utf-8")
 
 
+def _scrypt_maxmem(cost_n: int, block_r: int, parallel_p: int) -> int:
+    """scrypt's working memory for these parameters, plus 1 MiB of headroom."""
+    return 128 * block_r * (cost_n + parallel_p) + (1 << 20)
+
+
 def scrypt_kdf(
     password: bytes,
     salt: bytes,
@@ -208,14 +206,13 @@ def scrypt_kdf(
     out_len: int,
 ) -> bytes:
     """Raw scrypt (RFC 7914 parameter semantics), no length conventions."""
-    maxmem = min(128 * block_r * (cost_n + parallel_p) + (1 << 20), _MAXMEM_CAP)
     return hashlib.scrypt(
         password,
         salt=salt,
         n=cost_n,
         r=block_r,
         p=parallel_p,
-        maxmem=maxmem,
+        maxmem=min(_scrypt_maxmem(cost_n, block_r, parallel_p), _MAXMEM_CAP),
         dklen=out_len,
     )
 

@@ -103,6 +103,159 @@ def test_malformed_lengths_raise(kernel):
         core.verify(bytes(32), bytes(63), b"m", kernel)
 
 
+# ------------------------------------------------------------ reference kernel
+# The double-and-add kernel that the windowed one replaced, kept as an oracle:
+# every kernel must encode exactly the bytes it does.
+
+_REF_IDENTITY = (0, 1, 1, 0)
+_REF_D2 = 2 * core.D % core.P
+
+
+def _ref_add(p, q):
+    P = core.P
+    x1, y1, z1, t1 = p
+    x2, y2, z2, t2 = q
+    a = (y1 - x1) * (y2 - x2) % P
+    b = (y1 + x1) * (y2 + x2) % P
+    c = t1 * t2 % P * _REF_D2 % P
+    d = 2 * z1 * z2 % P
+    e, f, g, h = b - a, d - c, d + c, b + a
+    return e * f % P, g * h % P, f * g % P, e * h % P
+
+
+def _ref_dbl(p):
+    P = core.P
+    x1, y1, z1, _ = p
+    a = x1 * x1 % P
+    b = y1 * y1 % P
+    c = 2 * z1 * z1 % P
+    e = ((x1 + y1) * (x1 + y1) - a - b) % P
+    g = b - a
+    f = g - c
+    h = -a - b
+    return e * f % P, g * h % P, f * g % P, e * h % P
+
+
+def _ref_encode(p) -> bytes:
+    P = core.P
+    x, y, z, _ = p
+    zinv = pow(z, P - 2, P)
+    x = x * zinv % P
+    y = y * zinv % P
+    return (y | ((x & 1) << 255)).to_bytes(32, "little")
+
+
+def _ref_mul(p, k: int):
+    acc = _REF_IDENTITY
+    for i in range(k.bit_length() - 1, -1, -1):
+        acc = _ref_dbl(acc)
+        if (k >> i) & 1:
+            acc = _ref_add(acc, p)
+    return acc
+
+
+def _ref_point(x: int, y: int):
+    return (x, y, 1, x * y % core.P)
+
+
+_REF_B_DOUBLES = [_ref_point(core.B_X, core.B_Y)]
+for _ in range(255):
+    _REF_B_DOUBLES.append(_ref_dbl(_REF_B_DOUBLES[-1]))
+
+
+def _ref_mul_base(k: int):
+    acc = _REF_IDENTITY
+    i = 0
+    while k:
+        if k & 1:
+            acc = _ref_add(acc, _REF_B_DOUBLES[i])
+        k >>= 1
+        i += 1
+    return acc
+
+
+def ref_scalarmult_base(k: int) -> bytes:
+    return _ref_encode(_ref_mul_base(k))
+
+
+def ref_scalarmult_sub(s: int, h: int, ax: int, ay: int) -> bytes:
+    a_neg = _ref_point((core.P - ax) % core.P, ay)
+    return _ref_encode(_ref_add(_ref_mul_base(s), _ref_mul(a_neg, h)))
+
+
+def _random_points(rng, count):
+    points = []
+    while len(points) < count:
+        point = core.decompress(rng.randbytes(32))
+        if point is not None:
+            points.append(point)
+    return points
+
+
+def _torsion_points():
+    """The eight points of order dividing 8, found as L * Q for a point Q of
+    order 8L, each as decompress decodes its encoding."""
+    for x, y in _random_points(random.Random(8), 64):
+        torsion = _ref_mul(_ref_point(x, y), core.L)
+        if _ref_encode(_ref_mul(torsion, 4)) != _ref_encode(_REF_IDENTITY):
+            return [core.decompress(_ref_encode(_ref_mul(torsion, j))) for j in range(8)]
+    raise AssertionError("no point of order 8L found")
+
+
+L = core.L
+EDGE_SCALARS = [0, 1, 2, 7, 8, 9, 15, 16, L - 1, L, L + 1, 2**252, 2**255 - 1]
+
+
+class TestAgainstReferenceKernel:
+    """Byte-equal to the double-and-add reference on random and edge inputs."""
+
+    @pytest.mark.parametrize("k", EDGE_SCALARS)
+    def test_base_multiply_edge_scalars(self, kernel, k):
+        assert kernel.scalarmult_base(k) == ref_scalarmult_base(k)
+
+    def test_base_multiply_random_scalars(self, kernel):
+        rng = random.Random(11)
+        for _ in range(40):
+            k = rng.randrange(2**256)
+            assert kernel.scalarmult_base(k) == ref_scalarmult_base(k), k
+
+    def test_base_multiply_every_signed_digit(self, kernel):
+        # m * 16^i has digit m (m < 8) or m - 16 (m >= 8) at position i,
+        # so this reaches every table entry a scalar below L uses, both signs
+        for i in range(64):
+            for m in range(1, 16):
+                k = m << (4 * i)
+                assert kernel.scalarmult_base(k) == ref_scalarmult_base(k), (m, i)
+
+    def test_joint_multiply_random(self, kernel):
+        rng = random.Random(12)
+        for ax, ay in _random_points(rng, 20):
+            s, h = rng.randrange(L), rng.randrange(2**256)
+            assert kernel.scalarmult_sub(s, h, ax, ay) == ref_scalarmult_sub(s, h, ax, ay)
+
+    def test_joint_multiply_every_window_digit(self, kernel):
+        # odd s < 256 and odd h < 32 put every width-8 and width-5 NAF digit,
+        # positive and negative, at position 0: every odd multiple of B and A
+        ((ax, ay),) = _random_points(random.Random(13), 1)
+        for s in range(1, 256, 2):
+            assert kernel.scalarmult_sub(s, 0, ax, ay) == ref_scalarmult_sub(s, 0, ax, ay)
+        for h in range(1, 32, 2):
+            assert kernel.scalarmult_sub(0, h, ax, ay) == ref_scalarmult_sub(0, h, ax, ay)
+
+    def test_joint_multiply_edge_points_and_scalars(self, kernel):
+        torsion = _torsion_points()
+        assert None not in torsion and len(set(torsion)) == 8
+        assert (0, 1) in torsion and (0, core.P - 1) in torsion  # the x = 0 points
+        rng = random.Random(14)
+        points = torsion + _random_points(rng, 2)
+        scalars = [0, 1, L - 1]
+        for ax, ay in points:
+            for s in scalars:
+                for h in scalars + [rng.randrange(L)]:
+                    expected = ref_scalarmult_sub(s, h, ax, ay)
+                    assert kernel.scalarmult_sub(s, h, ax, ay) == expected, (ax, ay, s, h)
+
+
 @pytest.mark.skipif(
     "compiled" not in ed25519.available_backends(),
     reason="compiled kernel not built",

@@ -3,6 +3,7 @@
 import http.client
 import json
 import socket
+import time
 
 import pytest
 
@@ -10,7 +11,7 @@ from flagless import ledger
 from flagless.canonical import canonical_bytes
 from flagless.competition import build_submission, register_team, scoreboard_bytes
 from flagless.ledger import Changeset, FileChange
-from flagless.service import BackgroundService
+from flagless.service import BackgroundService, _Handler
 
 from helpers import simulate
 
@@ -120,6 +121,19 @@ class TestMalformedRequests:
             b"POST /changesets HTTP/1.1\r\nHost: x\r\nContent-Length: " + length + b"\r\n\r\n",
         )
         assert reply.startswith(b"HTTP/1.1 400 ")
+
+    def test_short_body_is_dropped_after_the_read_timeout(self, sim, monkeypatch):
+        assert _Handler.timeout is not None and _Handler.timeout > 0
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        with BackgroundService(sim.host) as svc:
+            address = svc.server.server_address[:2]
+            with socket.create_connection(address, timeout=TIMEOUT_S) as sock:
+                sock.sendall(
+                    b"POST /changesets HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\n{}"
+                )
+                start = time.monotonic()
+                assert sock.recv(65536) == b""  # closed, no answer
+                assert time.monotonic() - start < TIMEOUT_S
 
     @pytest.mark.parametrize("method,path", [("GET", "/nope"), ("POST", "/scoreboard")])
     def test_unknown_route_is_404(self, service, method, path):

@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from flagless import ledger
-from flagless.canonical import canonical_bytes, to_hex
+from flagless.canonical import canonical_bytes, to_b64, to_hex
 from flagless.competition import (
     CompetitionState,
     build_submission,
@@ -131,7 +131,7 @@ class TestSubmissionRules:
         # team A's perfectly valid proof, submitted under team B's name
         forged = {
             "challenge_id": cid,
-            "proof": record.proof.to_base64(),
+            "proof": to_b64(record.proof.serialize()),
             "team_id": team_b,
         }
         changeset = _single(submission_path(team_b, cid), canonical_bytes(forged), author=team_b)
