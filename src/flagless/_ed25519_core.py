@@ -16,11 +16,12 @@ against the R carried in the signature.  This accepts every honestly
 produced signature and additionally rejects non-canonical R encodings,
 which keeps the accept/reject decision identical across kernels.
 
-`verify` decodes the public key through a 1024-entry LRU memo of
-`decompress`: a competition checks thousands of signatures under a few
-hundred team, challenge and organizer keys, so a repeated key costs no
-square root.  `decompress` is a pure function, so the memo changes nothing
-but timing; `decompress` itself stays uncached.
+`verify`, and the team and challenge records that validate a key when
+they are decoded, decode public keys through `decoded_key`, a 1024-entry
+LRU memo of `decompress`: a competition checks thousands of signatures
+under a few hundred team, challenge and organizer keys, so each key costs
+one square root per process.  `decompress` is a pure function, so the memo
+changes nothing but timing; `decompress` itself stays uncached.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ def decompress(encoded: bytes) -> tuple[int, int] | None:
 
 
 @functools.lru_cache(maxsize=1024)
-def _decoded_key(public: bytes) -> tuple[int, int] | None:
+def decoded_key(public: bytes) -> tuple[int, int] | None:
+    """`decompress(public)`, memoized; `public` must be `bytes`."""
     return decompress(public)
 
 
@@ -122,7 +124,7 @@ def verify(public: bytes, signature: bytes, message: bytes, kernel) -> bool:
         raise ValueError("public key must be exactly 32 bytes")
     if len(signature) != 64:
         raise ValueError("signature must be exactly 64 bytes")
-    point = _decoded_key(bytes(public))
+    point = decoded_key(bytes(public))
     if point is None:
         return False
     r_enc = signature[:32]

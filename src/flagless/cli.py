@@ -5,6 +5,12 @@ service (--service-url) and behave identically against both.  Organizer
 commands (init, challenge add) are local-only: privileged entries are
 signed with the organizer key, which never belongs on the wire.
 
+`init` creates the ledger file; every later entry is appended by the one
+`CompetitionHost` holding the file (`serve`, `challenge add`, or a local
+`team register` or `submit`), and is on disk before the command reports
+it.  A command that finds the file held exits 1 and leaves it untouched,
+so `challenge add` needs `serve` stopped.
+
 Exit codes: 0 success, 1 domain rejection (wrong flag, rejected changeset,
 audit findings), 2 usage error.
 """
@@ -12,7 +18,6 @@ audit findings), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import fcntl
 import getpass
 import json
 import os
@@ -20,7 +25,6 @@ import sys
 import time
 import urllib.error
 import urllib.request
-from contextlib import contextmanager
 
 from . import competition, ledger, service, sigproof
 from .canonical import canonical_bytes, canonical_dumps, to_hex
@@ -49,22 +53,8 @@ class CliError(Exception):
 # ---------------------------------------------------------------- targets
 
 
-@contextmanager
-def _locked(path: str):
-    """Advisory lock so concurrent CLI instances serialize their appends."""
-    fd = os.open(path + ".lock", os.O_CREAT | os.O_RDWR, 0o644)
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        yield
-    finally:
-        fcntl.flock(fd, fcntl.LOCK_UN)
-        os.close(fd)
-
-
 class LocalTarget:
     def __init__(self, ledger_path: str):
-        if not os.path.exists(ledger_path):
-            raise CliError(f"no ledger at {ledger_path}")
         self.path = ledger_path
 
     def ledger_bytes(self) -> bytes:
@@ -81,8 +71,7 @@ class LocalTarget:
         return self.host().scoreboard()
 
     def submit(self, changeset) -> dict:
-        with _locked(self.path):
-            host = self.host()
+        with CompetitionHost.open(self.path) as host:
             result = host.apply(changeset, int(time.time()))
             if isinstance(result, ValidationVerdict):
                 return {
@@ -90,7 +79,6 @@ class LocalTarget:
                     "code": result.code.name,
                     "message": result.message,
                 }
-            ledger.write_ledger(self.path, host.chain)
             return {
                 "outcome": "ACCEPT",
                 "index": result.index,
@@ -120,16 +108,7 @@ class RemoteTarget:
 
     def scoreboard(self) -> list[ScoreboardRow]:
         rows = json.loads(self._get("/scoreboard").decode("utf-8"))
-        return [
-            ScoreboardRow(
-                rank=r["rank"],
-                team_id=r["team_id"],
-                points=r["points"],
-                solves=r["solves"],
-                last_solve_index=r["last_solve_index"],
-            )
-            for r in rows
-        ]
+        return [ScoreboardRow.from_json_dict(r) for r in rows]
 
     def submit(self, changeset) -> dict:
         body = canonical_bytes(changeset.to_json_dict())
@@ -230,15 +209,12 @@ def cmd_challenge_add(args) -> int:
         description=args.description,
         categories=tuple(args.category),
     )
-    with _locked(args.ledger):
-        chain = ledger.read_ledger(args.ledger)
-        state = ledger.replay(chain)
-        if competition.challenge_path(args.id) in state:
+    with CompetitionHost.open(args.ledger) as host:
+        if competition.challenge_path(args.id) in host.snapshot()[1]:
             raise CliError(f"challenge {args.id!r} already released")
-        entry = ledger.append(
-            chain, challenge_changeset(descriptor), int(time.time()), org_secret=secret.seed
+        entry = host.apply_organizer(
+            challenge_changeset(descriptor), secret.seed, int(time.time())
         )
-        ledger.write_ledger(args.ledger, chain)
     if args.json:
         print(canonical_dumps({"entry": entry.index, "id": args.id}))
     else:
@@ -249,7 +225,11 @@ def cmd_challenge_add(args) -> int:
 def cmd_team_register(args) -> int:
     record, secret, changeset = register_team(args.name)
     _write_private_file(args.secret_out, canonical_bytes(secret.to_json_dict()))
-    result = _target(args).submit(changeset)
+    try:
+        result = _target(args).submit(changeset)
+    except (BlockingIOError, FileNotFoundError):  # ledger file held or missing
+        os.unlink(args.secret_out)
+        raise
     if result["outcome"] != "ACCEPT":
         os.unlink(args.secret_out)
         print(f"registration rejected: {result['code']}: {result.get('message', '')}", file=sys.stderr)
@@ -336,23 +316,16 @@ def cmd_audit(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    chain = ledger.read_ledger(args.ledger)
-    host = CompetitionHost(chain)
     bind_host, _, port = args.listen.rpartition(":")
-    server = service.make_server(host, (bind_host or "127.0.0.1", int(port)))
-    print(f"serving on http://{server.server_address[0]}:{server.server_address[1]}")
-
-    def persist() -> None:
-        with _locked(args.ledger):
-            ledger.write_ledger(args.ledger, host.chain)
-
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-        persist()
+    with CompetitionHost.open(args.ledger) as host:
+        server = service.make_server(host, (bind_host or "127.0.0.1", int(port)))
+        print(f"serving on http://{server.server_address[0]}:{server.server_address[1]}")
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass
+        finally:
+            server.server_close()
     return 0
 
 
@@ -441,7 +414,7 @@ def run(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (ledger.ChainError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ChainError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

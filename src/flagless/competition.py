@@ -34,11 +34,12 @@ from .ledger import (
     FileChange,
     LedgerEntry,
     LedgerState,
+    _is_int,
     organizer_key,
     verify_chain,
 )
 from . import sigproof
-from ._ed25519_core import decompress
+from ._ed25519_core import decoded_key
 from .sigproof import KdfParams, KeyPair, Proof
 
 SLUG_RE = re.compile(r"\A[a-z0-9-]{1,64}\Z")
@@ -110,7 +111,7 @@ class ChallengeDescriptor:
             raise ValueError("points must be a positive integer")
         if len(self.salt) != sigproof.SALT_LEN:
             raise ValueError("salt must be 16 bytes")
-        if len(self.public_key) != 32 or decompress(self.public_key) is None:
+        if len(self.public_key) != 32 or decoded_key(bytes(self.public_key)) is None:
             raise ValueError("public_key is not a valid point encoding")
         if not isinstance(self.title, str) or not isinstance(self.description, str):
             raise ValueError("title and description must be strings")
@@ -173,7 +174,7 @@ class TeamRecord:
             raise ValueError("team name must be 1-64 characters")
         if not self.name.isprintable():
             raise ValueError("team name must be printable")
-        if len(self.public_key) != 32 or decompress(self.public_key) is None:
+        if len(self.public_key) != 32 or decoded_key(bytes(self.public_key)) is None:
             raise ValueError("public_key is not a valid point encoding")
 
     def to_json_dict(self) -> dict:
@@ -269,6 +270,19 @@ class ScoreboardRow:
             "solves": self.solves,
             "team_id": self.team_id,
         }
+
+    @classmethod
+    def from_json_dict(cls, obj: dict) -> "ScoreboardRow":
+        keys = {"last_solve_index", "points", "rank", "solves", "team_id"}
+        if not isinstance(obj, dict) or set(obj) != keys:
+            raise ValueError("malformed scoreboard row")
+        if not all(_is_int(obj[k]) for k in ("points", "rank", "solves")):
+            raise ValueError("rank, points and solves must be integers")
+        if obj["last_solve_index"] is not None and not _is_int(obj["last_solve_index"]):
+            raise ValueError("last_solve_index must be an integer or null")
+        if not isinstance(obj["team_id"], str):
+            raise ValueError("team_id must be a string")
+        return cls(**obj)
 
 
 def _rand_bytes(rng: Random | None, n: int) -> bytes:

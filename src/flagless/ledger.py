@@ -11,11 +11,16 @@ over their pre-hash serialization, verifiable against the genesis key.
 Three guarantees this module is built around: any prefix of the chain can
 be snapshotted, committed entries can never be silently rewritten, and a
 copied ledger file is a complete audit-capable replica.
+
+A ledger file is written whole only once, when `write_ledger` creates it.
+From then on the `CompetitionHost` that holds the file (see `validator`)
+is its one writer and appends each entry as one fsynced line.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -360,14 +365,15 @@ def dump_chain(chain: Iterable[LedgerEntry]) -> bytes:
 def load_chain(data: bytes) -> list[LedgerEntry]:
     """Parse an NDJSON ledger, insisting on canonical lines.
 
-    Every line must re-serialize to exactly the bytes it was parsed from;
-    anything else (re-encoded hex case, shuffled keys, duplicate keys,
-    stray whitespace) is rejected so that no two distinct byte streams
-    parse to the same chain.
+    Every line must re-serialize to exactly the bytes it was parsed from
+    and end in a newline; anything else (re-encoded hex case, shuffled
+    keys, duplicate keys, stray whitespace, a last line cut short) is
+    rejected so that no two distinct byte streams parse to the same chain.
     """
     lines = data.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
+    last = lines.pop()
+    if last:
+        raise ChainError(f"ledger line {len(lines)}: cut short, no final newline")
     chain: list[LedgerEntry] = []
     for lineno, line in enumerate(lines):
         try:
@@ -382,8 +388,13 @@ def load_chain(data: bytes) -> list[LedgerEntry]:
 
 
 def write_ledger(path: str, chain: list[LedgerEntry]) -> None:
-    with open(path, "wb") as fh:
+    """Create a ledger file holding `chain`, durably.  Raises
+    `FileExistsError` rather than touch an existing file: entries are
+    added to a ledger file only by the `CompetitionHost` holding it."""
+    with open(path, "xb") as fh:
         fh.write(dump_chain(chain))
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def read_ledger(path: str) -> list[LedgerEntry]:

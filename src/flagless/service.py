@@ -16,7 +16,10 @@ are not UTF-8 JSON or nest too deeply, a changeset that does not parse) get
 Content-Length) or between keep-alive requests, is closed without an
 answer, so a stalled client cannot pin a handler thread.  The host
 serializes appends and reads, so every read sees the state between two
-appends.  Transient 5xx answers are safe to retry because duplicate
+appends.  When the host holds a ledger file, a 201 goes out only after the
+entry's line is fsynced there; if that write fails, the connection is
+closed without an answer and the entry is not kept.  Transient 5xx
+answers and unanswered requests are safe to retry because duplicate
 submissions are rejected deterministically.
 """
 

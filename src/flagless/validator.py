@@ -15,6 +15,8 @@ signing key can produce the inner signature layer.
 from __future__ import annotations
 
 import enum
+import fcntl
+import os
 import threading
 import time
 from dataclasses import dataclass
@@ -64,6 +66,8 @@ class ValidationVerdict:
 
 
 ACCEPT = ValidationVerdict.accept()
+
+_CLOSED = -1  # CompetitionHost._fd once close() has run
 
 
 def _validate_registration(
@@ -176,6 +180,12 @@ class CompetitionHost:
     into the state; a scoreboard read sorts the running totals and a
     challenge read lists the decoded descriptors, so neither scans the
     chain nor copies the state.
+
+    A host made by `open` is the only writer of its ledger file: it holds
+    an exclusive lock on the file until `close`, and appends each entry as
+    one canonical line, fsynced before `apply` or `apply_organizer`
+    returns it.  An entry whose write fails joins neither the chain nor
+    the state.  Hosts made from a chain alone live in memory.
     """
 
     def __init__(self, chain: list[LedgerEntry]):
@@ -187,6 +197,64 @@ class CompetitionHost:
         self._lock = threading.Lock()
         self._chain = list(chain)
         self._state = CompetitionState.from_chain(self._chain)
+        self._fd: int | None = None  # the ledger file's descriptor, if any
+        self._size = 0  # bytes of the file the chain accounts for
+
+    @classmethod
+    def open(cls, path: str) -> "CompetitionHost":
+        """Host the ledger file at `path` until `close` (or the end of a
+        `with` block).  Raises `BlockingIOError` when another host holds
+        the file, `ChainError` when it does not load or verify."""
+        fd = os.open(path, os.O_RDWR | os.O_APPEND)
+        try:
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError as exc:
+                raise BlockingIOError(exc.errno, "another process holds the ledger", path) from None
+            with open(fd, "rb", closefd=False) as fh:
+                chain = ledger.load_chain(fh.read())
+                size = fh.tell()
+            host = cls(chain)
+        except BaseException:
+            os.close(fd)
+            raise
+        host._fd, host._size = fd, size
+        return host
+
+    def close(self) -> None:
+        """Release the ledger file; appends after this raise ValueError."""
+        with self._lock:
+            if self._fd not in (None, _CLOSED):
+                os.close(self._fd)
+            self._fd = _CLOSED
+
+    def __enter__(self) -> "CompetitionHost":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _append(
+        self, changeset: Changeset, timestamp: int | None, org_secret: bytes | None = None
+    ) -> LedgerEntry:
+        """Extend the chain, and the file if there is one, then fold."""
+        if self._fd == _CLOSED:
+            raise ValueError("the competition host is closed")
+        entry = ledger.append(self._chain, changeset, timestamp, org_secret=org_secret)
+        if self._fd is not None:
+            try:
+                line = ledger.dump_entry(entry) + b"\n"
+                written = 0
+                while written < len(line):
+                    written += os.write(self._fd, line[written:])
+                os.fsync(self._fd)
+            except BaseException:
+                self._chain.pop()
+                os.ftruncate(self._fd, self._size)
+                raise
+            self._size += len(line)
+        self._state.fold(entry)
+        return entry
 
     @classmethod
     def bootstrap(
@@ -208,9 +276,7 @@ class CompetitionHost:
             verdict = validate_changeset(self._state, changeset)
             if not verdict:
                 return verdict
-            entry = ledger.append(self._chain, changeset, timestamp)
-            self._state.fold(entry)
-            return entry
+            return self._append(changeset, timestamp)
 
     def apply_organizer(
         self,
@@ -221,9 +287,7 @@ class CompetitionHost:
         """Privileged append (challenge releases and the like), signed so
         auditors can tell it apart from team traffic."""
         with self._lock:
-            entry = ledger.append(self._chain, changeset, timestamp, org_secret=org_secret)
-            self._state.fold(entry)
-            return entry
+            return self._append(changeset, timestamp, org_secret)
 
     def snapshot(self) -> tuple[list[LedgerEntry], LedgerState]:
         """Copies of the chain and of its files, taken at one instant."""

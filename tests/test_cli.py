@@ -1,10 +1,14 @@
-"""The CLI end to end on a local ledger: organizer, player and auditor."""
+"""The CLI end to end: organizer, player and auditor, on a local ledger
+and through a running service."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from flagless import cli
+from flagless import cli, ledger
+from flagless.service import BackgroundService
+from flagless.validator import CompetitionHost
 
 FLAG = "flag{cli-test}"
 
@@ -82,3 +86,52 @@ def test_audit_fails_after_one_flipped_byte(competition, capsys, where):
         fh.write(raw)
     code, _ = _run(capsys, "--json", "audit", "--ledger", ledger_path)
     assert code != 0
+
+
+def test_service_url_gives_the_same_results_as_ledger(competition, tmp_path, capsys):
+    ledger_path, _ = competition
+    served = tmp_path / "served.ndjson"
+    served.write_bytes(Path(ledger_path).read_bytes())
+    with CompetitionHost.open(str(served)) as host, BackgroundService(host) as svc:
+        targets = {"ledger": ["--ledger", ledger_path], "service": ["--service-url", svc.url]}
+
+        def both(argv):
+            """(exit code, output) of one command against each target;
+            `argv(name)` gives the command's arguments for target `name`."""
+            return {
+                name: _run(capsys, "--json", *argv(name), *target)
+                for name, target in targets.items()
+            }
+
+        def key(name):
+            return tmp_path / f"beta-{name}.key"
+
+        registered = both(lambda t: ["team", "register", "--name", "Beta", "--secret-out", key(t)])
+        assert registered["ledger"] == registered["service"]
+        assert registered["ledger"][0] == 0
+
+        listed = both(lambda t: ["challenges"])
+        assert listed["ledger"] == listed["service"] and listed["ledger"][0] == 0
+
+        submit = ["submit", "--challenge", "warmup", "--flag", FLAG, "--secret"]
+        solved = {
+            name: (code, json.loads(out))
+            for name, (code, out) in both(lambda t: [*submit, key(t)]).items()
+        }
+        heads = {"ledger": ledger.read_ledger(ledger_path)[-1], "service": host.chain[-1]}
+        for name, (code, result) in solved.items():
+            assert code == 0 and result["outcome"] == "ACCEPT"
+            assert result.pop("hash") == heads[name].hash.hex()
+        assert solved["ledger"] == solved["service"]
+
+        again = both(lambda t: [*submit, key(t)])
+        assert again["ledger"] == again["service"] and again["ledger"][0] == 1
+        assert json.loads(again["ledger"][1])["code"] == "DUPLICATE_SUBMISSION"
+
+        scored = both(lambda t: ["score", "--out", tmp_path / f"score-{t}.json"])
+        assert scored["ledger"] == scored["service"] and scored["ledger"][0] == 0
+        assert len(json.loads(scored["ledger"][1])) == 2
+
+        audited = both(lambda t: ["audit"])
+        assert audited["ledger"] == audited["service"] and audited["ledger"][0] == 0
+    assert ledger.read_ledger(str(served)) == host.chain

@@ -1,15 +1,18 @@
 """Domain behavior: records, scoreboard ranking, and the open audit."""
 
+import json
 import random
 
 import pytest
 
-from flagless import ledger
+from flagless import _ed25519_core, competition, ed25519, ledger
 from flagless.canonical import to_hex
 from flagless.competition import (
     AuditError,
     ChallengeDescriptor,
     FlagMismatch,
+    ScoreboardRow,
+    TeamRecord,
     audit_all,
     build_submission,
     challenge_changeset,
@@ -120,6 +123,25 @@ class TestRegisterTeam:
         with pytest.raises(ValueError):
             register_team("!!!", rng=rng)
 
+    def test_key_decoded_once_per_process(self, rng, monkeypatch):
+        record, secret, _ = register_team("Robot Mafia", rng=rng)
+        signature = ed25519.sign(secret.seed, b"once")
+        calls = []
+        real = _ed25519_core.decompress
+
+        def counting(encoded):
+            calls.append(encoded)
+            return real(encoded)
+
+        # under every name it could be looked up by: a module that imported
+        # `decompress` itself would bypass the one on `_ed25519_core`
+        monkeypatch.setattr(_ed25519_core, "decompress", counting)
+        monkeypatch.setattr(competition, "decompress", counting, raising=False)
+        _ed25519_core.decoded_key.cache_clear()
+        decoded = TeamRecord.from_json_dict(json.loads(record.serialize()))
+        assert ed25519.verify(decoded.public_key, signature, b"once")
+        assert calls == [record.public_key]
+
 
 class TestBuildSubmission:
     def test_wrong_flag_fails_fast(self, rng):
@@ -221,6 +243,33 @@ class TestScoreboard:
         ledger.append(chain, changeset, timestamp=chain[-1].timestamp + 1)
         with pytest.raises(AuditError):
             compute_scoreboard(ledger.replay(chain), chain)
+
+
+class TestScoreboardRow:
+    ROW = {"last_solve_index": 7, "points": 300, "rank": 1, "solves": 2, "team_id": "a"}
+
+    @pytest.mark.parametrize("last", [7, None])
+    def test_round_trip(self, last):
+        row = ScoreboardRow(rank=1, team_id="a", points=300, solves=2, last_solve_index=last)
+        assert ScoreboardRow.from_json_dict(row.to_json_dict()) == row
+
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            {**ROW, "bonus": 1},
+            {k: v for k, v in ROW.items() if k != "rank"},
+            {**ROW, "points": True},
+            {**ROW, "last_solve_index": False},
+            {**ROW, "solves": "2"},
+            {**ROW, "team_id": 1},
+            [ROW],
+        ],
+        ids=["extra-key", "missing-key", "bool-points", "bool-index", "str-solves",
+             "int-team", "not-a-dict"],
+    )
+    def test_malformed_rejected(self, broken):
+        with pytest.raises(ValueError):
+            ScoreboardRow.from_json_dict(broken)
 
 
 class TestStateParsers:
