@@ -62,7 +62,7 @@ class LocalTarget:
             return fh.read()
 
     def host(self) -> CompetitionHost:
-        return CompetitionHost(ledger.load_chain(self.ledger_bytes()))
+        return CompetitionHost.load(self.ledger_bytes())
 
     def challenges(self) -> list[ChallengeDescriptor]:
         return self.host().challenges()

@@ -8,6 +8,7 @@ Wire contract (HTTP/1.1, canonical JSON on every response body):
     GET  /challenges   200, list of challenge descriptors
     GET  /scoreboard   200, scoreboard rows
     GET  /ledger       200, full NDJSON ledger (application/x-ndjson)
+    GET  /healthz      200 {"hash": ..., "index": ...} of the chain head
 
 Malformed request bodies (a missing or negative Content-Length, bytes that
 are not UTF-8 JSON or nest too deeply, a changeset that does not parse) get
@@ -16,8 +17,12 @@ are not UTF-8 JSON or nest too deeply, a changeset that does not parse) get
 Content-Length) or between keep-alive requests, is closed without an
 answer, so a stalled client cannot pin a handler thread.  The host
 serializes appends and reads, so every read sees the state between two
-appends.  When the host holds a ledger file, a 201 goes out only after the
-entry's line is fsynced there; if that write fails, the connection is
+appends.  `GET /ledger` serves the canonical bytes the host holds (for a
+file host, the bytes of its file) without serializing the chain, and the
+other GET bodies are built at most once per chain head.  Each read hands
+the handler an immutable `bytes`, written to the socket outside the
+host's lock.  When the host holds a ledger file, a 201 goes out only after
+the entry's line is fsynced there; if that write fails, the connection is
 closed without an answer and the entry is not kept.  Transient 5xx
 answers and unanswered requests are safe to retry because duplicate
 submissions are rejected deterministically.
@@ -31,11 +36,11 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .canonical import canonical_bytes, to_hex
-from .competition import scoreboard_bytes
 from .ledger import Changeset
 from .validator import CompetitionHost, ValidationVerdict
 
 MAX_BODY_BYTES = 1 << 20
+_NOT_FOUND = canonical_bytes({"error": "not found"})
 
 log = logging.getLogger(__name__)
 
@@ -65,19 +70,19 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:
         if self.path == "/scoreboard":
-            self._respond(200, scoreboard_bytes(self.host.scoreboard()))
+            self._respond(200, self.host.scoreboard_body())
         elif self.path == "/challenges":
-            self._respond_json(
-                200, [d.to_json_dict() for d in self.host.challenges()]
-            )
+            self._respond(200, self.host.challenges_body())
         elif self.path == "/ledger":
             self._respond(200, self.host.ledger_bytes(), "application/x-ndjson")
+        elif self.path == "/healthz":
+            self._respond(200, self.host.head_body())
         else:
-            self._respond_json(404, {"error": "not found"})
+            self._respond(404, _NOT_FOUND)
 
     def do_POST(self) -> None:
         if self.path != "/changesets":
-            self._respond_json(404, {"error": "not found"})
+            self._respond(404, _NOT_FOUND)
             return
         try:
             length = int(self.headers.get("Content-Length", ""))

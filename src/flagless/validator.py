@@ -22,6 +22,7 @@ import time
 from dataclasses import dataclass
 
 from . import competition, ledger, sigproof
+from .canonical import canonical_bytes, to_hex
 from .competition import (
     ChallengeDescriptor,
     CompetitionState,
@@ -30,6 +31,7 @@ from .competition import (
     TeamRecord,
     _SUBMISSION_PATH_RE,
     _TEAM_PATH_RE,
+    scoreboard_bytes,
     slugify,
 )
 from .ledger import Changeset, LedgerEntry, LedgerState
@@ -177,18 +179,21 @@ class CompetitionHost:
     """Owns a chain and its folded state, and serializes every append.
 
     All reads and appends take one lock.  An append folds its new entry
-    into the state; a scoreboard read sorts the running totals and a
-    challenge read lists the decoded descriptors, so neither scans the
-    chain nor copies the state.
+    into the state and adds its canonical line to the ledger bytes the
+    host holds, so `ledger_bytes` returns the NDJSON ledger without
+    serializing it again.  The scoreboard, challenge and head bodies are
+    each built on their first read after an append and then kept until
+    the next one; every read returns an immutable `bytes`, so a caller
+    writes it out without holding the lock.
 
     A host made by `open` is the only writer of its ledger file: it holds
     an exclusive lock on the file until `close`, and appends each entry as
     one canonical line, fsynced before `apply` or `apply_organizer`
     returns it.  An entry whose write fails joins neither the chain nor
-    the state.  Hosts made from a chain alone live in memory.
+    the state.  Hosts made by `load` or from a chain live in memory.
     """
 
-    def __init__(self, chain: list[LedgerEntry]):
+    def __init__(self, chain: list[LedgerEntry], *, _data: bytes | None = None):
         verdict = ledger.verify_chain(chain)
         if not verdict:
             raise ledger.ChainError(
@@ -199,6 +204,17 @@ class CompetitionHost:
         self._state = CompetitionState.from_chain(self._chain)
         self._fd: int | None = None  # the ledger file's descriptor, if any
         self._size = 0  # bytes of the file the chain accounts for
+        # dump_chain(chain) in pieces: the ledger as loaded, then one line
+        # per append.  Joined only when read, so an append never copies
+        # the whole ledger.
+        self._chunks = [ledger.dump_chain(self._chain) if _data is None else _data]
+        self._bodies: dict[str, bytes] = {}  # read bodies built since the last append
+
+    @classmethod
+    def load(cls, data: bytes) -> "CompetitionHost":
+        """In-memory host of the NDJSON ledger `data`.  `load_chain` proves
+        every line canonical, so `data` is kept and served as it is."""
+        return cls(ledger.load_chain(data), _data=data)
 
     @classmethod
     def open(cls, path: str) -> "CompetitionHost":
@@ -212,13 +228,12 @@ class CompetitionHost:
             except BlockingIOError as exc:
                 raise BlockingIOError(exc.errno, "another process holds the ledger", path) from None
             with open(fd, "rb", closefd=False) as fh:
-                chain = ledger.load_chain(fh.read())
-                size = fh.tell()
-            host = cls(chain)
+                data = fh.read()
+            host = cls.load(data)
         except BaseException:
             os.close(fd)
             raise
-        host._fd, host._size = fd, size
+        host._fd, host._size = fd, len(data)
         return host
 
     def close(self) -> None:
@@ -241,9 +256,9 @@ class CompetitionHost:
         if self._fd == _CLOSED:
             raise ValueError("the competition host is closed")
         entry = ledger.append(self._chain, changeset, timestamp, org_secret=org_secret)
+        line = ledger.dump_entry(entry) + b"\n"
         if self._fd is not None:
             try:
-                line = ledger.dump_entry(entry) + b"\n"
                 written = 0
                 while written < len(line):
                     written += os.write(self._fd, line[written:])
@@ -253,6 +268,8 @@ class CompetitionHost:
                 os.ftruncate(self._fd, self._size)
                 raise
             self._size += len(line)
+        self._chunks.append(line)
+        self._bodies.clear()
         self._state.fold(entry)
         return entry
 
@@ -300,7 +317,40 @@ class CompetitionHost:
             return list(self._chain)
 
     def ledger_bytes(self) -> bytes:
-        return ledger.dump_chain(self.chain)
+        """The ledger as canonical NDJSON: for a file host, the file's bytes."""
+        with self._lock:
+            if len(self._chunks) > 1:
+                self._chunks = [b"".join(self._chunks)]
+            return self._chunks[0]
+
+    def _body(self, name: str, build) -> bytes:
+        with self._lock:
+            body = self._bodies.get(name)
+            if body is None:
+                body = self._bodies[name] = build()
+            return body
+
+    def head_body(self) -> bytes:
+        """Canonical JSON `{"hash": <hex>, "index": <int>}` of the head."""
+        return self._body(
+            "head",
+            lambda: canonical_bytes(
+                {"hash": to_hex(self._chain[-1].hash), "index": self._chain[-1].index}
+            ),
+        )
+
+    def scoreboard_body(self) -> bytes:
+        """`scoreboard_bytes` of the current scoreboard."""
+        return self._body("scoreboard", lambda: scoreboard_bytes(self._state.scoreboard()))
+
+    def challenges_body(self) -> bytes:
+        """Canonical JSON list of the released challenge descriptors."""
+        return self._body(
+            "challenges",
+            lambda: canonical_bytes(
+                [d.to_json_dict() for d in self._state.challenges().values()]
+            ),
+        )
 
     def scoreboard(self) -> list[ScoreboardRow]:
         with self._lock:

@@ -56,13 +56,13 @@ def test_solve_reaches_the_scoreboard(competition, tmp_path, capsys):
 
 def test_wrong_flag_is_not_submitted(competition, tmp_path, capsys):
     ledger_path, _ = competition
-    before = open(ledger_path, "rb").read()
+    before = Path(ledger_path).read_bytes()
     code, _ = _run(
         capsys, "submit", "--challenge", "warmup", "--secret", tmp_path / "alpha.key",
         "--flag", "flag{wrong}", "--ledger", ledger_path,
     )
     assert code == 1
-    assert open(ledger_path, "rb").read() == before
+    assert Path(ledger_path).read_bytes() == before
 
 
 def test_audit_is_clean_and_matches_score(competition, tmp_path, capsys):
@@ -80,7 +80,7 @@ def test_audit_is_clean_and_matches_score(competition, tmp_path, capsys):
 @pytest.mark.parametrize("where", [0.1, 0.5, 0.9])
 def test_audit_fails_after_one_flipped_byte(competition, capsys, where):
     ledger_path, _ = competition
-    raw = bytearray(open(ledger_path, "rb").read())
+    raw = bytearray(Path(ledger_path).read_bytes())
     raw[int(where * len(raw))] ^= 1
     with open(ledger_path, "wb") as fh:
         fh.write(raw)

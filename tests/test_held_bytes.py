@@ -1,0 +1,210 @@
+"""Reads served from the bytes the host holds.
+
+The host keeps its ledger as the canonical NDJSON it loaded and the line
+of each append, and builds its scoreboard, challenge and head bodies once
+per chain head.  These tests hold those bytes to fresh serializations
+after every kind of append, and check that concurrent readers only ever
+see whole, immutable snapshots.
+"""
+
+import http.client
+import json
+import sys
+import threading
+
+import pytest
+
+from flagless import ledger, validator
+from flagless.canonical import canonical_bytes
+from flagless.competition import (
+    CompetitionState,
+    build_submission,
+    challenge_changeset,
+    new_challenge,
+    register_team,
+    scoreboard_bytes,
+)
+from flagless.service import BackgroundService
+from flagless.sigproof import KdfParams
+from flagless.validator import CompetitionHost, ValidationVerdict
+
+from helpers import simulate
+
+TIMEOUT_S = 10
+
+
+@pytest.fixture
+def sim(rng):
+    return simulate(rng, n_challenges=2, n_teams=1, solve_prob=0.0)
+
+
+@pytest.fixture(params=["chain", "bytes", "file"])
+def hosted(request, sim, tmp_path):
+    """(host, ledger path or None): built from a chain in memory, from
+    ledger bytes in memory, or opened on a ledger file."""
+    if request.param == "chain":
+        yield CompetitionHost(sim.chain()), None
+    elif request.param == "bytes":
+        yield CompetitionHost.load(ledger.dump_chain(sim.chain())), None
+    else:
+        path = tmp_path / "ledger.ndjson"
+        ledger.write_ledger(str(path), sim.chain())
+        with CompetitionHost.open(str(path)) as host:
+            yield host, path
+
+
+def _get(conn, route) -> bytes:
+    conn.request("GET", route)
+    resp = conn.getresponse()
+    body = resp.read()
+    assert resp.status == 200, (route, body)
+    return body
+
+
+def _check(host, path, conn) -> None:
+    """The held and served bytes against fresh serializations."""
+    held = host.ledger_bytes()
+    chain = ledger.load_chain(held)
+    assert held == ledger.dump_chain(chain)
+    assert chain == host.chain
+    if path is not None:
+        assert held == path.read_bytes()
+    assert _get(conn, "/ledger") == held
+    state = CompetitionState.from_chain(chain)
+    assert _get(conn, "/scoreboard") == scoreboard_bytes(state.scoreboard())
+    assert _get(conn, "/challenges") == canonical_bytes(
+        [d.to_json_dict() for d in state.challenges().values()]
+    )
+    assert json.loads(_get(conn, "/healthz")) == {
+        "hash": chain[-1].hash.hex(),
+        "index": chain[-1].index,
+    }
+
+
+def test_held_bytes_match_a_fresh_serialization_after_every_append(
+    hosted, sim, rng, monkeypatch
+):
+    host, path = hosted
+    (team_id,) = sim.teams
+    with BackgroundService(host) as svc:
+        conn = http.client.HTTPConnection(*svc.server.server_address[:2], timeout=TIMEOUT_S)
+        try:
+            _check(host, path, conn)
+
+            _, secret, changeset = register_team("Coherent", rng=rng)
+            assert not isinstance(host.apply(changeset), ValidationVerdict)
+            _check(host, path, conn)
+
+            # two appends with no read between them
+            for name in ("Second", "Third"):
+                assert not isinstance(host.apply(register_team(name, rng=rng)[2]), ValidationVerdict)
+            _check(host, path, conn)
+
+            solve = build_submission(
+                sim.secrets[team_id], sim.descriptors["chal-0"], sim.flags["chal-0"]
+            )[1]
+            assert not isinstance(host.apply(solve), ValidationVerdict)
+            _check(host, path, conn)
+
+            verdict = host.apply(solve)
+            assert isinstance(verdict, ValidationVerdict) and not verdict
+            _check(host, path, conn)
+
+            descriptor = new_challenge(
+                "late", "flag{late}", title="Late", points=50, kdf=KdfParams.test(), rng=rng
+            )
+            host.apply_organizer(challenge_changeset(descriptor), sim.org_seed)
+            _check(host, path, conn)
+
+            late = build_submission(secret, descriptor, "flag{late}")[1]
+            if path is not None:
+                def fsync(fd):
+                    raise OSError(5, "simulated I/O error")
+
+                monkeypatch.setattr(validator.os, "fsync", fsync)
+                with pytest.raises(OSError, match="simulated"):
+                    host.apply(late)
+                monkeypatch.undo()
+                _check(host, path, conn)
+
+            assert not isinstance(host.apply(late), ValidationVerdict)
+            _check(host, path, conn)
+        finally:
+            conn.close()
+
+
+def test_concurrent_readers_see_whole_growing_ledgers(rng, tmp_path):
+    sim = simulate(rng, n_challenges=3, n_teams=3, solve_prob=0.0)
+    posts = [
+        build_submission(sim.secrets[t], sim.descriptors[c], sim.flags[c])[1]
+        for t in sorted(sim.teams)
+        for c in sorted(sim.descriptors)
+    ]
+    posts += [register_team(f"Late {i}", rng=rng)[2] for i in range(3)]
+    path = tmp_path / "ledger.ndjson"
+    ledger.write_ledger(str(path), sim.chain())
+    writing = threading.Event()
+    writing.set()
+    errors = []
+    seen = {}
+
+    def read(name, address):
+        lengths, last = [], None
+        conn = http.client.HTTPConnection(*address, timeout=TIMEOUT_S)
+        try:
+            while True:
+                done = not writing.is_set()
+                last = _get(conn, "/ledger")
+                chain = ledger.load_chain(last)
+                assert ledger.verify_chain(chain)
+                lengths.append(len(chain))
+                json.loads(_get(conn, "/scoreboard"))
+                if done:
+                    break
+        except Exception as exc:  # reported by the main thread
+            errors.append((name, exc))
+        finally:
+            conn.close()
+            seen[name] = (lengths, last)
+
+    def write(address):
+        try:
+            for changeset in posts:
+                conn = http.client.HTTPConnection(*address, timeout=TIMEOUT_S)
+                try:
+                    conn.request(
+                        "POST", "/changesets", canonical_bytes(changeset.to_json_dict())
+                    )
+                    resp = conn.getresponse()
+                    assert resp.status == 201, resp.read()
+                    resp.read()
+                finally:
+                    conn.close()
+        except Exception as exc:  # reported by the main thread
+            errors.append(("writer", exc))
+        finally:
+            writing.clear()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with CompetitionHost.open(str(path)) as host, BackgroundService(host) as svc:
+            address = svc.server.server_address[:2]
+            threads = [
+                threading.Thread(target=read, args=(name, address))
+                for name in ("reader-1", "reader-2")
+            ]
+            threads.append(threading.Thread(target=write, args=(address,)))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    final = path.read_bytes()
+    assert len(ledger.load_chain(final)) == len(sim.chain()) + len(posts)
+    for lengths, last in seen.values():
+        assert lengths == sorted(lengths)
+        assert last == final

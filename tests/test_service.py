@@ -88,6 +88,16 @@ class TestWrites:
         }
         assert len(sim.chain()) == length
 
+    def test_healthz_names_the_last_acknowledged_entry(self, service, sim, rng):
+        head = sim.chain()[-1]
+        status, body = _request(service, "GET", "/healthz")
+        assert status == 200
+        assert json.loads(body) == {"hash": head.hash.hex(), "index": head.index}
+        for name in ("Head One", "Head Two"):
+            status, reply = _post(service, register_team(name, rng=rng)[2])
+            assert status == 201
+            assert _request(service, "GET", "/healthz") == (200, reply)
+
     def test_deeply_nested_record_is_422(self, service):
         changeset = Changeset(
             changes=(FileChange(path="teams/x/team.json", content=b"[" * 100_000),), author="x"
