@@ -20,8 +20,11 @@ which keeps the accept/reject decision identical across kernels.
 they are decoded, decode public keys through `decoded_key`, a 1024-entry
 LRU memo of `decompress`: a competition checks thousands of signatures
 under a few hundred team, challenge and organizer keys, so each key costs
-one square root per process.  `decompress` is a pure function, so the memo
-changes nothing but timing; `decompress` itself stays uncached.
+one square root per process.  The pure kernel's `scalarmult_sub` keeps a
+memo of the same size for the 192 doublings it spends on a new key, so
+with that kernel each key also costs those doublings once per process.
+Both memos hold pure functions of the key, so they change nothing but
+timing; `decompress` itself stays uncached.
 """
 
 from __future__ import annotations

@@ -9,29 +9,44 @@ low-order points included) takes the same path.  Always available; the
 compiled kernel replaces it when the extension built.
 
 Two tables of multiples of the base point B are built once at import,
-each with one batch inversion, and only their final tuples are kept:
+with one batch inversion, and only their final tuples are kept:
 
-    _BASE_TABLE[i][j - 1] = j * 16^i * B   for i < 64, 1 <= j <= 8
-    _ODD_B[j]             = (2j + 1) * B    for j < 64
+    _BASE_TABLE[i][j - 1] = j * 16^i * B               for i < 64, 1 <= j <= 8
+    _ODD_B[q][j]          = (2j + 1) * 2^(64q) * B      for q < 4, j < 64
 
-`scalarmult_base` reduces k mod L and writes it in signed radix-16 digits
-in [-8, 8); one mixed addition per nonzero digit from `_BASE_TABLE` gives
-k*B with no doubling.  `scalarmult_sub` computes s*B - h*A in one
-Straus/Shamir loop over width-w NAF digits (w = 8 for s over `_ODD_B`,
-w = 5 for h over the odd multiples A, 3A, ..., 15A built per call), so
-both scalars share one chain of about 253 doublings, and only the last
-doubling before an addition computes T.  See Bernstein, Duif, Lange,
-Schwabe and Yang, "High-speed high-security signatures" (CHES 2011).
+(about 65 KB for the 256 entries of `_ODD_B`).  `scalarmult_base` reduces
+k mod L and writes it in signed radix-16 digits in [-8, 8); one mixed
+addition per nonzero digit from `_BASE_TABLE` gives k*B with no doubling.
+
+`scalarmult_sub` computes s*B - h*A by splitting s mod L and h into four
+64-bit quarters, s = sum of s_q * 2^(64q) (the top quarter of h keeps
+every bit above 2^192, so any h >= 0 is exact), and summing s_q times
+2^(64q)*B and h_q times -2^(64q)*A in one Straus loop over width-w NAF
+digits: w = 8 for each s_q over `_ODD_B[q]`, and w = 4 for each h_q over
+the odd multiples Q, 3Q, 5Q, 7Q of its quarter point Q, built per call.
+All eight scalars share one chain of about 64 doublings instead of the
+~253 an unsplit scalar needs (Lim and Lee, "More Flexible Exponentiation
+with Precomputation", CRYPTO 1994), and only the last doubling before an
+addition computes T.  The four quarter points -2^(64q)*A cost 192
+doublings; `_neg_quarters` memoizes them per key in a 1024-entry LRU
+cache (about 1 KB a key), so a competition's few hundred keys each pay
+that once per process.  Caching the per-call odd multiples as well would
+make the memo about five times larger.  See Bernstein, Duif, Lange, Schwabe and Yang,
+"High-speed high-security signatures" (CHES 2011) for the NAF loop.
 Python integers are not constant-time, so neither is this kernel.
 """
 
 from __future__ import annotations
+
+import functools
+import operator
 
 from ._ed25519_core import B_X, B_Y, D, L, P
 
 _D2 = (2 * D) % P
 _B = (B_X, B_Y, 1, B_X * B_Y % P)
 _MASK = (1 << 255) - 1
+_QUARTER = (1 << 64) - 1
 
 
 def _double(pt, n: int):
@@ -128,6 +143,14 @@ def _affine_niels(points) -> list:
     return out
 
 
+def _quarters(pt) -> list:
+    """[pt, 2^64*pt, 2^128*pt, 2^192*pt] in extended coordinates."""
+    out = [pt]
+    for _ in range(3):
+        out.append(_double(out[-1], 64))
+    return out
+
+
 def _build_tables():
     points = []
     row = _B  # 16^i * B
@@ -138,13 +161,22 @@ def _build_tables():
             multiples.append(_add(multiples[-1], niels))
         points.extend(multiples)
         row = _double(multiples[-1], 1)
-    points.extend(_odd_multiples(_B, 64))
+    for quarter in _quarters(_B):
+        points.extend(_odd_multiples(quarter, 64))
     table = _affine_niels(points)
     base = tuple(tuple(table[i : i + 8]) for i in range(0, 512, 8))
-    return base, tuple(table[512:])
+    odd = tuple(tuple(table[i : i + 64]) for i in range(512, 768, 64))
+    return base, odd
 
 
 _BASE_TABLE, _ODD_B = _build_tables()
+
+
+@functools.lru_cache(maxsize=1024)
+def _neg_quarters(ax: int, ay: int) -> tuple:
+    """`_quarters(-A)` for the affine point A = (ax, ay)."""
+    nx = (P - ax) % P
+    return tuple(_quarters((nx, ay, 1, nx * ay % P)))
 
 
 def _encode(pt) -> bytes:
@@ -203,23 +235,26 @@ def scalarmult_base(k: int) -> bytes:
 
 def scalarmult_sub(s: int, h: int, ax: int, ay: int) -> bytes:
     """Encoded s*B - h*A for the affine point A = (ax, ay)."""
-    nx = (P - ax) % P
-    neg_a = [_niels(q) for q in _odd_multiples((nx, ay, 1, nx * ay % P), 8)]
-    s_digits = _naf(s % L, 8)
-    h_digits = _naf(h, 5)
-    positions = sorted(s_digits.keys() | h_digits.keys(), reverse=True)
-    above = positions[0] if positions else 0
+    s %= L
+    steps = []  # (bit position within a quarter, addition, addend)
+    for j, table in enumerate(_ODD_B):
+        for i, v in _naf((s >> (64 * j)) & _QUARTER, 8).items():
+            steps.append((i, _madd, table[v >> 1] if v > 0 else _neg(table[-v >> 1])))
+    for j, quarter in enumerate(_neg_quarters(ax, ay)):
+        k = h >> (64 * j) if j == 3 else (h >> (64 * j)) & _QUARTER
+        if not k:
+            continue
+        table = [_niels(q) for q in _odd_multiples(quarter, 4)]
+        for i, v in _naf(k, 4).items():
+            steps.append((i, _add, table[v >> 1] if v > 0 else _neg(table[-v >> 1])))
+    steps.sort(key=operator.itemgetter(0), reverse=True)
+    above = steps[0][0] if steps else 0
     pt = (0, 1, 1, 0)
-    for i in positions:
+    for i, add, addend in steps:
         if above > i:
             pt = _double(pt, above - i)
-        above = i
-        v = s_digits.get(i)
-        if v:
-            pt = _madd(pt, _ODD_B[v >> 1] if v > 0 else _neg(_ODD_B[-v >> 1]))
-        v = h_digits.get(i)
-        if v:
-            pt = _add(pt, neg_a[v >> 1] if v > 0 else _neg(neg_a[-v >> 1]))
+            above = i
+        pt = add(pt, addend)
     if above:
         pt = _double(pt, above)
     return _encode(pt)

@@ -12,7 +12,10 @@ Wire contract (HTTP/1.1, canonical JSON on every response body):
 
 Malformed request bodies (a missing or negative Content-Length, bytes that
 are not UTF-8 JSON or nest too deeply, a changeset that does not parse) get
-400, bodies over 1 MiB get 413.  A connection that stays silent for
+400, bodies over 1 MiB get 413.  A POST answered without reading its
+body (a 404, a 413, or a 400 for its Content-Length) carries
+`Connection: close`, and the connection closes after the answer, so the
+body is never parsed as a request.  A connection that stays silent for
 `_Handler.timeout` seconds, mid-request (say, a body shorter than its
 Content-Length) or between keep-alive requests, is closed without an
 answer, so a stalled client cannot pin a handler thread.  The host
@@ -41,6 +44,8 @@ from .validator import CompetitionHost, ValidationVerdict
 
 MAX_BODY_BYTES = 1 << 20
 _NOT_FOUND = canonical_bytes({"error": "not found"})
+_BAD_LENGTH = canonical_bytes({"error": "missing or invalid Content-Length"})
+_TOO_LARGE = canonical_bytes({"error": "body exceeds 1 MiB"})
 
 log = logging.getLogger(__name__)
 
@@ -58,8 +63,12 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt: str, *args) -> None:
         log.debug("%s %s", self.address_string(), fmt % args)
 
-    def _respond(self, status: int, body: bytes, content_type: str = "application/json") -> None:
+    def _respond(
+        self, status: int, body: bytes, content_type: str = "application/json", *, close=False
+    ) -> None:
         self.send_response(status)
+        if close:  # also sets self.close_connection
+            self.send_header("Connection", "close")
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -82,17 +91,17 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:
         if self.path != "/changesets":
-            self._respond(404, _NOT_FOUND)
+            self._respond(404, _NOT_FOUND, close=True)
             return
         try:
             length = int(self.headers.get("Content-Length", ""))
         except ValueError:
             length = -1
         if length < 0:
-            self._respond_json(400, {"error": "missing or invalid Content-Length"})
+            self._respond(400, _BAD_LENGTH, close=True)
             return
         if length > MAX_BODY_BYTES:
-            self._respond_json(413, {"error": "body exceeds 1 MiB"})
+            self._respond(413, _TOO_LARGE, close=True)
             return
         body = self.rfile.read(length)
         try:

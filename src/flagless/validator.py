@@ -190,7 +190,9 @@ class CompetitionHost:
     an exclusive lock on the file until `close`, and appends each entry as
     one canonical line, fsynced before `apply` or `apply_organizer`
     returns it.  An entry whose write fails joins neither the chain nor
-    the state.  Hosts made by `load` or from a chain live in memory.
+    the state, and is cut back out of the file; if that cut fails too,
+    the host closes the file and refuses every later append, as after
+    `close`.  Hosts made by `load` or from a chain live in memory.
     """
 
     def __init__(self, chain: list[LedgerEntry], *, _data: bytes | None = None):
@@ -265,7 +267,13 @@ class CompetitionHost:
                 os.fsync(self._fd)
             except BaseException:
                 self._chain.pop()
-                os.ftruncate(self._fd, self._size)
+                try:
+                    os.ftruncate(self._fd, self._size)
+                except OSError:
+                    # The file may still end in this line, and the next
+                    # entry must not land behind it.
+                    fd, self._fd = self._fd, _CLOSED
+                    os.close(fd)
                 raise
             self._size += len(line)
         self._chunks.append(line)

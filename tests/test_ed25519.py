@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagless import _ed25519_core as core
+from flagless import _ed25519_pykernel as pykernel
 from flagless import ed25519
 
 # RFC 8032 section 7.1, TEST 1-3: (seed, public key, message, signature)
@@ -204,6 +205,9 @@ def _torsion_points():
 
 L = core.L
 EDGE_SCALARS = [0, 1, 2, 7, 8, 9, 15, 16, L - 1, L, L + 1, 2**252, 2**255 - 1]
+# where a scalar crosses from one 64-bit quarter into the next
+QUARTER_EDGE_IDS = ["2^64-1", "2^64", "2^128-1", "2^128+1", "2^192-1", "2^192", "2^256-1"]
+QUARTER_EDGES = [2**64 - 1, 2**64, 2**128 - 1, 2**128 + 1, 2**192 - 1, 2**192, 2**256 - 1]
 
 
 class TestAgainstReferenceKernel:
@@ -234,13 +238,45 @@ class TestAgainstReferenceKernel:
             assert kernel.scalarmult_sub(s, h, ax, ay) == ref_scalarmult_sub(s, h, ax, ay)
 
     def test_joint_multiply_every_window_digit(self, kernel):
-        # odd s < 256 and odd h < 32 put every width-8 and width-5 NAF digit,
-        # positive and negative, at position 0: every odd multiple of B and A
+        # odd s < 256 and odd h < 32 put every width-8 and width-5 (or
+        # narrower) NAF digit, positive and negative, at the bottom of a
+        # 64-bit quarter: every odd multiple of 2^(64j)*B and of 2^(64j)*A
         ((ax, ay),) = _random_points(random.Random(13), 1)
-        for s in range(1, 256, 2):
-            assert kernel.scalarmult_sub(s, 0, ax, ay) == ref_scalarmult_sub(s, 0, ax, ay)
-        for h in range(1, 32, 2):
-            assert kernel.scalarmult_sub(0, h, ax, ay) == ref_scalarmult_sub(0, h, ax, ay)
+        for j in range(4):
+            for m in range(1, 256, 2):
+                s = m << (64 * j)
+                assert kernel.scalarmult_sub(s, 0, ax, ay) == ref_scalarmult_sub(s, 0, ax, ay)
+            for m in range(1, 32, 2):
+                h = m << (64 * j)
+                assert kernel.scalarmult_sub(0, h, ax, ay) == ref_scalarmult_sub(0, h, ax, ay)
+
+    @pytest.mark.parametrize("k", QUARTER_EDGES, ids=QUARTER_EDGE_IDS)
+    def test_joint_multiply_quarter_boundaries(self, kernel, k):
+        ((ax, ay),) = _random_points(random.Random(15), 1)
+        for s, h in [(k, 0), (0, k), (k, k), (k, L - 1)]:
+            assert kernel.scalarmult_sub(s, h, ax, ay) == ref_scalarmult_sub(s, h, ax, ay)
+
+    def test_pure_joint_multiply_takes_h_of_any_size(self):
+        # the compiled kernel takes h < 2^256 only; the pure one keeps every
+        # bit above 2^192 in its top quarter, as its docstring promises
+        ((ax, ay),) = _random_points(random.Random(17), 1)
+        for h in [2**256, 2**257 + 2**64 + 1]:
+            assert pykernel.scalarmult_sub(1, h, ax, ay) == ref_scalarmult_sub(1, h, ax, ay)
+
+    def test_pure_key_memo_is_bounded_and_changes_no_byte(self):
+        memo = pykernel._neg_quarters
+        assert memo.cache_info().maxsize is not None and memo.cache_info().maxsize <= 1024
+        memo.cache_clear()
+        rng = random.Random(16)
+        for ax, ay in _random_points(rng, 3):
+            s, h = rng.randrange(L), rng.randrange(L)
+            expected = ref_scalarmult_sub(s, h, ax, ay)
+            misses = memo.cache_info().misses
+            assert pykernel.scalarmult_sub(s, h, ax, ay) == expected  # first use: a miss
+            assert memo.cache_info().misses == misses + 1
+            hits = memo.cache_info().hits
+            assert pykernel.scalarmult_sub(s, h, ax, ay) == expected  # repeat: a hit
+            assert memo.cache_info().hits == hits + 1
 
     def test_joint_multiply_edge_points_and_scalars(self, kernel):
         torsion = _torsion_points()

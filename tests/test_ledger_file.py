@@ -192,6 +192,27 @@ def test_failed_write_keeps_nothing(path, rng, monkeypatch):
     assert ledger.read_ledger(str(path)) == chain + [entry]
 
 
+def test_failed_rollback_refuses_later_appends(path, rng, monkeypatch):
+    def fail(*args):
+        raise OSError(5, "simulated I/O error")
+
+    with CompetitionHost.open(str(path)) as host:
+        chain, before = host.chain, path.read_bytes()
+        monkeypatch.setattr(validator.os, "fsync", fail)
+        monkeypatch.setattr(validator.os, "ftruncate", fail)
+        with pytest.raises(OSError, match="simulated"):
+            host.apply(register_team("Stray", rng=rng)[2])
+        monkeypatch.undo()
+        stray = path.read_bytes()
+        assert stray.startswith(before) and stray.count(b"\n") == before.count(b"\n") + 1
+        # appending behind the stray line would break the chain in the file
+        with pytest.raises(ValueError, match="closed"):
+            host.apply(register_team("Next", rng=rng)[2])
+        assert host.chain == chain and path.read_bytes() == stray
+    with CompetitionHost.open(str(path)) as host:  # the file still loads
+        assert host.chain[: len(chain)] == chain
+
+
 def test_closed_host_refuses_appends(path, rng):
     with CompetitionHost.open(str(path)) as host:
         pass

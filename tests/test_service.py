@@ -44,6 +44,9 @@ def _post(svc, changeset):
     return _request(svc, "POST", "/changesets", canonical_bytes(changeset.to_json_dict()))
 
 
+_SMUGGLED = b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
 def _raw(svc, request: bytes) -> bytes:
     """Send raw bytes and read until the server closes or goes quiet."""
     with socket.create_connection(svc.server.server_address[:2], timeout=TIMEOUT_S) as sock:
@@ -144,6 +147,26 @@ class TestMalformedRequests:
                 start = time.monotonic()
                 assert sock.recv(65536) == b""  # closed, no answer
                 assert time.monotonic() - start < TIMEOUT_S
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"POST /elsewhere HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n" % len(_SMUGGLED),
+            b"POST /changesets HTTP/1.1\r\nHost: x\r\nContent-Length: 1048577\r\n\r\n",
+            b"POST /changesets HTTP/1.1\r\nHost: x\r\nContent-Length: -1\r\n\r\n",
+            b"POST /changesets HTTP/1.1\r\nHost: x\r\n\r\n",
+        ],
+        ids=["404", "413", "400-negative-length", "400-no-length"],
+    )
+    def test_unread_body_is_not_parsed_as_a_request(self, service, head):
+        # a keep-alive connection would read the body as a second request
+        with socket.create_connection(service.server.server_address[:2], timeout=TIMEOUT_S) as sock:
+            sock.sendall(head + _SMUGGLED)
+            data = b""
+            while chunk := sock.recv(65536):  # a timeout here means no EOF
+                data += chunk
+        assert data.count(b"HTTP/1.1 ") == 1
+        assert b"Connection: close\r\n" in data
 
     @pytest.mark.parametrize("method,path", [("GET", "/nope"), ("POST", "/scoreboard")])
     def test_unknown_route_is_404(self, service, method, path):
