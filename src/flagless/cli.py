@@ -210,7 +210,7 @@ def cmd_challenge_add(args) -> int:
         categories=tuple(args.category),
     )
     with CompetitionHost.open(args.ledger) as host:
-        if competition.challenge_path(args.id) in host.snapshot()[1]:
+        if any(d.id == args.id for d in host.challenges()):
             raise CliError(f"challenge {args.id!r} already released")
         entry = host.apply_organizer(
             challenge_changeset(descriptor), secret.seed, int(time.time())

@@ -35,8 +35,8 @@ from .ledger import (
     LedgerEntry,
     LedgerState,
     _is_int,
+    link_fault,
     organizer_key,
-    verify_chain,
 )
 from . import sigproof
 from ._ed25519_core import decoded_key
@@ -434,10 +434,12 @@ def _key_hex(content: bytes | None) -> str | None:
 
 class CompetitionState:
     """The chain folded into what the validator, the host, the scoreboard
-    and the audit read; `fold` takes each entry exactly once.
+    and the audit read; `fold` takes each entry exactly once, and
+    `audit_entry` checks an entry against the state before it is folded.
 
-    Holds every file (a path's latest write wins, as in LedgerState), teams
-    by id and by public key, challenges by id, the ledger index of the
+    Holds the head (the last entry folded) and the organizer key genesis
+    published, every file (a path's latest write wins, as in LedgerState),
+    teams by id and by public key, challenges by id, the ledger index of the
     first submission of each (team, challenge) pair, and running per-team
     totals.  Records are decoded on first lookup; the totals are counted
     on the first scoreboard read and kept up to date from then on, except
@@ -447,6 +449,8 @@ class CompetitionState:
     """
 
     def __init__(self) -> None:
+        self.head: LedgerEntry | None = None
+        self.organizer_key: bytes | None = None
         self.files: dict[str, bytes] = {}
         self._teams = _Records(TeamRecord.from_json_dict)
         self._challenges = _Records(ChallengeDescriptor.from_json_dict)
@@ -457,7 +461,8 @@ class CompetitionState:
 
     @classmethod
     def from_chain(cls, chain: list[LedgerEntry]) -> "CompetitionState":
-        """Fold of `chain`; the caller verifies the chain first."""
+        """Fold of `chain`, checking nothing: the caller checks each entry
+        first (`audit_entry`) or trusts the chain."""
         state = cls()
         for entry in chain:
             state.fold(entry)
@@ -476,8 +481,11 @@ class CompetitionState:
         return path in self.files
 
     def fold(self, entry: LedgerEntry) -> None:
+        if entry.index == 0:
+            self.organizer_key = organizer_key([entry])
         for change in entry.changeset.changes:
             self._write(change.path, change.content, entry.index)
+        self.head = entry
 
     def _write(self, path: str, content: bytes, index: int | None) -> None:
         rewrite = path in self.files
@@ -622,82 +630,75 @@ class AuditReport:
         }
 
 
+def audit_entry(state: CompetitionState, entry: LedgerEntry) -> list[AuditFinding]:
+    """Findings against `entry` as the next entry of the chain that `state`
+    folds, before it is folded; empty when every rule here holds.
+
+    A CHAIN finding (`ledger.link_fault`, under the key genesis published)
+    comes alone, and nothing after it can be checked.  Genesis may write
+    only `meta/` and must publish an organizer key (GENESIS_SCOPE,
+    GENESIS_KEY).  A later organizer-signed entry may write only
+    `challenges/` and `meta/` (ORG_SCOPE), and only well-formed
+    descriptors under `challenges/` (BAD_DESCRIPTOR).  Team entries have
+    no rule here: `validator.validate_changeset` is theirs.
+    """
+    head = state.head
+    org_key = organizer_key([entry]) if head is None else state.organizer_key
+    reason = link_fault(head, entry, org_key)
+    if reason is not None:
+        return [AuditFinding(0 if head is None else head.index + 1, "CHAIN", reason)]
+    findings = []
+    if head is None:
+        for change in entry.changeset.changes:
+            if not change.path.startswith("meta/"):
+                findings.append(
+                    AuditFinding(0, "GENESIS_SCOPE", f"unexpected path {change.path!r}")
+                )
+        if org_key is None:
+            findings.append(AuditFinding(0, "GENESIS_KEY", "missing or invalid organizer key"))
+    elif entry.org_sig is not None:
+        for change in entry.changeset.changes:
+            if change.path.startswith(CHALLENGE_PREFIX):
+                try:
+                    match = _CHALLENGE_PATH_RE.match(change.path)
+                    if not match:
+                        raise ValueError(f"bad path {change.path!r}")
+                    descriptor = ChallengeDescriptor.from_json_dict(_parse_json(change.content))
+                    if descriptor.id != match.group(1):
+                        raise ValueError("descriptor id does not match its path")
+                except ValueError as exc:
+                    findings.append(AuditFinding(entry.index, "BAD_DESCRIPTOR", str(exc)))
+            elif not change.path.startswith("meta/"):
+                message = f"privileged entry writes {change.path!r}"
+                findings.append(AuditFinding(entry.index, "ORG_SCOPE", message))
+    return findings
+
+
 def audit_all(chain: list[LedgerEntry]) -> AuditReport:
     """Re-derive everything from public data alone.
 
-    Checks the hash chain, replays validator rules over every
-    team-originated entry, re-verifies every proof, confines privileged
-    entries to organizer paths, and recomputes the scoreboard.  Requires
-    no secrets: any holder of the ledger file gets the same report.
+    One pass: each entry gets `audit_entry` (the chain, genesis and
+    organizer rules), a team entry also `validate_changeset` (which
+    re-verifies its proof), and then it is folded; the pass stops at a
+    CHAIN finding, keeping the findings before it.  Then recomputes the
+    scoreboard.  Requires no secrets: any holder of the ledger file gets
+    the same report.  This is the check for a ledger file from an
+    untrusted source: a host loading one checks only the rules of
+    `audit_entry`, not the team entries.
     """
     from .validator import validate_changeset  # local import breaks the cycle
 
     findings: list[AuditFinding] = []
-    verdict = verify_chain(chain)
-    if not verdict:
-        findings.append(
-            AuditFinding(index=verdict.index, code="CHAIN", message=verdict.reason)
-        )
-        return AuditReport(findings=findings, scoreboard=[], entries=len(chain))
-    if not chain:
-        return AuditReport(findings=[], scoreboard=[], entries=0)
-
     state = CompetitionState()
     for entry in chain:
-        if entry.index == 0:
-            for change in entry.changeset.changes:
-                if not change.path.startswith("meta/"):
-                    findings.append(
-                        AuditFinding(0, "GENESIS_SCOPE", f"unexpected path {change.path!r}")
-                    )
-            if organizer_key(chain) is None:
-                findings.append(
-                    AuditFinding(0, "GENESIS_KEY", "missing or invalid organizer key")
-                )
-        elif entry.org_sig is not None:
-            # privileged entry: signature already checked by verify_chain
-            for change in entry.changeset.changes:
-                if not (
-                    change.path.startswith(CHALLENGE_PREFIX)
-                    or change.path.startswith("meta/")
-                ):
-                    findings.append(
-                        AuditFinding(
-                            entry.index,
-                            "ORG_SCOPE",
-                            f"privileged entry writes {change.path!r}",
-                        )
-                    )
-                    continue
-                if change.path.startswith(CHALLENGE_PREFIX):
-                    match = _CHALLENGE_PATH_RE.match(change.path)
-                    if not match:
-                        findings.append(
-                            AuditFinding(
-                                entry.index, "BAD_DESCRIPTOR", f"bad path {change.path!r}"
-                            )
-                        )
-                        continue
-                    try:
-                        descriptor = ChallengeDescriptor.from_json_dict(
-                            _parse_json(change.content)
-                        )
-                        if descriptor.id != match.group(1):
-                            raise ValueError("descriptor id does not match its path")
-                    except ValueError as exc:
-                        findings.append(
-                            AuditFinding(entry.index, "BAD_DESCRIPTOR", str(exc))
-                        )
-        else:
-            team_verdict = validate_changeset(state, entry.changeset)
-            if not team_verdict.accepted:
-                findings.append(
-                    AuditFinding(
-                        entry.index,
-                        team_verdict.code.name,
-                        team_verdict.message,
-                    )
-                )
+        step = audit_entry(state, entry)
+        findings += step
+        if step and step[0].code == "CHAIN":
+            return AuditReport(findings=findings, scoreboard=[], entries=len(chain))
+        if entry.index > 0 and entry.org_sig is None:
+            verdict = validate_changeset(state, entry.changeset)
+            if not verdict:
+                findings.append(AuditFinding(entry.index, verdict.code.name, verdict.message))
         state.fold(entry)
 
     try:

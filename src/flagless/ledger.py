@@ -299,37 +299,48 @@ def organizer_key(chain: list[LedgerEntry]) -> bytes | None:
     return None
 
 
+def link_fault(
+    head: LedgerEntry | None, entry: LedgerEntry, org_key: bytes | None
+) -> str | None:
+    """Why `entry` cannot follow `head` (None: `entry` would be genesis) in
+    a chain whose genesis published `org_key`, or None when it can.
+
+    Checks the index, the link, the timestamp, the hash and any organizer
+    signature; never raises.
+    """
+    expected = 0 if head is None else head.index + 1
+    if entry.index != expected:
+        return f"index {entry.index}, expected {expected}"
+    if entry.prev_hash != (ZERO_HASH if head is None else head.hash):
+        return "prev_hash does not link to predecessor"
+    if head is not None and entry.timestamp < head.timestamp:
+        return "timestamp regressed"
+    recomputed = entry_hash(
+        entry.index, entry.timestamp, entry.prev_hash, entry.changeset, entry.org_sig
+    )
+    if recomputed != entry.hash:
+        return "hash mismatch"
+    if entry.org_sig is not None:
+        if org_key is None:
+            return "organizer key unavailable in genesis"
+        payload = signing_bytes(entry.index, entry.timestamp, entry.prev_hash, entry.changeset)
+        if not ed25519.verify(org_key, entry.org_sig, payload):
+            return "organizer signature invalid"
+    return None
+
+
 def verify_chain(chain: list[LedgerEntry]) -> ChainVerdict:
-    """Recompute every hash, link, index, timestamp, and organizer signature.
+    """`link_fault` over every entry, with the key genesis published.
 
     Returns OK or the first offending index with a reason; never raises.
     """
-    org_key: bytes | None = None
-    prev: LedgerEntry | None = None
+    org_key = organizer_key(chain)
+    head: LedgerEntry | None = None
     for i, entry in enumerate(chain):
-        if entry.index != i:
-            return ChainVerdict(False, i, f"index {entry.index}, expected {i}")
-        expected_prev = ZERO_HASH if i == 0 else prev.hash
-        if entry.prev_hash != expected_prev:
-            return ChainVerdict(False, i, "prev_hash does not link to predecessor")
-        if prev is not None and entry.timestamp < prev.timestamp:
-            return ChainVerdict(False, i, "timestamp regressed")
-        recomputed = entry_hash(
-            entry.index, entry.timestamp, entry.prev_hash, entry.changeset, entry.org_sig
-        )
-        if recomputed != entry.hash:
-            return ChainVerdict(False, i, "hash mismatch")
-        if entry.org_sig is not None:
-            if org_key is None:
-                org_key = organizer_key(chain)
-            if org_key is None:
-                return ChainVerdict(False, i, "organizer key unavailable in genesis")
-            payload = signing_bytes(
-                entry.index, entry.timestamp, entry.prev_hash, entry.changeset
-            )
-            if not ed25519.verify(org_key, entry.org_sig, payload):
-                return ChainVerdict(False, i, "organizer signature invalid")
-        prev = entry
+        reason = link_fault(head, entry, org_key)
+        if reason is not None:
+            return ChainVerdict(False, i, reason)
+        head = entry
     return _OK
 
 

@@ -12,8 +12,9 @@ Wire contract (HTTP/1.1, canonical JSON on every response body):
 
 Malformed request bodies (a missing or negative Content-Length, bytes that
 are not UTF-8 JSON or nest too deeply, a changeset that does not parse) get
-400, bodies over 1 MiB get 413.  A POST answered without reading its
-body (a 404, a 413, or a 400 for its Content-Length) carries
+400, bodies over 1 MiB get 413.  A request answered without reading its
+body (a POST answered 404, 413, or 400 for its Content-Length, or a GET
+with a nonzero Content-Length or any Transfer-Encoding) carries
 `Connection: close`, and the connection closes after the answer, so the
 body is never parsed as a request.  A connection that stays silent for
 `_Handler.timeout` seconds, mid-request (say, a body shorter than its
@@ -78,16 +79,18 @@ class _Handler(BaseHTTPRequestHandler):
         self._respond(status, canonical_bytes(obj))
 
     def do_GET(self) -> None:
+        # A GET body is never read, so a connection that sent one closes.
+        close = "Transfer-Encoding" in self.headers or self.headers["Content-Length"] not in (None, "0")
         if self.path == "/scoreboard":
-            self._respond(200, self.host.scoreboard_body())
+            self._respond(200, self.host.scoreboard_body(), close=close)
         elif self.path == "/challenges":
-            self._respond(200, self.host.challenges_body())
+            self._respond(200, self.host.challenges_body(), close=close)
         elif self.path == "/ledger":
-            self._respond(200, self.host.ledger_bytes(), "application/x-ndjson")
+            self._respond(200, self.host.ledger_bytes(), "application/x-ndjson", close=close)
         elif self.path == "/healthz":
-            self._respond(200, self.host.head_body())
+            self._respond(200, self.host.head_body(), close=close)
         else:
-            self._respond(404, _NOT_FOUND)
+            self._respond(404, _NOT_FOUND, close=close)
 
     def do_POST(self) -> None:
         if self.path != "/changesets":

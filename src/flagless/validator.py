@@ -31,6 +31,7 @@ from .competition import (
     TeamRecord,
     _SUBMISSION_PATH_RE,
     _TEAM_PATH_RE,
+    audit_entry,
     scoreboard_bytes,
     slugify,
 )
@@ -176,40 +177,50 @@ def validate_changeset(state: CompetitionState, changeset: Changeset) -> Validat
 
 
 class CompetitionHost:
-    """Owns a chain and its folded state, and serializes every append.
+    """Owns a ledger's canonical bytes and its folded state, and
+    serializes every append.  It keeps no parsed chain: `chain` and
+    `snapshot` parse the bytes it holds.
 
-    All reads and appends take one lock.  An append folds its new entry
-    into the state and adds its canonical line to the ledger bytes the
-    host holds, so `ledger_bytes` returns the NDJSON ledger without
-    serializing it again.  The scoreboard, challenge and head bodies are
-    each built on their first read after an append and then kept until
-    the next one; every read returns an immutable `bytes`, so a caller
-    writes it out without holding the lock.
+    The host refuses any entry that breaks a rule of
+    `competition.audit_entry`: the chain, genesis and organizer rules.
+    Loading a chain, or a ledger file, raises `ChainError` at its first
+    finding, and at an empty ledger; an append whose entry has a finding
+    raises `ChainError` and writes nothing.  Team entries are validated
+    when `apply` appends them but not again at load, which would cost
+    about as much as an audit: `audit_all` (the `flagless audit` command)
+    is the check for a ledger from an untrusted source.
+
+    All reads and appends take one lock.  An append builds the next entry
+    on the state's head, folds it into the state and adds its canonical
+    line to the ledger bytes the host holds, so `ledger_bytes` returns the
+    NDJSON ledger without serializing it again.  The scoreboard, challenge
+    and head bodies are each built on their first read after an append
+    and then kept until the next one; every read returns an immutable
+    `bytes`, so a caller writes it out without holding the lock.
 
     A host made by `open` is the only writer of its ledger file: it holds
     an exclusive lock on the file until `close`, and appends each entry as
     one canonical line, fsynced before `apply` or `apply_organizer`
-    returns it.  An entry whose write fails joins neither the chain nor
-    the state, and is cut back out of the file; if that cut fails too,
+    returns it.  An entry whose write fails joins neither the held bytes
+    nor the state, and is cut back out of the file; if that cut fails too,
     the host closes the file and refuses every later append, as after
     `close`.  Hosts made by `load` or from a chain live in memory.
     """
 
     def __init__(self, chain: list[LedgerEntry], *, _data: bytes | None = None):
-        verdict = ledger.verify_chain(chain)
-        if not verdict:
-            raise ledger.ChainError(
-                f"chain fails verification at {verdict.index}: {verdict.reason}"
-            )
         self._lock = threading.Lock()
-        self._chain = list(chain)
-        self._state = CompetitionState.from_chain(self._chain)
+        self._state = CompetitionState()
+        for entry in chain:
+            self._check(entry)
+            self._state.fold(entry)
+        if self._state.head is None:
+            raise ledger.ChainError("the ledger has no genesis entry")
         self._fd: int | None = None  # the ledger file's descriptor, if any
-        self._size = 0  # bytes of the file the chain accounts for
+        self._size = 0  # bytes of the file the held ledger accounts for
         # dump_chain(chain) in pieces: the ledger as loaded, then one line
         # per append.  Joined only when read, so an append never copies
         # the whole ledger.
-        self._chunks = [ledger.dump_chain(self._chain) if _data is None else _data]
+        self._chunks = [ledger.dump_chain(chain) if _data is None else _data]
         self._bodies: dict[str, bytes] = {}  # read bodies built since the last append
 
     @classmethod
@@ -251,13 +262,23 @@ class CompetitionHost:
     def __exit__(self, *exc) -> None:
         self.close()
 
+    def _check(self, entry: LedgerEntry) -> None:
+        """Raise `ChainError` at `entry`'s first `audit_entry` finding."""
+        if findings := audit_entry(self._state, entry):
+            raise ledger.ChainError("entry {0.index}: {0.code}: {0.message}".format(findings[0]))
+
     def _append(
         self, changeset: Changeset, timestamp: int | None, org_secret: bytes | None = None
     ) -> LedgerEntry:
-        """Extend the chain, and the file if there is one, then fold."""
+        """Build the entry after the head, check it, write it to the file
+        if there is one, then fold it."""
         if self._fd == _CLOSED:
             raise ValueError("the competition host is closed")
-        entry = ledger.append(self._chain, changeset, timestamp, org_secret=org_secret)
+        head = self._state.head
+        if timestamp is None:
+            timestamp = int(time.time())
+        entry = ledger.make_entry(head.index + 1, timestamp, head.hash, changeset, org_secret)
+        self._check(entry)
         line = ledger.dump_entry(entry) + b"\n"
         if self._fd is not None:
             try:
@@ -266,7 +287,6 @@ class CompetitionHost:
                     written += os.write(self._fd, line[written:])
                 os.fsync(self._fd)
             except BaseException:
-                self._chain.pop()
                 try:
                     os.ftruncate(self._fd, self._size)
                 except OSError:
@@ -315,14 +335,19 @@ class CompetitionHost:
             return self._append(changeset, timestamp, org_secret)
 
     def snapshot(self) -> tuple[list[LedgerEntry], LedgerState]:
-        """Copies of the chain and of its files, taken at one instant."""
+        """The chain and a copy of its files, taken at one instant.  The
+        chain is parsed from the held bytes, but for its last entry: the
+        state's head, which is the entry the last append returned.  Nothing
+        in the package calls it: the tests read it, and the benchmark's
+        traced run wraps it."""
         with self._lock:
-            return list(self._chain), LedgerState(files=dict(self._state.files))
+            data, head, files = b"".join(self._chunks), self._state.head, dict(self._state.files)
+        return ledger.load_chain(data)[:-1] + [head], LedgerState(files=files)
 
     @property
     def chain(self) -> list[LedgerEntry]:
-        with self._lock:
-            return list(self._chain)
+        """`snapshot`'s chain."""
+        return self.snapshot()[0]
 
     def ledger_bytes(self) -> bytes:
         """The ledger as canonical NDJSON: for a file host, the file's bytes."""
@@ -343,7 +368,7 @@ class CompetitionHost:
         return self._body(
             "head",
             lambda: canonical_bytes(
-                {"hash": to_hex(self._chain[-1].hash), "index": self._chain[-1].index}
+                {"hash": to_hex(self._state.head.hash), "index": self._state.head.index}
             ),
         )
 

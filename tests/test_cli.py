@@ -77,6 +77,17 @@ def test_audit_is_clean_and_matches_score(competition, tmp_path, capsys):
     assert report["scoreboard"] == json.loads(score)
 
 
+def test_a_released_challenge_is_not_released_again(competition, capsys):
+    ledger_path, _ = competition
+    before = Path(ledger_path).read_bytes()
+    code = cli.run([
+        "challenge", "add", "--id", "warmup", "--title", "Again", "--points", "5",
+        "--flag", "flag{again}", "--kdf-profile", "test", "--ledger", ledger_path,
+    ])
+    assert code == 1 and "already released" in capsys.readouterr().err
+    assert Path(ledger_path).read_bytes() == before
+
+
 @pytest.mark.parametrize("where", [0.1, 0.5, 0.9])
 def test_audit_fails_after_one_flipped_byte(competition, capsys, where):
     ledger_path, _ = competition

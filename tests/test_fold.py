@@ -15,6 +15,7 @@ from flagless import ledger, sigproof
 from flagless.canonical import canonical_bytes, to_hex
 from flagless.competition import (
     AuditError,
+    AuditFinding,
     ChallengeDescriptor,
     CompetitionState,
     ScoreboardRow,
@@ -33,7 +34,12 @@ from flagless.competition import (
     team_path,
 )
 from flagless.ledger import Changeset, FileChange, LedgerState
-from flagless.validator import ReasonCode, ValidationVerdict, validate_changeset
+from flagless.validator import (
+    CompetitionHost,
+    ReasonCode,
+    ValidationVerdict,
+    validate_changeset,
+)
 
 from helpers import simulate
 
@@ -353,6 +359,48 @@ def test_all_forgeries_on_one_chain(rng):
         forgery(forge, rng)
     assert ledger.verify_chain(forge.chain)
     assert_fold_matches_oracle(sim, forge.chain, {**sim.secrets, **forge.extra_secrets}, rng)
+
+
+# the audit codes of the rules the host applies to every entry it loads
+HOST_RULES = {"CHAIN", "GENESIS_SCOPE", "GENESIS_KEY", "ORG_SCOPE", "BAD_DESCRIPTOR"}
+
+
+@pytest.mark.parametrize(
+    "forgeries",
+    [[forgery] for forgery in FORGERIES] + [FORGERIES],
+    ids=[forgery.__name__ for forgery in FORGERIES] + ["all"],
+)
+def test_host_refuses_exactly_what_the_audit_flags_by_its_rules(rng, forgeries):
+    sim = simulate(rng, n_challenges=2, n_teams=3, solve_prob=0.5)
+    forge = Forge(sim)
+    for forgery in forgeries:
+        forgery(forge, rng)
+    flagged = [f for f in audit_all(forge.chain).findings if f.code in HOST_RULES]
+    for load in (lambda: CompetitionHost(forge.chain),
+                 lambda: CompetitionHost.load(ledger.dump_chain(forge.chain))):
+        if flagged:
+            first = f"entry {flagged[0].index}: {flagged[0].code}:"
+            with pytest.raises(ledger.ChainError, match=first):
+                load()
+        else:
+            # team entries are not validated again at load
+            assert load().ledger_bytes() == ledger.dump_chain(forge.chain)
+
+
+def test_audit_stops_at_the_first_chain_finding_keeping_those_before(rng):
+    sim = simulate(rng, n_challenges=2, n_teams=3, solve_prob=0.5)
+    forge = Forge(sim)
+    organizer_team(forge, rng)  # ORG_SCOPE, then a solve by that team
+    malformed_team(forge, rng)  # DUPLICATE_TEAM
+    flagged = audit_all(forge.chain).findings
+    broken = len(forge.chain) - 2
+    assert flagged[0].code == "ORG_SCOPE" and flagged[0].index < broken < flagged[-1].index
+    del forge.chain[broken]  # the entry after it no longer links
+    report = audit_all(forge.chain)
+    assert report.findings == [f for f in flagged if f.index < broken] + [
+        AuditFinding(broken, "CHAIN", f"index {broken + 1}, expected {broken}")
+    ]
+    assert report.scoreboard == [] and report.entries == len(forge.chain)
 
 
 def test_team_records_decode_once_and_only_on_lookup(rng, monkeypatch):

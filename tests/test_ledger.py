@@ -26,6 +26,7 @@ from flagless.ledger import (
     verify_chain,
 )
 from flagless.sigproof import keypair_from_seed
+from flagless.validator import CompetitionHost
 
 
 def _org(rng):
@@ -331,6 +332,7 @@ class TestCanonicalNdjson:
     def test_single_bit_mutations_detected_sample(self, rng):
         chain, _ = _chain(rng, n_extra=6)
         raw = dump_chain(chain)
+        CompetitionHost.load(raw)
         mutation_rng = random.Random(99)
         for _ in range(60):
             pos = mutation_rng.randrange(len(raw))
@@ -342,3 +344,5 @@ class TestCanonicalNdjson:
             except ChainError:
                 continue  # detected at parse time
             assert not verify_chain(loaded), f"undetected flip at byte {pos} bit {bit}"
+            with pytest.raises(ChainError):
+                CompetitionHost.load(bytes(mutated))

@@ -18,7 +18,7 @@ import pytest
 import flagless
 from flagless import cli, ledger, validator
 from flagless.canonical import canonical_bytes
-from flagless.competition import TeamSecret, build_submission, register_team
+from flagless.competition import TeamSecret, audit_all, build_submission, register_team
 from flagless.validator import CompetitionHost
 
 from helpers import simulate
@@ -43,21 +43,26 @@ def _key_file(path, secret: TeamSecret):
     return path
 
 
-@contextlib.contextmanager
-def _serve(ledger_path):
-    """`flagless serve` as a child process on an ephemeral port; yields
-    (process, port) and kills the child on exit."""
+def _serve_argv(ledger_path) -> list[str]:
+    return [sys.executable, "-u", "-m", "flagless.cli", "serve",
+            "--ledger", str(ledger_path), "--listen", "127.0.0.1:0"]
+
+
+def _child_env() -> dict[str, str]:
     package_root = os.path.dirname(os.path.dirname(flagless.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p
     )
+    return env
+
+
+@contextlib.contextmanager
+def _serve(ledger_path):
+    """`flagless serve` as a child process on an ephemeral port; yields
+    (process, port) and kills the child on exit."""
     proc = subprocess.Popen(
-        [sys.executable, "-u", "-m", "flagless.cli", "serve",
-         "--ledger", str(ledger_path), "--listen", "127.0.0.1:0"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
+        _serve_argv(ledger_path), stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()
     )
     try:
         line = proc.stdout.readline().decode("ascii", "replace")
@@ -171,6 +176,52 @@ def test_each_entry_is_one_line_fsynced_before_it_is_returned(sim, path, rng, mo
         )
         assert synced[-1] == path.read_bytes() == ledger.dump_chain(host.chain)
         assert host.chain[-1] == org
+
+
+@pytest.mark.parametrize(
+    "change,code",
+    [
+        (ledger.FileChange("teams/evil/team.json", b"{}"), "ORG_SCOPE"),
+        (ledger.FileChange("challenges/evil.json", b'{"id":1}'), "BAD_DESCRIPTOR"),
+    ],
+    ids=["ORG_SCOPE", "BAD_DESCRIPTOR"],
+)
+def test_organizer_entry_the_audit_flags_is_refused(
+    sim, path, tmp_path, rng, capsys, monkeypatch, change, code
+):
+    changeset = ledger.Changeset((change,), "organizer")
+    forged = sim.chain()  # appended past the host, the audit flags it
+    ledger.append(forged, changeset, forged[-1].timestamp, org_secret=sim.org_seed)
+    assert [(f.index, f.code) for f in audit_all(forged).findings] == [(len(forged) - 1, code)]
+    before = path.read_bytes()
+    with CompetitionHost.open(str(path)) as host:
+        chain, held = host.chain, host.ledger_bytes()
+        with pytest.raises(ledger.ChainError, match=code):
+            host.apply_organizer(changeset, sim.org_seed)
+        assert host.chain == chain and host.ledger_bytes() == held == path.read_bytes()
+    assert path.read_bytes() == before
+    # nor can `challenge add` write it
+    org_key = _key_file(tmp_path / "organizer.key", TeamSecret("organizer", sim.org_seed))
+    monkeypatch.setattr(cli, "challenge_changeset", lambda descriptor: changeset)
+    assert cli.run([
+        "challenge", "add", "--id", "evil", "--title", "Evil", "--points", "1",
+        "--flag", "flag{evil}", "--kdf-profile", "test",
+        "--ledger", str(path), "--organizer-key", str(org_key),
+    ]) == 1
+    assert code in capsys.readouterr().err
+    assert path.read_bytes() == before
+    with CompetitionHost.open(str(path)) as host:  # the head did not move
+        assert host.apply(register_team("After", rng=rng)[2]).index == len(chain)
+
+
+def test_serve_refuses_an_empty_ledger(tmp_path):
+    empty = tmp_path / "empty.ndjson"
+    empty.write_bytes(b"")
+    done = subprocess.run(
+        _serve_argv(empty), capture_output=True, env=_child_env(), timeout=TIMEOUT_S
+    )
+    assert done.returncode == 1 and b"genesis" in done.stderr
+    assert empty.read_bytes() == b""
 
 
 def test_failed_write_keeps_nothing(path, rng, monkeypatch):

@@ -155,8 +155,10 @@ class TestMalformedRequests:
             b"POST /changesets HTTP/1.1\r\nHost: x\r\nContent-Length: 1048577\r\n\r\n",
             b"POST /changesets HTTP/1.1\r\nHost: x\r\nContent-Length: -1\r\n\r\n",
             b"POST /changesets HTTP/1.1\r\nHost: x\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n" % len(_SMUGGLED),
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n",
         ],
-        ids=["404", "413", "400-negative-length", "400-no-length"],
+        ids=["404", "413", "400-negative-length", "400-no-length", "get-body", "get-chunked"],
     )
     def test_unread_body_is_not_parsed_as_a_request(self, service, head):
         # a keep-alive connection would read the body as a second request

@@ -283,3 +283,31 @@ class TestConcurrency:
         del chain[1]
         with pytest.raises(ledger.ChainError):
             CompetitionHost(chain)
+
+
+class TestHostRules:
+    """What the host refuses without the validator: `audit_entry`'s rules."""
+
+    def test_host_rejects_a_ledger_with_no_genesis(self):
+        with pytest.raises(ledger.ChainError, match="genesis"):
+            CompetitionHost.load(b"")
+        with pytest.raises(ledger.ChainError, match="genesis"):
+            CompetitionHost([])
+
+    def test_organizer_key_is_the_one_genesis_published(self, sim, rng):
+        seed = rng.randbytes(32)
+        new_key = to_hex(keypair_from_seed(seed).public).encode()
+        sim.host.apply_organizer(_single(ledger.ORGANIZER_KEY_PATH, new_key), sim.org_seed)
+        chain = sim.chain()
+        with pytest.raises(ledger.ChainError, match="organizer signature invalid"):
+            sim.host.apply_organizer(_single("meta/notice", b"hi"), seed)
+        assert sim.chain() == chain
+        assert sim.host.apply_organizer(_single("meta/notice", b"hi"), sim.org_seed).index == len(chain)
+
+    def test_timestamp_may_not_regress(self, sim, rng):
+        chain = sim.chain()
+        changeset = register_team("Late Clock", rng=rng)[2]
+        with pytest.raises(ledger.ChainError, match="timestamp regressed"):
+            sim.host.apply(changeset, chain[-1].timestamp - 1)
+        assert sim.chain() == chain
+        assert sim.host.apply(changeset, chain[-1].timestamp).index == len(chain)
