@@ -21,10 +21,10 @@ they are decoded, decode public keys through `decoded_key`, a 1024-entry
 LRU memo of `decompress`: a competition checks thousands of signatures
 under a few hundred team, challenge and organizer keys, so each key costs
 one square root per process.  The pure kernel's `scalarmult_sub` keeps a
-memo of the same size for the 192 doublings it spends on a new key, so
-with that kernel each key also costs those doublings once per process.
-Both memos hold pure functions of the key, so they change nothing but
-timing; `decompress` itself stays uncached.
+memo of the same size holding each key's addend tables (196 doublings and
+one inversion to build, about 8 KB), so with that kernel each key also
+costs those once per process.  Both memos hold pure functions of the key,
+so they change nothing but timing; `decompress` itself stays uncached.
 """
 
 from __future__ import annotations
@@ -107,14 +107,22 @@ def public_from_seed(seed: bytes, kernel) -> bytes:
     return kernel.scalarmult_base(a)
 
 
-def sign(seed: bytes, message: bytes, kernel) -> bytes:
-    """Produce the detached 64-byte signature R || S (deterministic)."""
+def sign(seed: bytes, message: bytes, kernel, public: bytes | None = None) -> bytes:
+    """Produce the detached 64-byte signature R || S (deterministic).
+
+    `public`, when given, must be the seed's own public key, as
+    `public_from_seed` returns it; it saves recomputing that key.  Never
+    pass any other key: the signature would not verify, and two signatures
+    of one message under two keys share r, which reveals the secret
+    scalar a = (s1 - s2) / (k1 - k2) mod L.
+    """
     if len(seed) != 32:
         raise ValueError("seed must be exactly 32 bytes")
     h = _sha512(seed)
     a = _clamp(h[:32])
     prefix = h[32:]
-    public = kernel.scalarmult_base(a)
+    if public is None:
+        public = kernel.scalarmult_base(a)
     r = _sha512_mod_l(prefix + message)
     r_enc = kernel.scalarmult_base(r)
     k = _sha512_mod_l(r_enc + public + message)

@@ -1,12 +1,13 @@
 """Pure-Python edwards25519 group arithmetic.
 
 Points are (X, Y, Z, T) extended coordinates with x = X/Z, y = Y/Z,
-x*y = T/Z; the addends are kept in Niels form, (Y+X, Y-X, 2Z, 2d*T) or,
-for the fixed tables, affine (y+x, y-x, 2d*x*y), which saves the
-multiplications the a=-1 addition formula would spend on them.  The
-formulas are complete on the curve, so every input point (identity and
-low-order points included) takes the same path.  Always available; the
-compiled kernel replaces it when the extension built.
+x*y = T/Z; every addend of a multiply is kept in affine Niels form,
+(y+x, y-x, 2d*x*y), which saves the multiplications the a=-1 addition
+formula would spend on them (the tables are built with the projective
+form, (Y+X, Y-X, 2Z, 2d*T)).  The formulas are complete on the curve, so
+every input point (identity and low-order points included) takes the
+same path.  Always available; the compiled kernel replaces it when the
+extension built.
 
 Two tables of multiples of the base point B are built once at import,
 with one batch inversion, and only their final tuples are kept:
@@ -22,16 +23,20 @@ addition per nonzero digit from `_BASE_TABLE` gives k*B with no doubling.
 64-bit quarters, s = sum of s_q * 2^(64q) (the top quarter of h keeps
 every bit above 2^192, so any h >= 0 is exact), and summing s_q times
 2^(64q)*B and h_q times -2^(64q)*A in one Straus loop over width-w NAF
-digits: w = 8 for each s_q over `_ODD_B[q]`, and w = 4 for each h_q over
-the odd multiples Q, 3Q, 5Q, 7Q of its quarter point Q, built per call.
+digits: w = 8 for each s_q over `_ODD_B[q]`, and w = 5 for each h_q over
+the per-key rows
+
+    _neg_tables(A)[q][j]  = (2j + 1) * 2^(64q) * -A     for q < 4, j < 8
+
 All eight scalars share one chain of about 64 doublings instead of the
 ~253 an unsplit scalar needs (Lim and Lee, "More Flexible Exponentiation
 with Precomputation", CRYPTO 1994), and only the last doubling before an
-addition computes T.  The four quarter points -2^(64q)*A cost 192
-doublings; `_neg_quarters` memoizes them per key in a 1024-entry LRU
-cache (about 1 KB a key), so a competition's few hundred keys each pay
-that once per process.  Caching the per-call odd multiples as well would
-make the memo about five times larger.  See Bernstein, Duif, Lange, Schwabe and Yang,
+addition computes T.  Every addend is affine, so a verify spends about 74
+mixed additions (30 for s, 44 for h) and builds no table.  The rows of
+-A cost 196 doublings, 28 additions and one batch inversion;
+`_neg_tables` memoizes them per key in a 1024-entry LRU cache (about
+8 KB a key, 8.5 MB when full), so a competition's few hundred keys each
+pay that once per process.  See Bernstein, Duif, Lange, Schwabe and Yang,
 "High-speed high-security signatures" (CHES 2011) for the NAF loop.
 Python integers are not constant-time, so neither is this kernel.
 """
@@ -92,12 +97,20 @@ def _add(pt, niels):
 
 
 def _madd(pt, niels):
-    """Extended point plus a point in affine Niels form (Z = 1)."""
+    """Extended point plus a point in affine Niels form (Z = 1).
+
+    As in `_double`, the three input products are only folded once with
+    2^255 = 19 (mod P); a negated addend makes some of them negative, and
+    the fold keeps each below 2^261 in magnitude.  The outputs are reduced.
+    """
     x, y, z, t = pt
     yp, ym, t2d = niels
-    a = (y - x) * ym % P
-    b = (y + x) * yp % P
-    c = t * t2d % P
+    a = (y - x) * ym
+    a = (a & _MASK) + 19 * (a >> 255)
+    b = (y + x) * yp
+    b = (b & _MASK) + 19 * (b >> 255)
+    c = t * t2d
+    c = (c & _MASK) + 19 * (c >> 255)
     e = b - a
     f = z + z - c
     g = z + z + c
@@ -106,8 +119,8 @@ def _madd(pt, niels):
 
 
 def _neg(niels):
-    """The negated point, in the same Niels form: swap y+x and y-x, negate 2d*t."""
-    return (niels[1], niels[0], *niels[2:-1], -niels[-1])
+    """The negated affine Niels point: swap y+x and y-x, negate 2d*x*y."""
+    return niels[1], niels[0], -niels[2]
 
 
 def _niels(pt):
@@ -173,10 +186,15 @@ _BASE_TABLE, _ODD_B = _build_tables()
 
 
 @functools.lru_cache(maxsize=1024)
-def _neg_quarters(ax: int, ay: int) -> tuple:
-    """`_quarters(-A)` for the affine point A = (ax, ay)."""
+def _neg_tables(ax: int, ay: int) -> tuple:
+    """Affine Niels rows for the affine point A = (ax, ay):
+    `_neg_tables(ax, ay)[q][j]` = (2j + 1) * 2^(64q) * -A, q < 4, j < 8."""
     nx = (P - ax) % P
-    return tuple(_quarters((nx, ay, 1, nx * ay % P)))
+    points = []
+    for quarter in _quarters((nx, ay, 1, nx * ay % P)):
+        points.extend(_odd_multiples(quarter, 8))
+    table = _affine_niels(points)
+    return tuple(tuple(table[i : i + 8]) for i in range(0, 32, 8))
 
 
 def _encode(pt) -> bytes:
@@ -236,25 +254,22 @@ def scalarmult_base(k: int) -> bytes:
 def scalarmult_sub(s: int, h: int, ax: int, ay: int) -> bytes:
     """Encoded s*B - h*A for the affine point A = (ax, ay)."""
     s %= L
-    steps = []  # (bit position within a quarter, addition, addend)
+    steps = []  # (bit position within a quarter, affine Niels addend)
     for j, table in enumerate(_ODD_B):
         for i, v in _naf((s >> (64 * j)) & _QUARTER, 8).items():
-            steps.append((i, _madd, table[v >> 1] if v > 0 else _neg(table[-v >> 1])))
-    for j, quarter in enumerate(_neg_quarters(ax, ay)):
+            steps.append((i, table[v >> 1] if v > 0 else _neg(table[-v >> 1])))
+    for j, table in enumerate(_neg_tables(ax, ay)):
         k = h >> (64 * j) if j == 3 else (h >> (64 * j)) & _QUARTER
-        if not k:
-            continue
-        table = [_niels(q) for q in _odd_multiples(quarter, 4)]
-        for i, v in _naf(k, 4).items():
-            steps.append((i, _add, table[v >> 1] if v > 0 else _neg(table[-v >> 1])))
+        for i, v in _naf(k, 5).items():
+            steps.append((i, table[v >> 1] if v > 0 else _neg(table[-v >> 1])))
     steps.sort(key=operator.itemgetter(0), reverse=True)
     above = steps[0][0] if steps else 0
     pt = (0, 1, 1, 0)
-    for i, add, addend in steps:
+    for i, addend in steps:
         if above > i:
             pt = _double(pt, above - i)
             above = i
-        pt = add(pt, addend)
+        pt = _madd(pt, addend)
     if above:
         pt = _double(pt, above)
     return _encode(pt)

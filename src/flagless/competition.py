@@ -34,6 +34,7 @@ from .ledger import (
     FileChange,
     LedgerEntry,
     LedgerState,
+    NO_GENESIS,
     _is_int,
     link_fault,
     organizer_key,
@@ -681,13 +682,16 @@ def audit_all(chain: list[LedgerEntry]) -> AuditReport:
     organizer rules), a team entry also `validate_changeset` (which
     re-verifies its proof), and then it is folded; the pass stops at a
     CHAIN finding, keeping the findings before it.  Then recomputes the
-    scoreboard.  Requires no secrets: any holder of the ledger file gets
-    the same report.  This is the check for a ledger file from an
-    untrusted source: a host loading one checks only the rules of
+    scoreboard.  An empty chain, which no host would open, is one CHAIN
+    finding at index 0.  Requires no secrets: any holder of the ledger
+    file gets the same report.  This is the check for a ledger file from
+    an untrusted source: a host loading one checks only the rules of
     `audit_entry`, not the team entries.
     """
     from .validator import validate_changeset  # local import breaks the cycle
 
+    if not chain:
+        return AuditReport([AuditFinding(0, "CHAIN", NO_GENESIS)], scoreboard=[], entries=0)
     findings: list[AuditFinding] = []
     state = CompetitionState()
     for entry in chain:

@@ -49,9 +49,13 @@ def public_key(seed: bytes) -> bytes:
     return _core.public_from_seed(seed, _kernel)
 
 
-def sign(seed: bytes, message: bytes) -> bytes:
-    """Detached 64-byte signature; deterministic for fixed (seed, message)."""
-    return _core.sign(seed, message, _kernel)
+def sign(seed: bytes, message: bytes, public: bytes | None = None) -> bytes:
+    """Detached 64-byte signature; deterministic for fixed (seed, message).
+
+    `public`, when given, must be the seed's own public key; passing it
+    saves the base-point multiply that would recompute it.
+    """
+    return _core.sign(seed, message, _kernel, public)
 
 
 def verify(public: bytes, signature: bytes, message: bytes) -> bool:

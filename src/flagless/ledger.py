@@ -34,6 +34,7 @@ MAX_PATH_LEN = 256
 
 ORGANIZER_KEY_PATH = "meta/organizer.pub"
 COMPETITION_META_PATH = "meta/competition.json"
+NO_GENESIS = "the ledger has no genesis entry"
 
 
 class ChainError(ValueError):

@@ -238,8 +238,9 @@ def derive_challenge_keys(flag: str, salt: bytes, params: KdfParams) -> KeyPair:
     return keypair_from_seed(scrypt_seed(flag_bytes, salt, params))
 
 
-def sign(secret: bytes, message: bytes) -> SignedMessage:
-    return SignedMessage(signature=ed25519.sign(secret, message), message=message)
+def sign(secret: bytes, message: bytes, public: bytes | None = None) -> SignedMessage:
+    """`public`, when given, must be the public key of `secret`."""
+    return SignedMessage(signature=ed25519.sign(secret, message, public), message=message)
 
 
 def open_signed(public: bytes, signed: SignedMessage | bytes) -> bytes | _Invalid:
@@ -259,7 +260,7 @@ def prove(team: KeyPair, challenge_secret: bytes, challenge_id: bytes) -> Proof:
     """Build the nested proof that this team solved this challenge."""
     if not challenge_id:
         raise ValueError("challenge_id must not be empty")
-    inner = sign(team.secret, challenge_id)
+    inner = sign(team.secret, challenge_id, team.public)
     outer = sign(challenge_secret, inner.serialize())
     return Proof(
         outer_sig=outer.signature,

@@ -214,7 +214,7 @@ class CompetitionHost:
             self._check(entry)
             self._state.fold(entry)
         if self._state.head is None:
-            raise ledger.ChainError("the ledger has no genesis entry")
+            raise ledger.ChainError(ledger.NO_GENESIS)
         self._fd: int | None = None  # the ledger file's descriptor, if any
         self._size = 0  # bytes of the file the held ledger accounts for
         # dump_chain(chain) in pieces: the ledger as loaded, then one line

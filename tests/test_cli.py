@@ -88,6 +88,21 @@ def test_a_released_challenge_is_not_released_again(competition, capsys):
     assert Path(ledger_path).read_bytes() == before
 
 
+def test_audit_fails_on_a_ledger_with_no_genesis(tmp_path, capsys):
+    empty = tmp_path / "empty.ndjson"
+    empty.write_bytes(b"")
+    code, out = _run(capsys, "--json", "audit", "--ledger", empty)
+    assert code == 1
+    report = json.loads(out)
+    assert not report["ok"] and report["entries"] == 0
+    assert report["findings"] == [{"code": "CHAIN", "index": 0, "message": ledger.NO_GENESIS}]
+    code, out = _run(capsys, "audit", "--ledger", empty)
+    assert code == 1
+    assert out == f"entry 0: CHAIN: {ledger.NO_GENESIS}\naudited 0 entries: 1 finding(s)\n"
+    code = cli.run(["score", "--out", str(tmp_path / "s.json"), "--ledger", str(empty)])
+    assert code == 1 and ledger.NO_GENESIS in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("where", [0.1, 0.5, 0.9])
 def test_audit_fails_after_one_flipped_byte(competition, capsys, where):
     ledger_path, _ = competition

@@ -403,6 +403,13 @@ class TestAudit:
         assert not report.ok
         assert report.findings[0].code == "CHAIN"
 
+    def test_empty_chain_has_no_genesis(self):
+        report = audit_all([])
+        assert not report.ok and report.entries == 0 and report.scoreboard == []
+        assert [(f.index, f.code, f.message) for f in report.findings] == [
+            (0, "CHAIN", ledger.NO_GENESIS)
+        ]
+
 
 def verify_chain_ok_for_team_only(chain) -> bool:
     """Forged team-entry rewrites keep hashes consistent, so the plain

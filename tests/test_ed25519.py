@@ -47,6 +47,17 @@ def test_rfc8032_vectors(kernel, seed_hex, public_hex, msg_hex, sig_hex):
     assert core.verify(bytes.fromhex(public_hex), signature, message, kernel)
 
 
+def test_sign_with_the_known_public_key_changes_no_byte(kernel):
+    rng = random.Random(4)
+    seeds = [bytes.fromhex(v[0]) for v in RFC8032_VECTORS] + [rng.randbytes(32) for _ in range(8)]
+    for seed in seeds:
+        message = rng.randbytes(rng.randrange(0, 80))
+        public = core.public_from_seed(seed, kernel)
+        signature = core.sign(seed, message, kernel)
+        assert core.sign(seed, message, kernel, public) == signature
+        assert core.sign(seed, message, kernel, public=public) == signature
+
+
 def test_bit_flips_rejected(kernel):
     rng = random.Random(1)
     seed = rng.randbytes(32)
@@ -144,6 +155,15 @@ def _ref_encode(p) -> bytes:
     x = x * zinv % P
     y = y * zinv % P
     return (y | ((x & 1) << 255)).to_bytes(32, "little")
+
+
+def _ref_affine_niels(p):
+    P = core.P
+    x, y, z, _ = p
+    zinv = pow(z, P - 2, P)
+    x = x * zinv % P
+    y = y * zinv % P
+    return (y + x) % P, (y - x) % P, x * y % P * _REF_D2 % P
 
 
 def _ref_mul(p, k: int):
@@ -264,7 +284,7 @@ class TestAgainstReferenceKernel:
             assert pykernel.scalarmult_sub(1, h, ax, ay) == ref_scalarmult_sub(1, h, ax, ay)
 
     def test_pure_key_memo_is_bounded_and_changes_no_byte(self):
-        memo = pykernel._neg_quarters
+        memo = pykernel._neg_tables
         assert memo.cache_info().maxsize is not None and memo.cache_info().maxsize <= 1024
         memo.cache_clear()
         rng = random.Random(16)
@@ -277,6 +297,17 @@ class TestAgainstReferenceKernel:
             hits = memo.cache_info().hits
             assert pykernel.scalarmult_sub(s, h, ax, ay) == expected  # repeat: a hit
             assert memo.cache_info().hits == hits + 1
+
+    def test_pure_key_tables_hold_the_odd_multiples_of_each_quarter(self):
+        # row (q, j) is (2j + 1) * 2^(64q) * -A in affine Niels form
+        points = _random_points(random.Random(18), 3) + _torsion_points()
+        for ax, ay in points:
+            tables = pykernel._neg_tables(ax, ay)
+            assert [len(row) for row in tables] == [8, 8, 8, 8]
+            a_neg = _ref_point((core.P - ax) % core.P, ay)
+            for q, row in enumerate(tables):
+                for j, entry in enumerate(row):
+                    assert entry == _ref_affine_niels(_ref_mul(a_neg, (2 * j + 1) << (64 * q)))
 
     def test_joint_multiply_edge_points_and_scalars(self, kernel):
         torsion = _torsion_points()
