@@ -2,13 +2,12 @@
 
 The package is fully functional without the extension (a pure-Python
 kernel is selected at import time), so a failed compile downgrades to a
-warning instead of aborting the install.  The kernel is cythonized from
-the .pyx when Cython is installed, and otherwise compiled from the
-checked-in generated .c.  Set FLAGLESS_SKIP_EXT=1 to
-skip the extension build entirely.
+warning instead of aborting the install.  The kernel is one hand-written
+C file, src/flagless/_ed25519_ckernel.c, written against the CPython C
+API; it needs a C compiler with `unsigned __int128` (GCC or Clang on a
+64-bit target) and nothing else.
 """
 
-import os
 import sys
 
 from setuptools import Extension, setup
@@ -27,32 +26,13 @@ class optional_build_ext(build_ext):
             )
 
 
-ext_modules = []
-cmdclass = {}
-if not os.environ.get("FLAGLESS_SKIP_EXT"):
-    kernel = "src/flagless/_ed25519_ckernel"
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        # Build from the checked-in Cython-generated C source instead.
-        ext_modules = [
-            Extension(
-                "flagless._ed25519_ckernel",
-                [kernel + ".c"],
-                extra_compile_args=["-O3"],
-            )
-        ]
-    else:
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "flagless._ed25519_ckernel",
-                    [kernel + ".pyx"],
-                    extra_compile_args=["-O3"],
-                )
-            ],
-            language_level="3",
+setup(
+    ext_modules=[
+        Extension(
+            "flagless._ed25519_ckernel",
+            ["src/flagless/_ed25519_ckernel.c"],
+            extra_compile_args=["-O3"],
         )
-    cmdclass["build_ext"] = optional_build_ext
-
-setup(ext_modules=ext_modules, cmdclass=cmdclass)
+    ],
+    cmdclass={"build_ext": optional_build_ext},
+)

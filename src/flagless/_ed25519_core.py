@@ -7,8 +7,10 @@ group operations are delegated to a kernel module:
     scalarmult_base(k)            -> 32-byte encoding of k*B
     scalarmult_sub(s, h, ax, ay)  -> 32-byte encoding of s*B - h*A
 
-where B is the curve base point and A the affine point (ax, ay).  Both a
-pure-Python kernel and a compiled one ship with the package; they must be
+where B is the curve base point and A the affine point (ax, ay).  Two
+kernels ship with the package: the pure-Python `_ed25519_pykernel`, and
+`_ed25519_ckernel`, built by setup.py from one hand-written C file that
+reads P, D, B_X and B_Y from this module at import.  They must be
 byte-for-byte interchangeable, which the test suite enforces.
 
 Verification recomputes R' = s*B - h*A and compares its canonical encoding

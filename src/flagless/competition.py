@@ -354,11 +354,14 @@ def build_submission(
     """Check the flag locally, then build the proof and its changeset.
 
     Refuses to emit anything when the flag is wrong, so a typo never
-    leaves the solver's machine.
+    leaves the solver's machine.  The flag goes through scrypt once: the
+    derived key pair is both the check and the signing key.
     """
-    if not sigproof.check_flag(flag, descriptor.salt, descriptor.kdf, descriptor.public_key):
+    challenge_keys = None
+    if sigproof.normalize_flag(flag):
+        challenge_keys = sigproof.derive_challenge_keys(flag, descriptor.salt, descriptor.kdf)
+    if challenge_keys is None or challenge_keys.public != descriptor.public_key:
         raise FlagMismatch(f"flag does not match challenge {descriptor.id!r}")
-    challenge_keys = sigproof.derive_challenge_keys(flag, descriptor.salt, descriptor.kdf)
     proof = sigproof.prove(
         secret.keypair(), challenge_keys.secret, descriptor.id.encode("ascii")
     )

@@ -1,7 +1,8 @@
 """Public Ed25519 API with kernel selection.
 
-Prefers the compiled group-arithmetic kernel when the extension built,
-otherwise falls back to the pure-Python one.  `FLAGLESS_ED25519_BACKEND`
+Prefers the compiled group-arithmetic kernel when it is built (`python
+setup.py build_ext --inplace` compiles `_ed25519_ckernel.c` next to this
+module), otherwise falls back to the pure-Python one.  `FLAGLESS_ED25519_BACKEND`
 (`compiled` or `pure`) forces a specific kernel and raises if it is
 unavailable, which keeps benchmark comparisons honest.
 """

@@ -10,14 +10,15 @@ Wire contract (HTTP/1.1, canonical JSON on every response body):
     GET  /ledger       200, full NDJSON ledger (application/x-ndjson)
     GET  /healthz      200 {"hash": ..., "index": ...} of the chain head
 
-Malformed request bodies (a missing or negative Content-Length, bytes that
-are not UTF-8 JSON or nest too deeply, a changeset that does not parse) get
-400, bodies over 1 MiB get 413.  A request answered without reading its
-body (a POST answered 404, 413, or 400 for its Content-Length, or a GET
-with a nonzero Content-Length or any Transfer-Encoding) carries
-`Connection: close`, and the connection closes after the answer, so the
-body is never parsed as a request.  A connection that stays silent for
-`_Handler.timeout` seconds, mid-request (say, a body shorter than its
+Malformed request bodies (a Content-Length that is missing, repeated or
+not a run of ASCII digits, bytes that are not UTF-8 JSON or nest too
+deeply, a changeset that does not parse) get 400, bodies over 1 MiB get
+413.  A request answered without reading its body (a POST answered 404,
+413, or 400 for its Content-Length, or a GET with a nonzero
+Content-Length or any Transfer-Encoding) carries `Connection: close`, and
+the connection closes after the answer, so the body is never parsed as a
+request.  A connection that stays silent for `_Handler.timeout` seconds,
+mid-request (say, a body shorter than its
 Content-Length) or between keep-alive requests, is closed without an
 answer, so a stalled client cannot pin a handler thread.  The host
 serializes appends and reads, so every read sees the state between two
@@ -96,13 +97,14 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != "/changesets":
             self._respond(404, _NOT_FOUND, close=True)
             return
-        try:
-            length = int(self.headers.get("Content-Length", ""))
-        except ValueError:
-            length = -1
-        if length < 0:
+        # RFC 9112 section 6.3: exactly one Content-Length of ASCII digits;
+        # anything else is unrecoverable framing, so the connection closes
+        lengths = self.headers.get_all("Content-Length", [])
+        value = lengths[0].strip(" \t") if len(lengths) == 1 else ""
+        if not (value.isascii() and value.isdigit()):
             self._respond(400, _BAD_LENGTH, close=True)
             return
+        length = int(value)
         if length > MAX_BODY_BYTES:
             self._respond(413, _TOO_LARGE, close=True)
             return

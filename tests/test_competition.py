@@ -1,12 +1,13 @@
 """Domain behavior: records, scoreboard ranking, and the open audit."""
 
+import hashlib
 import json
 import random
 
 import pytest
 
-from flagless import _ed25519_core, competition, ed25519, ledger
-from flagless.canonical import to_hex
+from flagless import _ed25519_core, competition, ed25519, ledger, sigproof
+from flagless.canonical import canonical_bytes, to_hex
 from flagless.competition import (
     AuditError,
     ChallengeDescriptor,
@@ -164,6 +165,38 @@ class TestBuildSubmission:
             record_team.public_key, descriptor.public_key, b"c-1", record.proof
         )
         assert [c.path for c in changeset.changes] == [submission_path("team", "c-1")]
+
+    @pytest.fixture
+    def scrypt_calls(self, monkeypatch):
+        calls = []
+        scrypt = sigproof.scrypt_kdf
+        monkeypatch.setattr(sigproof, "scrypt_kdf", lambda *args: calls.append(args) or scrypt(*args))
+        return calls
+
+    def test_one_scrypt_call_builds_the_same_bytes(self, scrypt_calls):
+        rng = random.Random(77)
+        descriptor = new_challenge(
+            "c-1", "CTF{right}", title="t", points=1, kdf=KdfParams.test(), rng=rng
+        )
+        _, secret, _ = register_team("Team", rng=rng)
+        scrypt_calls.clear()
+        _, changeset = build_submission(secret, descriptor, "  CTF{right}\n")
+        assert len(scrypt_calls) == 1
+        # the digest of the bytes built when the flag was derived twice
+        assert hashlib.sha256(canonical_bytes(changeset.to_json_dict())).hexdigest() == (
+            "f607e6994db2b7d19d64ca7cac916332eeebd1417c53d8886c530e336e45772c"
+        )
+
+    @pytest.mark.parametrize("flag,calls", [("CTF{wrong}", 1), (" \t\n", 0)], ids=["wrong", "empty"])
+    def test_mismatch_costs_at_most_one_scrypt_call(self, rng, scrypt_calls, flag, calls):
+        descriptor = new_challenge(
+            "c-1", "CTF{right}", title="t", points=1, kdf=KdfParams.test(), rng=rng
+        )
+        _, secret, _ = register_team("Team", rng=rng)
+        scrypt_calls.clear()
+        with pytest.raises(FlagMismatch):
+            build_submission(secret, descriptor, flag)
+        assert len(scrypt_calls) == calls
 
     def test_embedded_proof_length(self, rng):
         import base64

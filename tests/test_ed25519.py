@@ -323,18 +323,13 @@ class TestAgainstReferenceKernel:
                     assert kernel.scalarmult_sub(s, h, ax, ay) == expected, (ax, ay, s, h)
 
 
-@pytest.mark.skipif(
-    "compiled" not in ed25519.available_backends(),
-    reason="compiled kernel not built",
-)
 class TestKernelParity:
     """The two kernels must be byte-for-byte interchangeable."""
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.binary(min_size=32, max_size=32), message=st.binary(max_size=96))
-    def test_sign_and_keys_agree(self, seed, message):
-        backends = ed25519.available_backends()
-        pure, compiled = backends["pure"], backends["compiled"]
+    def test_sign_and_keys_agree(self, compiled_kernel, seed, message):
+        pure, compiled = pykernel, compiled_kernel
         assert core.public_from_seed(seed, pure) == core.public_from_seed(seed, compiled)
         assert core.sign(seed, message, pure) == core.sign(seed, message, compiled)
 
@@ -344,9 +339,8 @@ class TestKernelParity:
         message=st.binary(max_size=64),
         corrupt=st.integers(min_value=0, max_value=64 * 8 - 1),
     )
-    def test_verdicts_agree_on_corrupted_signatures(self, seed, message, corrupt):
-        backends = ed25519.available_backends()
-        pure, compiled = backends["pure"], backends["compiled"]
+    def test_verdicts_agree_on_corrupted_signatures(self, compiled_kernel, seed, message, corrupt):
+        pure, compiled = pykernel, compiled_kernel
         public = core.public_from_seed(seed, pure)
         signature = bytearray(core.sign(seed, message, pure))
         signature[corrupt // 8] ^= 1 << (corrupt % 8)

@@ -11,7 +11,7 @@ from flagless import ledger
 from flagless.canonical import canonical_bytes
 from flagless.competition import build_submission, register_team, scoreboard_bytes
 from flagless.ledger import Changeset, FileChange
-from flagless.service import BackgroundService, _Handler
+from flagless.service import _BAD_LENGTH, BackgroundService, _Handler
 
 from helpers import simulate
 
@@ -59,6 +59,16 @@ def _raw(svc, request: bytes) -> bytes:
                     break
         except socket.timeout:
             pass
+        return data
+
+
+def _until_eof(svc, request: bytes) -> bytes:
+    """Send raw bytes and read until the server closes the connection."""
+    with socket.create_connection(svc.server.server_address[:2], timeout=TIMEOUT_S) as sock:
+        sock.sendall(request)
+        data = b""
+        while chunk := sock.recv(65536):  # a timeout here means no EOF
+            data += chunk
         return data
 
 
@@ -162,13 +172,22 @@ class TestMalformedRequests:
     )
     def test_unread_body_is_not_parsed_as_a_request(self, service, head):
         # a keep-alive connection would read the body as a second request
-        with socket.create_connection(service.server.server_address[:2], timeout=TIMEOUT_S) as sock:
-            sock.sendall(head + _SMUGGLED)
-            data = b""
-            while chunk := sock.recv(65536):  # a timeout here means no EOF
-                data += chunk
+        data = _until_eof(service, head + _SMUGGLED)
         assert data.count(b"HTTP/1.1 ") == 1
         assert b"Connection: close\r\n" in data
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [[b"1_0"], [b"+%d" % len(_SMUGGLED)], [b"10", b"12"], [b"10", b"10"]],
+        ids=["underscore", "plus-sign", "two-differing", "two-equal"],
+    )
+    def test_content_length_is_one_run_of_ascii_digits(self, service, lengths):
+        head = b"POST /changesets HTTP/1.1\r\nHost: x\r\n"
+        head += b"".join(b"Content-Length: %s\r\n" % value for value in lengths) + b"\r\n"
+        data = _until_eof(service, head + _SMUGGLED)
+        assert data.startswith(b"HTTP/1.1 400 ") and data.count(b"HTTP/1.1 ") == 1
+        assert b"Connection: close\r\n" in data
+        assert data.endswith(b"\r\n\r\n" + _BAD_LENGTH)
 
     @pytest.mark.parametrize("method,path", [("GET", "/nope"), ("POST", "/scoreboard")])
     def test_unknown_route_is_404(self, service, method, path):
