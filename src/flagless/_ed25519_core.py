@@ -18,15 +18,26 @@ against the R carried in the signature.  This accepts every honestly
 produced signature and additionally rejects non-canonical R encodings,
 which keeps the accept/reject decision identical across kernels.
 
-`verify`, and the team and challenge records that validate a key when
-they are decoded, decode public keys through `decoded_key`, a 1024-entry
-LRU memo of `decompress`: a competition checks thousands of signatures
-under a few hundred team, challenge and organizer keys, so each key costs
-one square root per process.  The pure kernel's `scalarmult_sub` keeps a
-memo of the same size holding each key's addend tables (196 doublings and
-one inversion to build, about 8 KB), so with that kernel each key also
-costs those once per process.  Both memos hold pure functions of the key,
-so they change nothing but timing; `decompress` itself stays uncached.
+Public keys go through `decoded_key`, which also sets the key policy: a
+key must decode strictly (canonical y, recoverable x, no negative zero)
+and must not be one of the eight points of small order, [8]A = O.  Under
+a small-order key the signature "encoding of the identity, then 32 zero
+bytes" verifies for every message (s*B - h*A = O = R), so such a key would
+let anyone sign for its owner; RFC 8032 section 5.1.7 does not refuse it
+(Chalkias et al., "Taming the many EdDSAs", SSR 2020).  `verify` returns
+False under a refused key, and the team and challenge records and the
+genesis organizer key refuse one when they are decoded.  Keys of mixed
+order (a prime-order point plus a small-order one) are still accepted:
+signing under one still takes its secret scalar.
+
+`decoded_key` is a 1024-entry LRU memo: a competition checks thousands
+of signatures under a few hundred team, challenge and organizer keys, so
+each key costs one square root per process.  The pure kernel's
+`scalarmult_sub` keeps a memo of the same size holding each key's addend
+tables (196 doublings and one inversion to build, about 8 KB), so with
+that kernel each key also costs those once per process.  Both memos hold
+pure functions of the key, so they change nothing but timing;
+`decompress` itself stays uncached.
 """
 
 from __future__ import annotations
@@ -98,8 +109,20 @@ def decompress(encoded: bytes) -> tuple[int, int] | None:
 
 @functools.lru_cache(maxsize=1024)
 def decoded_key(public: bytes) -> tuple[int, int] | None:
-    """`decompress(public)`, memoized; `public` must be `bytes`."""
-    return decompress(public)
+    """`decompress(public)`, or None for a point of small order; memoized,
+    and `public` must be `bytes`.
+
+    A point has small order iff doubling it three times gives the identity.
+    Doubling maps (x, y) to (2xy / (y^2 - x^2), (x^2 + y^2) / (2 + x^2 - y^2)),
+    and the identity is the one point with x = 0 besides (0, -1), the point
+    of order 2.  So x = 0 gives order at most 2, y = 0 order 4, and
+    x^2 + y^2 = 0 order 8: exactly the eight points with x*y*(x^2 + y^2) = 0.
+    """
+    point = decompress(public)
+    if point is None:
+        return None
+    x, y = point
+    return point if x * y * (x * x + y * y) % P else None
 
 
 def public_from_seed(seed: bytes, kernel) -> bytes:

@@ -33,7 +33,6 @@ from .ledger import (
     Changeset,
     FileChange,
     LedgerEntry,
-    LedgerState,
     NO_GENESIS,
     _is_int,
     link_fault,
@@ -442,7 +441,7 @@ class CompetitionState:
     `audit_entry` checks an entry against the state before it is folded.
 
     Holds the head (the last entry folded) and the organizer key genesis
-    published, every file (a path's latest write wins, as in LedgerState),
+    published, every file (a path's latest write wins, as in `ledger.replay`),
     teams by id and by public key, challenges by id, the ledger index of the
     first submission of each (team, challenge) pair, and running per-team
     totals.  Records are decoded on first lookup; the totals are counted
@@ -582,22 +581,21 @@ class CompetitionState:
         ]
 
 
-def teams_in(state: LedgerState) -> dict[str, TeamRecord]:
-    """Well-formed team records among `state`'s files (one-shot fold)."""
-    return CompetitionState.from_files(state.files).teams()
+def teams_in(files: dict[str, bytes]) -> dict[str, TeamRecord]:
+    """Well-formed team records among `files` (one-shot fold)."""
+    return CompetitionState.from_files(files).teams()
 
 
-def challenges_in(state: LedgerState) -> dict[str, ChallengeDescriptor]:
-    """Well-formed challenge descriptors among `state`'s files (one-shot
-    fold)."""
-    return CompetitionState.from_files(state.files).challenges()
+def challenges_in(files: dict[str, bytes]) -> dict[str, ChallengeDescriptor]:
+    """Well-formed challenge descriptors among `files` (one-shot fold)."""
+    return CompetitionState.from_files(files).challenges()
 
 
 def compute_scoreboard(
-    state: LedgerState, chain: list[LedgerEntry]
+    files: dict[str, bytes], chain: list[LedgerEntry]
 ) -> list[ScoreboardRow]:
-    """Scoreboard of `chain` by a one-shot fold.  `state` must be the
-    chain's replay; the fold recomputes it, so it is not read."""
+    """Scoreboard of `chain` by a one-shot fold.  `files` must be the
+    chain's replay; the fold recomputes them, so they are not read."""
     return CompetitionState.from_chain(chain).scoreboard()
 
 

@@ -9,8 +9,9 @@ NDJSON file.  Organizer-privileged entries additionally carry a signature
 over their pre-hash serialization, verifiable against the genesis key.
 
 Three guarantees this module is built around: any prefix of the chain can
-be snapshotted, committed entries can never be silently rewritten, and a
-copied ledger file is a complete audit-capable replica.
+be replayed (`replay(chain[: i + 1])` is the files after entry i),
+committed entries can never be silently rewritten, and a copied ledger
+file is a complete audit-capable replica.
 
 A ledger file is written whole only once, when `write_ledger` creates it.
 From then on the `CompetitionHost` that holds the file (see `validator`)
@@ -22,10 +23,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from . import ed25519
+from ._ed25519_core import decoded_key
 from .canonical import canonical_bytes, from_b64, from_hex, sha256, to_b64, to_hex
 
 HASH_LEN = 32
@@ -157,26 +159,6 @@ class LedgerEntry:
         )
 
 
-@dataclass(slots=True)
-class LedgerState:
-    """Fold of all changesets up to some entry: path -> latest content."""
-
-    files: dict[str, bytes] = field(default_factory=dict)
-
-    def get(self, path: str) -> bytes | None:
-        return self.files.get(path)
-
-    def __contains__(self, path: str) -> bool:
-        return path in self.files
-
-    def paths(self, prefix: str = "") -> list[str]:
-        return sorted(p for p in self.files if p.startswith(prefix))
-
-    def apply(self, changeset: Changeset) -> None:
-        for change in changeset.changes:
-            self.files[change.path] = change.content
-
-
 def signing_bytes(
     index: int, timestamp: int, prev_hash: bytes, changeset: Changeset
 ) -> bytes:
@@ -287,7 +269,8 @@ _OK = ChainVerdict(ok=True)
 
 
 def organizer_key(chain: list[LedgerEntry]) -> bytes | None:
-    """Organizer verification key as published by genesis, if any."""
+    """Organizer verification key as published by genesis, if any and if
+    `decoded_key` accepts it."""
     if not chain:
         return None
     for change in chain[0].changeset.changes:
@@ -296,7 +279,7 @@ def organizer_key(chain: list[LedgerEntry]) -> bytes | None:
                 key = from_hex(change.content.decode("ascii"))
             except (ValueError, UnicodeDecodeError):
                 return None
-            return key if len(key) == 32 else None
+            return key if decoded_key(key) is not None else None
     return None
 
 
@@ -345,25 +328,13 @@ def verify_chain(chain: list[LedgerEntry]) -> ChainVerdict:
     return _OK
 
 
-def snapshot_at(chain: list[LedgerEntry], index: int) -> LedgerState:
-    """Left-fold of changesets 0..index (later writes win per path)."""
-    if index < 0 or index >= len(chain):
-        raise IndexError(f"index {index} out of range for chain of {len(chain)}")
-    state = LedgerState()
-    for entry in chain[: index + 1]:
-        state.apply(entry.changeset)
-    return state
-
-
-def replay(chain: list[LedgerEntry]) -> LedgerState:
-    """Verify and fold the whole chain; independent replicas reach
-    byte-identical states."""
+def replay(chain: list[LedgerEntry]) -> dict[str, bytes]:
+    """Verify the chain, then fold its changesets into path -> latest
+    content; independent replicas reach byte-identical files."""
     verdict = verify_chain(chain)
     if not verdict:
         raise ChainError(f"chain fails verification at {verdict.index}: {verdict.reason}")
-    if not chain:
-        return LedgerState()
-    return snapshot_at(chain, len(chain) - 1)
+    return {c.path: c.content for entry in chain for c in entry.changeset.changes}
 
 
 def dump_entry(entry: LedgerEntry) -> bytes:

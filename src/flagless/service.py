@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .canonical import canonical_bytes, to_hex
@@ -138,25 +137,3 @@ def make_server(host: CompetitionHost, address: tuple[str, int]) -> ThreadingHTT
     server = ThreadingHTTPServer(address, handler)
     server.daemon_threads = True
     return server
-
-
-class BackgroundService:
-    """Service running on its own thread; used by tests and the CLI demo."""
-
-    def __init__(self, host: CompetitionHost, address: tuple[str, int] = ("127.0.0.1", 0)):
-        self.server = make_server(host, address)
-        self._thread = threading.Thread(target=self.server.serve_forever, daemon=True)
-
-    @property
-    def url(self) -> str:
-        addr, port = self.server.server_address[:2]
-        return f"http://{addr}:{port}"
-
-    def __enter__(self) -> "BackgroundService":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.server.shutdown()
-        self.server.server_close()
-        self._thread.join(timeout=5)

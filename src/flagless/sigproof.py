@@ -1,4 +1,4 @@
-"""Keys, attached signatures, and the nested-signature proof of solving.
+"""Keys and the nested-signature proof of solving.
 
 The scheme in one breath: a challenge's flag is stretched through scrypt
 with a public per-challenge salt, and the 32-byte output seeds a
@@ -9,14 +9,13 @@ that signed message with the challenge key:
 
     proof = sign(challenge_secret, sign(team_secret, challenge_id))
 
-Anyone can verify with the two public keys alone; peeling both layers must
-recover exactly the challenge identifier.  The proof binds team and
-challenge together: it cannot be replayed by another team, and it reveals
-nothing about the flag beyond the fact that someone derived its key.
-
-Signatures use the attached framing `signature || message`, so one layer's
-output is the next layer's message.  Verification failure is the value
-INVALID, never an exception; exceptions are reserved for malformed inputs.
+A proof is stored as `outer_sig || inner_sig || challenge_id`: the inner
+signature is the team key's over the identifier, the outer one the
+challenge key's over `inner_sig || challenge_id`.  Anyone can verify it as
+these two detached signatures, with the two public keys alone.  The proof
+binds team and challenge together: it cannot be replayed by another team,
+and it reveals nothing about the flag beyond the fact that someone derived
+its key.
 """
 
 from __future__ import annotations
@@ -34,21 +33,6 @@ ASCII_WHITESPACE = " \t\r\n\v\f"
 
 # scrypt memory ceiling accepted by hashlib/OpenSSL
 _MAXMEM_CAP = 2**31 - 1
-
-
-class _Invalid:
-    """Distinguished verification-failure outcome (falsy singleton)."""
-
-    __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return False
-
-    def __repr__(self) -> str:
-        return "INVALID"
-
-
-INVALID = _Invalid()
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,27 +111,6 @@ class KdfParams:
 
 
 PROFILES = {"competition": KdfParams.competition, "test": KdfParams.test}
-
-
-@dataclass(frozen=True, slots=True)
-class SignedMessage:
-    """Attached signature: serializes as signature || message."""
-
-    signature: bytes
-    message: bytes
-
-    def __post_init__(self) -> None:
-        if len(self.signature) != SIGNATURE_LEN:
-            raise ValueError("signature must be exactly 64 bytes")
-
-    def serialize(self) -> bytes:
-        return self.signature + self.message
-
-    @classmethod
-    def parse(cls, raw: bytes) -> "SignedMessage":
-        if len(raw) < SIGNATURE_LEN:
-            raise ValueError("signed message shorter than one signature")
-        return cls(signature=raw[:SIGNATURE_LEN], message=raw[SIGNATURE_LEN:])
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,35 +201,13 @@ def derive_challenge_keys(flag: str, salt: bytes, params: KdfParams) -> KeyPair:
     return keypair_from_seed(scrypt_seed(flag_bytes, salt, params))
 
 
-def sign(secret: bytes, message: bytes, public: bytes | None = None) -> SignedMessage:
-    """`public`, when given, must be the public key of `secret`."""
-    return SignedMessage(signature=ed25519.sign(secret, message, public), message=message)
-
-
-def open_signed(public: bytes, signed: SignedMessage | bytes) -> bytes | _Invalid:
-    """Return the message if the signature verifies, else INVALID.
-
-    A raw byte string is parsed first; anything shorter than one signature
-    raises (malformed input, not a verification failure).
-    """
-    if isinstance(signed, bytes):
-        signed = SignedMessage.parse(signed)
-    if ed25519.verify(public, signed.signature, signed.message):
-        return signed.message
-    return INVALID
-
-
 def prove(team: KeyPair, challenge_secret: bytes, challenge_id: bytes) -> Proof:
     """Build the nested proof that this team solved this challenge."""
     if not challenge_id:
         raise ValueError("challenge_id must not be empty")
-    inner = sign(team.secret, challenge_id, team.public)
-    outer = sign(challenge_secret, inner.serialize())
-    return Proof(
-        outer_sig=outer.signature,
-        inner_sig=inner.signature,
-        challenge_id=challenge_id,
-    )
+    inner_sig = ed25519.sign(team.secret, challenge_id, team.public)
+    outer_sig = ed25519.sign(challenge_secret, inner_sig + challenge_id)
+    return Proof(outer_sig=outer_sig, inner_sig=inner_sig, challenge_id=challenge_id)
 
 
 def verify_proof(
@@ -275,36 +216,20 @@ def verify_proof(
     challenge_id: bytes,
     proof: Proof | bytes,
 ) -> bool:
-    """Accept iff peeling both signature layers yields challenge_id.
+    """Accept iff the proof is for challenge_id, the team key signed it, and
+    the challenge key signed that signature and the identifier.
 
     Needs only public values.  Structurally malformed proofs are rejected,
-    never raised on.
+    never raised on.  The team layer is checked first, so a proof taken from
+    another team fails at its first verify.
     """
     if isinstance(proof, bytes):
         try:
             proof = Proof.parse(proof)
         except ValueError:
             return False
-    outer = SignedMessage(
-        signature=proof.outer_sig,
-        message=proof.inner_sig + proof.challenge_id,
+    return (
+        proof.challenge_id == challenge_id
+        and ed25519.verify(team_public, proof.inner_sig, challenge_id)
+        and ed25519.verify(challenge_public, proof.outer_sig, proof.inner_sig + challenge_id)
     )
-    inner_raw = open_signed(challenge_public, outer)
-    if inner_raw is INVALID:
-        return False
-    message = open_signed(team_public, SignedMessage.parse(inner_raw))
-    if message is INVALID:
-        return False
-    return message == challenge_id
-
-
-def check_flag(
-    flag: str,
-    salt: bytes,
-    params: KdfParams,
-    expected_public: bytes,
-) -> bool:
-    """True iff the flag derives the challenge's published public key."""
-    if not normalize_flag(flag):
-        return False
-    return derive_challenge_keys(flag, salt, params).public == expected_public

@@ -35,7 +35,7 @@ from .competition import (
     scoreboard_bytes,
     slugify,
 )
-from .ledger import Changeset, LedgerEntry, LedgerState
+from .ledger import Changeset, LedgerEntry
 
 
 class ReasonCode(enum.Enum):
@@ -301,18 +301,6 @@ class CompetitionHost:
         self._state.fold(entry)
         return entry
 
-    @classmethod
-    def bootstrap(
-        cls,
-        organizer_public: bytes,
-        competition_meta: bytes,
-        timestamp: int | None = None,
-    ) -> "CompetitionHost":
-        entry = ledger.genesis(
-            organizer_public, competition_meta, int(time.time()) if timestamp is None else timestamp
-        )
-        return cls([entry])
-
     def apply(
         self, changeset: Changeset, timestamp: int | None = None
     ) -> LedgerEntry | ValidationVerdict:
@@ -334,7 +322,7 @@ class CompetitionHost:
         with self._lock:
             return self._append(changeset, timestamp, org_secret)
 
-    def snapshot(self) -> tuple[list[LedgerEntry], LedgerState]:
+    def snapshot(self) -> tuple[list[LedgerEntry], dict[str, bytes]]:
         """The chain and a copy of its files, taken at one instant.  The
         chain is parsed from the held bytes, but for its last entry: the
         state's head, which is the entry the last append returned.  Nothing
@@ -342,7 +330,7 @@ class CompetitionHost:
         traced run wraps it."""
         with self._lock:
             data, head, files = b"".join(self._chunks), self._state.head, dict(self._state.files)
-        return ledger.load_chain(data)[:-1] + [head], LedgerState(files=files)
+        return ledger.load_chain(data)[:-1] + [head], files
 
     @property
     def chain(self) -> list[LedgerEntry]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from random import Random
 
@@ -16,9 +17,33 @@ from flagless.competition import (
     new_challenge,
     register_team,
 )
-from flagless.ledger import ZERO_HASH, LedgerEntry, entry_hash
+from flagless.ledger import ZERO_HASH, LedgerEntry, entry_hash, genesis
+from flagless.service import make_server
 from flagless.sigproof import KdfParams, keypair_from_seed
 from flagless.validator import CompetitionHost, ValidationVerdict
+
+
+class BackgroundService:
+    """`make_server` for `host`, serving on its own thread inside a `with`
+    block."""
+
+    def __init__(self, host: CompetitionHost, address: tuple[str, int] = ("127.0.0.1", 0)):
+        self.server = make_server(host, address)
+        self._thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+
+    @property
+    def url(self) -> str:
+        addr, port = self.server.server_address[:2]
+        return f"http://{addr}:{port}"
+
+    def __enter__(self) -> "BackgroundService":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.server.shutdown()
+        self.server.server_close()
+        self._thread.join(timeout=5)
 
 
 @dataclass
@@ -47,8 +72,8 @@ def simulate(
     kdf = kdf or KdfParams.test()
     org_seed = rng.randbytes(32)
     org = keypair_from_seed(org_seed)
-    host = CompetitionHost.bootstrap(
-        org.public, canonical_bytes({"created_at": 0, "name": "sim"}), timestamp=0
+    host = CompetitionHost(
+        [genesis(org.public, canonical_bytes({"created_at": 0, "name": "sim"}), 0)]
     )
     sim = Sim(host=host, org_seed=org_seed)
     ts = 1

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from flagless import cli, ledger
-from flagless.service import BackgroundService
 from flagless.validator import CompetitionHost
+
+from helpers import BackgroundService
 
 FLAG = "flag{cli-test}"
 

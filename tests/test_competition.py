@@ -29,7 +29,7 @@ from flagless.competition import (
     teams_in,
 )
 from flagless.ledger import Changeset, FileChange
-from flagless.sigproof import KdfParams, check_flag, normalize_flag
+from flagless.sigproof import KdfParams, derive_challenge_keys, normalize_flag
 from flagless.validator import ValidationVerdict
 
 from helpers import brute_force_scoreboard, rebuild_consistent, simulate
@@ -65,8 +65,9 @@ class TestNewChallenge:
         descriptor = new_challenge(
             "web-1", "CTF{wat}", title="Web", points=100, kdf=KdfParams.test(), rng=rng
         )
-        assert check_flag("CTF{wat}", descriptor.salt, descriptor.kdf, descriptor.public_key)
-        assert not check_flag("CTF{wot}", descriptor.salt, descriptor.kdf, descriptor.public_key)
+        for flag, matches in (("CTF{wat}", True), ("CTF{wot}", False)):
+            keys = derive_challenge_keys(flag, descriptor.salt, descriptor.kdf)
+            assert (keys.public == descriptor.public_key) == matches
 
     def test_descriptor_carries_no_secrets(self, rng):
         flag = "CTF{the_big_secret}"
@@ -308,9 +309,9 @@ class TestScoreboardRow:
 class TestStateParsers:
     def test_teams_and_challenges_found(self, rng):
         sim = simulate(rng, n_challenges=2, n_teams=3, solve_prob=0)
-        state = ledger.replay(sim.chain())
-        assert set(teams_in(state)) == set(sim.teams)
-        assert set(challenges_in(state)) == set(sim.descriptors)
+        files = ledger.replay(sim.chain())
+        assert set(teams_in(files)) == set(sim.teams)
+        assert set(challenges_in(files)) == set(sim.descriptors)
 
 
 class TestAudit:

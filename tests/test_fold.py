@@ -1,10 +1,10 @@
 """The folded competition state against the rescanning algorithm it replaced.
 
 The oracle below re-parses every team and challenge record of a plain
-LedgerState on each call and rescans the whole chain for solves, as the
-validator and scoreboard once did.  Over simulated and forged chains, the
-fold must give the same verdict for every entry and every probe, and the
-same scoreboard (or the same AuditError) after every entry.
+path -> content dict on each call and rescans the whole chain for solves,
+as the validator and scoreboard once did.  Over simulated and forged
+chains, the fold must give the same verdict for every entry and every
+probe, and the same scoreboard (or the same AuditError) after every entry.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from flagless.competition import (
     submission_path,
     team_path,
 )
-from flagless.ledger import Changeset, FileChange, LedgerState
+from flagless.ledger import Changeset, FileChange
 from flagless.validator import (
     CompetitionHost,
     ReasonCode,
@@ -46,36 +46,36 @@ from helpers import simulate
 # ------------------------------------------------------------------ oracle
 
 
-def oracle_teams(state: LedgerState) -> dict[str, TeamRecord]:
+def oracle_teams(files: dict[str, bytes]) -> dict[str, TeamRecord]:
     teams = {}
-    for path in state.paths("teams/"):
+    for path in sorted(p for p in files if p.startswith("teams/")):
         match = _TEAM_PATH_RE.match(path)
         if not match:
             continue
         try:
-            record = TeamRecord.from_json_dict(_parse_json(state.files[path]))
+            record = TeamRecord.from_json_dict(_parse_json(files[path]))
         except ValueError:
             continue
         teams[match.group(1)] = record
     return teams
 
 
-def oracle_challenges(state: LedgerState) -> dict[str, ChallengeDescriptor]:
+def oracle_challenges(files: dict[str, bytes]) -> dict[str, ChallengeDescriptor]:
     challenges = {}
-    for path in state.paths("challenges/"):
+    for path in sorted(p for p in files if p.startswith("challenges/")):
         match = _CHALLENGE_PATH_RE.match(path)
         if not match:
             continue
         try:
-            descriptor = ChallengeDescriptor.from_json_dict(_parse_json(state.files[path]))
+            descriptor = ChallengeDescriptor.from_json_dict(_parse_json(files[path]))
         except ValueError:
             continue
         challenges[match.group(1)] = descriptor
     return challenges
 
 
-def oracle_scoreboard(state: LedgerState, chain) -> list[ScoreboardRow]:
-    teams, challenges = oracle_teams(state), oracle_challenges(state)
+def oracle_scoreboard(files: dict[str, bytes], chain) -> list[ScoreboardRow]:
+    teams, challenges = oracle_teams(files), oracle_challenges(files)
     solves: dict[tuple[str, str], int] = {}
     for entry in chain:
         for change in entry.changeset.changes:
@@ -109,12 +109,12 @@ def _reject(code, message=""):
     return ValidationVerdict.reject(code, message)
 
 
-def oracle_validate(state: LedgerState, changeset: Changeset) -> ValidationVerdict:
+def oracle_validate(files: dict[str, bytes], changeset: Changeset) -> ValidationVerdict:
     actions = []
     for change in changeset.changes:
         team_match = _TEAM_PATH_RE.match(change.path)
         sub_match = _SUBMISSION_PATH_RE.match(change.path)
-        if change.path in state:
+        if change.path in files:
             if sub_match:
                 return _reject(
                     ReasonCode.DUPLICATE_SUBMISSION,
@@ -151,17 +151,17 @@ def oracle_validate(state: LedgerState, changeset: Changeset) -> ValidationVerdi
                 ReasonCode.MALFORMED_RECORD,
                 f"id {record.id!r} is not the slug of name {record.name!r}",
             )
-        for existing in oracle_teams(state).values():
+        for existing in oracle_teams(files).values():
             if existing.public_key == record.public_key:
                 return _reject(
                     ReasonCode.DUPLICATE_TEAM,
                     f"public key already registered to {existing.id!r}",
                 )
         return ValidationVerdict.accept()
-    teams = oracle_teams(state)
+    teams = oracle_teams(files)
     if team_id not in teams:
         return _reject(ReasonCode.UNKNOWN_TEAM, f"team {team_id!r}")
-    challenges = oracle_challenges(state)
+    challenges = oracle_challenges(files)
     if challenge_id not in challenges:
         return _reject(ReasonCode.UNKNOWN_CHALLENGE, f"challenge {challenge_id!r}")
     try:
@@ -313,14 +313,14 @@ def _probes(sim, secrets, rng):
 
 
 def assert_fold_matches_oracle(sim, chain, secrets, rng):
-    oracle = LedgerState()
+    oracle: dict[str, bytes] = {}
     fold = CompetitionState()
     for entry in chain:
         if entry.index > 0 and entry.org_sig is None:
             assert validate_changeset(fold, entry.changeset) == oracle_validate(
                 oracle, entry.changeset
             ), entry.index
-        oracle.apply(entry.changeset)
+        oracle.update((c.path, c.content) for c in entry.changeset.changes)
         fold.fold(entry)
         prefix = chain[: entry.index + 1]
         expected = _scoreboard(lambda: oracle_scoreboard(oracle, prefix))

@@ -24,11 +24,10 @@ from flagless.competition import (
     register_team,
     scoreboard_bytes,
 )
-from flagless.service import BackgroundService
 from flagless.sigproof import KdfParams
 from flagless.validator import CompetitionHost, ValidationVerdict
 
-from helpers import simulate
+from helpers import BackgroundService, simulate
 
 TIMEOUT_S = 10
 

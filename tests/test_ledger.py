@@ -14,7 +14,6 @@ from flagless.ledger import (
     Changeset,
     FileChange,
     LedgerEntry,
-    LedgerState,
     append,
     dump_chain,
     dump_entry,
@@ -22,7 +21,6 @@ from flagless.ledger import (
     load_chain,
     organizer_key,
     replay,
-    snapshot_at,
     verify_chain,
 )
 from flagless.sigproof import keypair_from_seed
@@ -176,15 +174,17 @@ class TestVerifyChain:
         assert verify_chain([])
 
 
-class TestSnapshots:
-    def test_genesis_snapshot(self, rng):
+class TestPrefixReplays:
+    def test_genesis_prefix(self, rng):
         chain, _ = _chain(rng, n_extra=3)
-        state = snapshot_at(chain, 0)
-        assert set(state.files) == {"meta/organizer.pub", "meta/competition.json"}
+        assert set(replay(chain[:1])) == {"meta/organizer.pub", "meta/competition.json"}
 
-    def test_last_snapshot_equals_replay(self, rng):
+    def test_every_prefix_replays(self, rng):
         chain, _ = _chain(rng, n_extra=5)
-        assert snapshot_at(chain, len(chain) - 1).files == replay(chain).files
+        files = {}
+        for i, entry in enumerate(chain):
+            files.update((c.path, c.content) for c in entry.changeset.changes)
+            assert replay(chain[: i + 1]) == files
 
     def test_last_writer_wins(self, rng):
         chain, org = _chain(rng)
@@ -194,24 +194,19 @@ class TestSnapshots:
                 author="organizer",
             )
             append(chain, changeset, timestamp=200, org_secret=org.secret)
-        assert replay(chain).get("meta/notice") == b"two"
-        assert snapshot_at(chain, 1).get("meta/notice") == b"one"
+        assert replay(chain)["meta/notice"] == b"two"
+        assert replay(chain[:2])["meta/notice"] == b"one"
 
-    def test_out_of_range(self, rng):
-        chain, _ = _chain(rng)
-        with pytest.raises(IndexError):
-            snapshot_at(chain, 1)
-
-    def test_snapshot_consistency_on_untouched_paths(self, rng):
+    def test_prefix_consistency_on_untouched_paths(self, rng):
         chain, _ = _chain(rng, n_extra=6)
-        early = snapshot_at(chain, 2)
-        late = snapshot_at(chain, 6)
+        early = replay(chain[:3])
+        late = replay(chain[:7])
         touched = {
             c.path for e in chain[3:7] for c in e.changeset.changes
         }
-        for path, content in early.files.items():
+        for path, content in early.items():
             if path not in touched:
-                assert late.files[path] == content
+                assert late[path] == content
 
     def test_replay_requires_valid_chain(self, rng):
         chain, _ = _chain(rng, n_extra=2)
@@ -223,20 +218,19 @@ class TestSnapshots:
 class TestReplayDeterminism:
     def test_independent_replays_agree(self, rng):
         chain, _ = _chain(rng, n_extra=10)
-        assert replay(chain).files == replay(chain).files
+        assert replay(chain) == replay(chain)
 
     def test_dump_load_replay_round_trip(self, rng):
         chain, _ = _chain(rng, n_extra=10)
         loaded = load_chain(dump_chain(chain))
         assert loaded == chain
-        assert replay(loaded).files == replay(chain).files
+        assert replay(loaded) == replay(chain)
 
     def test_thousand_entries_match_incremental_oracle(self, rng):
         # oracle: state maintained change-by-change during construction
         org = _org(rng)
         chain = [genesis(org.public, b"{}", timestamp=0)]
-        oracle = LedgerState()
-        oracle.apply(chain[0].changeset)
+        oracle = {c.path: c.content for c in chain[0].changeset.changes}
         for i in range(1000):
             # reused paths exercise overwrite folding as well
             changeset = Changeset(
@@ -249,9 +243,9 @@ class TestReplayDeterminism:
                 author=f"t{i}",
             )
             append(chain, changeset, timestamp=chain[-1].timestamp)
-            oracle.apply(changeset)
+            oracle.update((c.path, c.content) for c in changeset.changes)
         assert len(chain) == 1001
-        assert replay(chain).files == oracle.files
+        assert replay(chain) == oracle
 
 
 class TestCanonicalNdjson:

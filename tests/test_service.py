@@ -11,9 +11,9 @@ from flagless import ledger
 from flagless.canonical import canonical_bytes
 from flagless.competition import build_submission, register_team, scoreboard_bytes
 from flagless.ledger import Changeset, FileChange
-from flagless.service import _BAD_LENGTH, BackgroundService, _Handler
+from flagless.service import _BAD_LENGTH, _Handler
 
-from helpers import simulate
+from helpers import BackgroundService, simulate
 
 TIMEOUT_S = 3
 

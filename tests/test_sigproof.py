@@ -6,21 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagless import sigproof
+from flagless import ed25519
 from flagless.competition import SubmissionRecord
 from flagless.sigproof import (
-    INVALID,
     KdfParams,
     Proof,
-    SignedMessage,
-    check_flag,
     derive_challenge_keys,
     keypair_from_seed,
     normalize_flag,
-    open_signed,
     prove,
     scrypt_kdf,
-    sign,
     verify_proof,
 )
 
@@ -162,54 +157,6 @@ class TestNormalizeFlag:
         assert normalize_flag(" CTF{héllo world} ") == "CTF{héllo world}".encode()
 
 
-class TestSignOpen:
-    def test_round_trip(self, backend, rng):
-        keys = keypair_from_seed(rng.randbytes(32))
-        message = b"solve me"
-        signed = sign(keys.secret, message)
-        assert open_signed(keys.public, signed) == message
-
-    def test_attached_framing(self, rng):
-        keys = keypair_from_seed(rng.randbytes(32))
-        message = rng.randbytes(40)
-        signed = sign(keys.secret, message)
-        raw = signed.serialize()
-        assert len(raw) == 64 + len(message)
-        assert raw == signed.signature + message
-        assert SignedMessage.parse(raw) == signed
-
-    def test_wrong_key_is_invalid(self, rng):
-        keys = keypair_from_seed(rng.randbytes(32))
-        other = keypair_from_seed(rng.randbytes(32))
-        signed = sign(keys.secret, b"m")
-        assert open_signed(other.public, signed) is INVALID
-
-    def test_bit_flip_is_invalid(self, rng):
-        keys = keypair_from_seed(rng.randbytes(32))
-        signed = sign(keys.secret, b"message")
-        raw = bytearray(signed.serialize())
-        for pos in (0, 63, 64, len(raw) - 1):
-            flipped = bytearray(raw)
-            flipped[pos] ^= 0x40
-            assert open_signed(keys.public, bytes(flipped)) is INVALID
-
-    def test_short_input_is_error_not_invalid(self, rng):
-        keys = keypair_from_seed(rng.randbytes(32))
-        with pytest.raises(ValueError):
-            open_signed(keys.public, b"\x00" * 63)
-
-    def test_invalid_is_falsy_and_distinct_from_empty(self, rng):
-        keys = keypair_from_seed(rng.randbytes(32))
-        signed = sign(keys.secret, b"")
-        opened = open_signed(keys.public, signed)
-        assert opened == b"" and opened is not INVALID
-        assert not INVALID
-
-    def test_deterministic_signature(self, rng):
-        keys = keypair_from_seed(rng.randbytes(32))
-        assert sign(keys.secret, b"m") == sign(keys.secret, b"m")
-
-
 class TestProofScheme:
     def _fresh(self, rng):
         team = keypair_from_seed(rng.randbytes(32))
@@ -303,20 +250,64 @@ class TestProofScheme:
         assert team.secret not in raw
 
 
-class TestCheckFlag:
-    def test_organizer_flag_matches(self, rng):
-        salt = rng.randbytes(16)
-        params = KdfParams.test()
-        keys = derive_challenge_keys("CTF-BR{real}", salt, params)
-        assert check_flag("CTF-BR{real}", salt, params, keys.public)
-        # copy-paste whitespace is forgiven
-        assert check_flag("  CTF-BR{real}\n", salt, params, keys.public)
+def nested_open_verdict(team_public, challenge_public, challenge_id, raw: bytes) -> bool:
+    """Oracle: the proof opened as nested attached signatures, as the
+    scheme writes it.  The challenge key's layer is opened first and must
+    hold `inner_sig || id`; opening the team key's layer must give the id."""
+    if len(raw) < 128:
+        return False
+    outer_sig, inner = raw[:64], raw[64:]
+    if not ed25519.verify(challenge_public, outer_sig, inner):
+        return False
+    inner_sig, message = inner[:64], inner[64:]
+    if not ed25519.verify(team_public, inner_sig, message):
+        return False
+    return message == challenge_id
 
-    def test_one_character_off_fails(self, rng):
-        salt = rng.randbytes(16)
-        params = KdfParams.test()
-        keys = derive_challenge_keys("CTF-BR{real}", salt, params)
-        assert not check_flag("CTF-BR{reaL}", salt, params, keys.public)
 
-    def test_empty_flag_is_false_without_deriving(self, rng):
-        assert not check_flag("   ", rng.randbytes(16), KdfParams.test(), bytes(32))
+class TestProofMutations:
+    """`verify_proof` checks two detached signatures; its verdict must be
+    the nested opening's on honest proofs and on every mutation of them."""
+
+    def _setup(self, rng):
+        teams = [keypair_from_seed(rng.randbytes(32)) for _ in range(2)]
+        challenge = keypair_from_seed(rng.randbytes(32))
+        return teams, challenge
+
+    def _agree(self, team_public, challenge_public, challenge_id, raw) -> bool:
+        verdict = verify_proof(team_public, challenge_public, challenge_id, raw)
+        assert verdict == nested_open_verdict(team_public, challenge_public, challenge_id, raw)
+        return verdict
+
+    def test_every_byte_flip(self, backend, rng):
+        (team, _), challenge = self._setup(rng)
+        for challenge_id in (b"c", b"chal-07"):
+            raw = prove(team, challenge.secret, challenge_id).serialize()
+            assert self._agree(team.public, challenge.public, challenge_id, raw)
+            for pos in range(len(raw)):
+                flipped = bytearray(raw)
+                flipped[pos] ^= 1 << (pos % 8)
+                assert not self._agree(team.public, challenge.public, challenge_id, bytes(flipped))
+
+    def test_truncations_and_extensions(self, rng):
+        (team, _), challenge = self._setup(rng)
+        raw = prove(team, challenge.secret, b"chal-07").serialize()
+        for cut in range(len(raw)):
+            assert not self._agree(team.public, challenge.public, b"chal-07", raw[:cut])
+        for tail in (b"\x00", b"7", raw[:64]):
+            assert not self._agree(team.public, challenge.public, b"chal-07", raw + tail)
+
+    def test_another_teams_proof(self, backend, rng):
+        (team, other), challenge = self._setup(rng)
+        raw = prove(other, challenge.secret, b"chal-07").serialize()
+        assert self._agree(other.public, challenge.public, b"chal-07", raw)
+        assert not self._agree(team.public, challenge.public, b"chal-07", raw)
+
+    def test_proof_for_another_challenge(self, backend, rng):
+        (team, _), challenge = self._setup(rng)
+        other = keypair_from_seed(rng.randbytes(32))
+        raw = prove(team, other.secret, b"chal-08").serialize()
+        assert not self._agree(team.public, challenge.public, b"chal-07", raw)
+        assert not self._agree(team.public, other.public, b"chal-07", raw)
+        assert not self._agree(team.public, challenge.public, b"chal-08", raw)
+        assert self._agree(team.public, other.public, b"chal-08", raw)
