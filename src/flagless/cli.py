@@ -23,8 +23,6 @@ import json
 import os
 import sys
 import time
-import urllib.error
-import urllib.request
 
 from . import competition, ledger, service, sigproof
 from .canonical import canonical_bytes, canonical_dumps, to_hex
@@ -91,6 +89,8 @@ class RemoteTarget:
         self.base_url = base_url.rstrip("/")
 
     def _get(self, route: str) -> bytes:
+        import urllib.request  # on first use: `serve` and local commands never load it
+
         try:
             with urllib.request.urlopen(self.base_url + route, timeout=60) as resp:
                 return resp.read()
@@ -111,6 +111,8 @@ class RemoteTarget:
         return [ScoreboardRow.from_json_dict(r) for r in rows]
 
     def submit(self, changeset) -> dict:
+        import urllib.request
+
         body = canonical_bytes(changeset.to_json_dict())
         request = urllib.request.Request(
             self.base_url + "/changesets",

@@ -21,6 +21,7 @@ replica that folds the same chain gets the same verdicts and scoreboard.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
 import secrets
@@ -564,10 +565,19 @@ class CompetitionState:
             for path, index in self._solves.items():
                 self._tally(totals, path, index)
             self._totals = totals
-        rows = [
-            (team_id, *self._totals.get(team_id, (0, 0, None)))
-            for team_id in self.teams()
-        ]
+        return self._ranked(self._totals)
+
+    def resolved_scoreboard(self) -> list[ScoreboardRow]:
+        """`scoreboard` counting only the solves that name a team and a
+        challenge the state holds."""
+        totals: dict[str, list[int]] = {}
+        for path, index in self._solves.items():
+            with contextlib.suppress(AuditError):
+                self._tally(totals, path, index)
+        return self._ranked(totals)
+
+    def _ranked(self, totals: dict[str, list[int]]) -> list[ScoreboardRow]:
+        rows = [(team_id, *totals.get(team_id, (0, 0, None))) for team_id in self.teams()]
         rows.sort(key=lambda r: (-r[1], r[3] if r[3] is not None else float("inf"), r[0]))
         return [
             ScoreboardRow(
@@ -683,8 +693,10 @@ def audit_all(chain: list[LedgerEntry]) -> AuditReport:
     organizer rules), a team entry also `validate_changeset` (which
     re-verifies its proof), and then it is folded; the pass stops at a
     CHAIN finding, keeping the findings before it.  Then recomputes the
-    scoreboard.  An empty chain, which no host would open, is one CHAIN
-    finding at index 0.  Requires no secrets: any holder of the ledger
+    scoreboard: if a solve names a team or challenge the chain lacks, the
+    first such is a SCOREBOARD finding, and every team's row counts the
+    solves that resolve.  An empty chain, which no host would open, is one
+    CHAIN finding at index 0.  Requires no secrets: any holder of the ledger
     file gets the same report.  This is the check for a ledger file from
     an untrusted source: a host loading one checks only the rules of
     `audit_entry`, not the team entries.
@@ -710,5 +722,5 @@ def audit_all(chain: list[LedgerEntry]) -> AuditReport:
         scoreboard = state.scoreboard()
     except AuditError as exc:
         findings.append(AuditFinding(len(chain) - 1, "SCOREBOARD", str(exc)))
-        scoreboard = []
+        scoreboard = state.resolved_scoreboard()
     return AuditReport(findings=findings, scoreboard=scoreboard, entries=len(chain))

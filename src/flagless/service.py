@@ -10,15 +10,27 @@ Wire contract (HTTP/1.1, canonical JSON on every response body):
     GET  /ledger       200, full NDJSON ledger (application/x-ndjson)
     GET  /healthz      200 {"hash": ..., "index": ...} of the chain head
 
-Malformed request bodies (a Content-Length that is missing, repeated or
-not a run of ASCII digits, bytes that are not UTF-8 JSON or nest too
-deeply, a changeset that does not parse) get 400, bodies over 1 MiB get
-413.  A request answered without reading its body (a POST answered 404,
-413, or 400 for its Content-Length, or a GET with a nonzero
-Content-Length or any Transfer-Encoding) carries `Connection: close`, and
-the connection closes after the answer, so the body is never parsed as a
-request.  A connection that stays silent for `_Handler.timeout` seconds,
-mid-request (say, a body shorter than its
+Every other answer is a status line, `Content-Type: application/json` and
+a body `{"error": ...}`.  A request head that cannot be served gets 400
+for a malformed request line or header line (no colon, whitespace before
+the colon, or an obs-fold continuation line), 431 for a line over 64 KiB
+or more than 100 header fields, 505 for an HTTP version other than 1.0
+or 1.1, and 501 for a method other than GET or POST.  Malformed request
+bodies (a Content-Length that is missing, repeated or not a run of ASCII
+digits, any Transfer-Encoding on a POST, bytes that are not UTF-8 JSON or
+nest too deeply, a changeset that does not parse) get 400, bodies over
+1 MiB get 413, and an unknown route gets 404.  A POST carrying
+`Expect: 100-continue` gets `100 Continue` once its framing passes, just
+before its body is read.  An answer given without reading the request's
+body (a refused head, a POST answered 404, 413, or 400 for its framing,
+and a GET with a nonzero Content-Length or any Transfer-Encoding) carries
+`Connection: close`, and the connection closes after the answer, so the
+body is never parsed as a request (RFC 9112 section 6.3).  Otherwise an HTTP/1.1 connection
+persists unless the request's Connection header has a `close` token, and
+an HTTP/1.0 one closes unless it has a `keep-alive` token.  At most
+`MAX_CONNECTIONS` connections are live at once; one more is answered 503
+with `Connection: close` and closed.  A connection that stays silent for
+`_Handler.timeout` seconds, mid-request (say, a body shorter than its
 Content-Length) or between keep-alive requests, is closed without an
 answer, so a stalled client cannot pin a handler thread.  The host
 serializes appends and reads, so every read sees the state between two
@@ -26,61 +38,147 @@ appends.  `GET /ledger` serves the canonical bytes the host holds (for a
 file host, the bytes of its file) without serializing the chain, and the
 other GET bodies are built at most once per chain head.  Each read hands
 the handler an immutable `bytes`, written to the socket outside the
-host's lock.  When the host holds a ledger file, a 201 goes out only after
-the entry's line is fsynced there; if that write fails, the connection is
-closed without an answer and the entry is not kept.  Transient 5xx
-answers and unanswered requests are safe to retry because duplicate
-submissions are rejected deterministically.
+host's lock, with its headers in one write.  When the host holds a ledger
+file, a 201 goes out only after the entry's line is fsynced there; if
+that write fails, the connection is closed without an answer and the
+entry is not kept.  Transient 5xx answers and unanswered requests are
+safe to retry because duplicate submissions are rejected
+deterministically.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import re
+import socketserver
+import threading
+import time
+from http import HTTPStatus
 
 from .canonical import canonical_bytes, to_hex
 from .ledger import Changeset
 from .validator import CompetitionHost, ValidationVerdict
 
 MAX_BODY_BYTES = 1 << 20
+MAX_CONNECTIONS = 64
+_MAX_LINE = 1 << 16  # bytes in a request or header line, CRLF included
+_MAX_FIELDS = 100
+_FIELD_NAME = re.compile(rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")  # RFC 9110 token
 _NOT_FOUND = canonical_bytes({"error": "not found"})
 _BAD_LENGTH = canonical_bytes({"error": "missing or invalid Content-Length"})
 _TOO_LARGE = canonical_bytes({"error": "body exceeds 1 MiB"})
+_BUSY = canonical_bytes({"error": "too many connections"})
 
 log = logging.getLogger(__name__)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "flagless"
-    protocol_version = "HTTP/1.1"
-    # Headers and body go out in separate writes; without TCP_NODELAY the
-    # second waits on the client's delayed ACK (~40 ms on keep-alive).
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    return time.strftime("%a, %d %b %Y %H:%M:%S GMT", time.gmtime(second))
+
+
+def _answer(status: int, body: bytes, content_type: str, close: bool) -> bytes:
+    """A whole answer, head and body, to go out in one write."""
+    head = (
+        f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\nServer: flagless\r\n"
+        f"Date: {_http_date(int(time.time()))}\r\n"
+        + ("Connection: close\r\n" if close else "")
+        + f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n\r\n"
+    )
+    return head.encode("ascii") + body
+
+
+class _Refused(Exception):
+    """A request head that cannot be served: (status, error message)."""
+
+
+class _Headers(dict):
+    """Lower-cased field name -> values in arrival order, read as
+    `email.message.Message` reads: by any case, `get` giving the first."""
+
+    def get(self, name: str, default=None):
+        return self.get_all(name, [default])[0]
+
+    def get_all(self, name: str, default=None):
+        return super().get(name.lower(), default)
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    # An answer is one write, but a long ledger's last segment would still
+    # wait on the client's delayed ACK (~40 ms on keep-alive).
     disable_nagle_algorithm = True
     # Socket timeout in seconds; a read that times out closes the connection.
     timeout = 30
     host: CompetitionHost  # set by make_server on the handler subclass
 
-    def log_message(self, fmt: str, *args) -> None:
-        log.debug("%s %s", self.address_string(), fmt % args)
+    def handle(self) -> None:
+        try:
+            while self._read_head():
+                getattr(self, "do_" + self.command)()
+                if self.close_connection:
+                    return
+        except _Refused as exc:
+            status, error = exc.args
+            self._respond(status, canonical_bytes({"error": error}), close=True)
+        except TimeoutError:
+            pass  # closed without an answer
+
+    def _line(self) -> bytes:
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise _Refused(431, "line exceeds 64 KiB")
+        return line
+
+    def _read_head(self) -> bool:
+        """Parse a request line and its header fields into `command`, `path`,
+        `headers` and `close_connection`; False at the end of the stream."""
+        self.close_connection, self.command, self.path = True, "-", "-"
+        line = self._line()
+        if not line:
+            return False
+        parts = line[:-2].split(b" ") if line.endswith(b"\r\n") else []
+        if len(parts) != 3 or not parts[1] or not parts[2].startswith(b"HTTP/"):
+            raise _Refused(400, "malformed request line")
+        method, target, version = parts
+        if version not in (b"HTTP/1.0", b"HTTP/1.1"):
+            raise _Refused(505, "HTTP version not supported")
+        if method not in (b"GET", b"POST"):
+            raise _Refused(501, "method not implemented")
+        self.command, self.path = method.decode("ascii"), target.decode("latin-1")
+        self.headers = _Headers()
+        for _ in range(_MAX_FIELDS + 1):
+            line = self._line()
+            if line == b"\r\n":
+                break
+            name, colon, value = line.partition(b":")
+            if not (colon and line.endswith(b"\r\n") and _FIELD_NAME.fullmatch(name)):
+                raise _Refused(400, "malformed header line")
+            value = value.strip(b" \t\r\n").decode("latin-1")
+            self.headers.setdefault(name.decode("ascii").lower(), []).append(value)
+        else:
+            raise _Refused(431, "more than 100 header fields")
+        connection = ",".join(self.headers.get_all("Connection", [])).lower()
+        tokens = {token.strip(" \t") for token in connection.split(",")}
+        self._http11 = version == b"HTTP/1.1"
+        self.close_connection = "close" in tokens if self._http11 else "keep-alive" not in tokens
+        return True
 
     def _respond(
         self, status: int, body: bytes, content_type: str = "application/json", *, close=False
     ) -> None:
-        self.send_response(status)
-        if close:  # also sets self.close_connection
-            self.send_header("Connection", "close")
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self.close_connection = self.close_connection or close
+        self.request.sendall(_answer(status, body, content_type, self.close_connection))
+        log.debug("%s %s %s %d", self.client_address[0], self.command, self.path, status)
 
     def _respond_json(self, status: int, obj) -> None:
         self._respond(status, canonical_bytes(obj))
 
     def do_GET(self) -> None:
         # A GET body is never read, so a connection that sent one closes.
-        close = "Transfer-Encoding" in self.headers or self.headers["Content-Length"] not in (None, "0")
+        chunked = self.headers.get("Transfer-Encoding") is not None
+        close = chunked or self.headers.get("Content-Length") not in (None, "0")
         if self.path == "/scoreboard":
             self._respond(200, self.host.scoreboard_body(), close=close)
         elif self.path == "/challenges":
@@ -96,17 +194,21 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != "/changesets":
             self._respond(404, _NOT_FOUND, close=True)
             return
-        # RFC 9112 section 6.3: exactly one Content-Length of ASCII digits;
-        # anything else is unrecoverable framing, so the connection closes
+        # RFC 9112 section 6.3: no Transfer-Encoding and exactly one
+        # Content-Length of ASCII digits; anything else is unrecoverable
+        # framing, so the connection closes
         lengths = self.headers.get_all("Content-Length", [])
-        value = lengths[0].strip(" \t") if len(lengths) == 1 else ""
-        if not (value.isascii() and value.isdigit()):
+        value = lengths[0] if len(lengths) == 1 else ""
+        chunked = self.headers.get("Transfer-Encoding") is not None
+        if chunked or not (value.isascii() and value.isdigit()):
             self._respond(400, _BAD_LENGTH, close=True)
             return
         length = int(value)
         if length > MAX_BODY_BYTES:
             self._respond(413, _TOO_LARGE, close=True)
             return
+        if self._http11 and self.headers.get("Expect", "").lower() == "100-continue":
+            self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
         body = self.rfile.read(length)
         try:
             changeset = Changeset.from_json_dict(json.loads(body.decode("utf-8")))
@@ -132,8 +234,34 @@ class _Handler(BaseHTTPRequestHandler):
             )
 
 
-def make_server(host: CompetitionHost, address: tuple[str, int]) -> ThreadingHTTPServer:
-    handler = type("BoundHandler", (_Handler,), {"host": host})
-    server = ThreadingHTTPServer(address, handler)
-    server.daemon_threads = True
-    return server
+class _Server(socketserver.ThreadingTCPServer):
+    """A thread for each connection, and at most `MAX_CONNECTIONS` of them."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, address: tuple[str, int], handler: type[_Handler]):
+        super().__init__(address, handler)
+        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+
+    def process_request(self, request, client_address) -> None:
+        if not self._slots.acquire(blocking=False):
+            request.sendall(_answer(503, _BUSY, "application/json", True))
+            log.debug("%s refused: %d connections live", client_address[0], MAX_CONNECTIONS)
+            self.shutdown_request(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:  # no thread started, so none will free the slot
+            self._slots.release()
+            raise
+
+    def finish_request(self, request, client_address) -> None:
+        try:
+            super().finish_request(request, client_address)
+        finally:
+            self._slots.release()  # before the socket closes
+
+
+def make_server(host: CompetitionHost, address: tuple[str, int]) -> _Server:
+    return _Server(address, type("BoundHandler", (_Handler,), {"host": host}))

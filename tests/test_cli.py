@@ -2,6 +2,8 @@
 and through a running service."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -162,3 +164,15 @@ def test_service_url_gives_the_same_results_as_ledger(competition, tmp_path, cap
         audited = both(lambda t: ["audit"])
         assert audited["ledger"] == audited["service"] and audited["ledger"][0] == 0
     assert ledger.read_ledger(str(served)) == host.chain
+
+
+def test_importing_the_cli_loads_no_http_client_or_mail_parser():
+    # `serve` and the local commands start without them; --service-url
+    # loads urllib on first use (test_service_url_gives_the_same_results_as_ledger)
+    heavy = ("http.server", "http.client", "email.parser", "urllib.request", "ssl")
+    code = f"import flagless.cli, sys; print([m for m in {heavy!r} if m in sys.modules])"
+    package_root = Path(cli.__file__).parents[1]  # `-c` puts the cwd first on sys.path
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=package_root, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

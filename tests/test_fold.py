@@ -74,7 +74,9 @@ def oracle_challenges(files: dict[str, bytes]) -> dict[str, ChallengeDescriptor]
     return challenges
 
 
-def oracle_scoreboard(files: dict[str, bytes], chain) -> list[ScoreboardRow]:
+def oracle_scoreboard(files: dict[str, bytes], chain, resolved_only=False) -> list[ScoreboardRow]:
+    """The scoreboard, or AuditError at the first solve naming an unknown
+    team or challenge; with `resolved_only`, such solves are skipped."""
     teams, challenges = oracle_teams(files), oracle_challenges(files)
     solves: dict[tuple[str, str], int] = {}
     for entry in chain:
@@ -86,6 +88,8 @@ def oracle_scoreboard(files: dict[str, bytes], chain) -> list[ScoreboardRow]:
     count = {t: 0 for t in teams}
     last: dict[str, int | None] = {t: None for t in teams}
     for (team_id, challenge_id), index in solves.items():
+        if resolved_only and (team_id not in teams or challenge_id not in challenges):
+            continue
         if team_id not in teams:
             raise AuditError(f"submission for unknown team {team_id!r} at entry {index}")
         if challenge_id not in challenges:
@@ -330,7 +334,8 @@ def assert_fold_matches_oracle(sim, chain, secrets, rng):
     assert _scoreboard(CompetitionState.from_chain(chain).scoreboard) == expected
     report = audit_all(chain)
     if isinstance(expected, tuple):
-        assert report.scoreboard == [] and report.findings[-1].code == "SCOREBOARD"
+        assert report.scoreboard == oracle_scoreboard(oracle, chain, resolved_only=True)
+        assert report.findings[-1].code == "SCOREBOARD"
         assert report.findings[-1].message == expected[1]
     else:
         assert report.scoreboard == expected

@@ -142,7 +142,10 @@ def test_flagless_audit_flags_the_identity_key_solve(sim, rng, tmp_path, capsys)
     report = json.loads(capsys.readouterr().out)
     codes = [f["code"] for f in report["findings"]]
     assert codes == ["BAD_DESCRIPTOR", "UNKNOWN_CHALLENGE", "SCOREBOARD"]
-    assert report["ok"] is False and report["scoreboard"] == []
+    (team_id,) = sim.teams  # the honest standings: the forged solve is not counted
+    assert report["ok"] is False and report["scoreboard"] == [
+        {"last_solve_index": None, "points": 0, "rank": 1, "solves": 0, "team_id": team_id}
+    ]
 
 
 @pytest.mark.parametrize("encoding", TORSION, ids=IDS)

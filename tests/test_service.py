@@ -167,8 +167,14 @@ class TestMalformedRequests:
             b"POST /changesets HTTP/1.1\r\nHost: x\r\n\r\n",
             b"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n" % len(_SMUGGLED),
             b"GET /healthz HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n",
+            b"POST /changesets HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n",
+            b"POST /changesets HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n"
+            b"Content-Length: 0\r\n\r\n",
         ],
-        ids=["404", "413", "400-negative-length", "400-no-length", "get-body", "get-chunked"],
+        ids=[
+            "404", "413", "400-negative-length", "400-no-length", "get-body", "get-chunked",
+            "post-chunked", "post-chunked-with-length",
+        ],
     )
     def test_unread_body_is_not_parsed_as_a_request(self, service, head):
         # a keep-alive connection would read the body as a second request
@@ -189,10 +195,92 @@ class TestMalformedRequests:
         assert b"Connection: close\r\n" in data
         assert data.endswith(b"\r\n\r\n" + _BAD_LENGTH)
 
+    @pytest.mark.parametrize(
+        "request_head,status",
+        [
+            (b"GARBAGE\r\n", 400),
+            (b"GET  /healthz HTTP/1.1\r\n", 400),
+            (b"GET /healthz HTTP/1.1\n", 400),
+            (b"GET /healthz HTTP/1.1\r\nHost x\r\n", 400),
+            (b"GET /healthz HTTP/1.1\r\nHost : x\r\n", 400),
+            (b"GET /healthz HTTP/1.1\r\nHost: x\r\n  folded\r\n", 400),
+            (b"GET /healthz HTTP/1.1\r\n" + b"X-A: b\r\n" * 101, 431),
+            (b"GET /healthz HTTP/1.1\r\nX-A: " + b"b" * (1 << 16), 431),
+            (b"GET /healthz HTTP/2.0\r\n", 505),
+            (b"GET /healthz HTTP/0.9\r\n", 505),
+            (b"PUT /changesets HTTP/1.1\r\n", 501),
+            (b"HEAD /healthz HTTP/1.1\r\n", 501),
+        ],
+        ids=[
+            "garbage", "double-space", "bare-lf", "no-colon", "space-before-colon", "obs-fold",
+            "101-fields", "long-line", "http-2", "http-0.9", "put", "head",
+        ],
+    )
+    def test_unservable_head_is_a_json_answer_that_closes(self, service, request_head, status):
+        # each request ends where it is refused, so no unread byte makes the
+        # close a reset that could discard the answer
+        head, _, body = _until_eof(service, request_head).partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        assert lines[0].startswith(b"HTTP/1.1 %d " % status)
+        assert b"Content-Type: application/json" in lines and b"Connection: close" in lines
+        assert set(json.loads(body)) == {"error"}
+
+    @pytest.mark.parametrize(
+        "version,connection,persists",
+        [
+            (b"HTTP/1.1", b"", True),
+            (b"HTTP/1.1", b"Connection: Keep-Alive, Close\r\n", False),
+            (b"HTTP/1.0", b"", False),
+            (b"HTTP/1.0", b"Connection: keep-alive\r\n", True),
+        ],
+        ids=["1.1", "1.1-close", "1.0", "1.0-keep-alive"],
+    )
+    def test_connection_persists_by_version_and_tokens(self, service, version, connection, persists):
+        request = b"GET /healthz " + version + b"\r\nHost: x\r\n" + connection + b"\r\n"
+        data = _until_eof(service, request + b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+        assert data.count(b"HTTP/1.1 200 ") == (2 if persists else 1)
+        assert data.count(b"Connection: close\r\n") == 1
+
+    def test_expect_100_continue_comes_before_the_body_is_read(self, service, sim, rng):
+        body = canonical_bytes(register_team("Patient", rng=rng)[2].to_json_dict())
+        with socket.create_connection(service.server.server_address[:2], timeout=TIMEOUT_S) as sock:
+            sock.sendall(
+                b"POST /changesets HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body)
+            )
+            assert sock.recv(65536) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            assert sock.recv(65536).startswith(b"HTTP/1.1 201 ")
+
     @pytest.mark.parametrize("method,path", [("GET", "/nope"), ("POST", "/scoreboard")])
     def test_unknown_route_is_404(self, service, method, path):
         status, _ = _request(service, method, path, b"{}" if method == "POST" else None)
         assert status == 404
+
+
+class TestConnectionCap:
+    def test_overflow_is_503_and_a_freed_slot_serves_again(self, sim, monkeypatch):
+        monkeypatch.setattr("flagless.service.MAX_CONNECTIONS", 4)
+        with BackgroundService(sim.host) as svc:
+            address = svc.server.server_address[:2]
+            held = [socket.create_connection(address, timeout=TIMEOUT_S) for _ in range(4)]
+            try:
+                data = _until_eof(svc, b"")
+                assert data.startswith(b"HTTP/1.1 503 ") and b"Connection: close\r\n" in data
+                assert data.endswith(b"\r\n\r\n" + canonical_bytes({"error": "too many connections"}))
+                for sock in held:
+                    sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                    assert sock.recv(65536).startswith(b"HTTP/1.1 200 ")
+                # the slot is free before the socket closes, so EOF means free
+                held[0].sendall(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+                while held[0].recv(65536):
+                    pass
+                assert _until_eof(svc, b"GET /healthz HTTP/1.0\r\n\r\n").startswith(
+                    b"HTTP/1.1 200 "
+                )
+            finally:
+                for sock in held:
+                    sock.close()
 
 
 class TestReads:
