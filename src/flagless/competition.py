@@ -17,11 +17,12 @@ CompetitionState folds the chain once, entry by entry, into typed records
 and running totals; the validator, the host, the scoreboard, the audit and
 the CLI all read it.  It holds nothing but what the chain says, so any
 replica that folds the same chain gets the same verdicts and scoreboard.
+The scoreboard counts only the solves that name a team and a challenge
+the state holds; a forged chain can hold others, and the audit flags them.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import re
 import secrets
@@ -58,10 +59,6 @@ _CHALLENGE_PATH_RE = re.compile(r"\Achallenges/([a-z0-9-]{1,64})\.json\Z")
 
 class FlagMismatch(Exception):
     """The supplied flag does not derive the challenge's public key."""
-
-
-class AuditError(ValueError):
-    """A ledger references records that do not exist in its own state."""
 
 
 def slugify(name: str) -> str:
@@ -426,16 +423,6 @@ class _Records:
         return {k: r for k in sorted(self.content) if (r := self.get(k)) is not None}
 
 
-def _key_hex(content: bytes | None) -> str | None:
-    """The undecoded public key field of a team file, if it has one."""
-    try:
-        doc = _parse_json(content) if content is not None else None
-    except ValueError:
-        return None
-    key = doc.get("public_key") if isinstance(doc, dict) else None
-    return key if isinstance(key, str) else None
-
-
 class CompetitionState:
     """The chain folded into what the validator, the host, the scoreboard
     and the audit read; `fold` takes each entry exactly once, and
@@ -443,12 +430,14 @@ class CompetitionState:
 
     Holds the head (the last entry folded) and the organizer key genesis
     published, every file (a path's latest write wins, as in `ledger.replay`),
-    teams by id and by public key, challenges by id, the ledger index of the
-    first submission of each (team, challenge) pair, and running per-team
-    totals.  Records are decoded on first lookup; the totals are counted
-    on the first scoreboard read and kept up to date from then on, except
-    after a team or challenge path is rewritten (possible only in forged
-    chains), when the next read counts them again from the first solves.
+    teams and challenges by id, the ledger index of the first submission of
+    each (team, challenge) pair, and running per-team totals.  There is no
+    index by public key: `team_with_key` scans the teams.  Records are
+    decoded on first lookup.  The totals are counted on a scoreboard read
+    and kept up to date as solves are folded; any write to a team or
+    challenge path drops them, since a solve that did not count may now
+    count and a challenge's points may change, and the next read counts
+    them again from the first solves.
     Not thread-safe: the host calls it under its lock.
     """
 
@@ -458,7 +447,6 @@ class CompetitionState:
         self.files: dict[str, bytes] = {}
         self._teams = _Records(TeamRecord.from_json_dict)
         self._challenges = _Records(ChallengeDescriptor.from_json_dict)
-        self._key_owners: dict[str, list[str]] = {}  # public key hex -> team ids
         self._solves: dict[str, int] = {}  # submission path -> first index
         # team id -> [points, solves, last solve index]; None: count on next read
         self._totals: dict[str, list[int]] | None = None
@@ -492,33 +480,20 @@ class CompetitionState:
         self.head = entry
 
     def _write(self, path: str, content: bytes, index: int | None) -> None:
-        rewrite = path in self.files
         self.files[path] = content
         if _SUBMISSION_PATH_RE.match(path):
-            if index is None or path in self._solves:
-                return
-            self._solves[path] = index
-            if self._totals is not None:
-                try:
+            if index is not None and path not in self._solves:
+                self._solves[path] = index
+                if self._totals is not None:
                     self._tally(self._totals, path, index)
-                except AuditError:
-                    self._totals = None
             return
         if match := _TEAM_PATH_RE.match(path):
-            team_id = match.group(1)
-            old_key = _key_hex(self._teams.content.get(team_id))
-            if old_key is not None:
-                self._key_owners[old_key].remove(team_id)
-            self._teams.put(team_id, content)
-            new_key = _key_hex(content)
-            if new_key is not None:
-                self._key_owners.setdefault(new_key, []).append(team_id)
+            self._teams.put(match.group(1), content)
         elif match := _CHALLENGE_PATH_RE.match(path):
             self._challenges.put(match.group(1), content)
         else:
             return
-        if rewrite:
-            self._totals = None
+        self._totals = None  # a dangling solve may now count, or points change
 
     def team(self, team_id: str) -> TeamRecord | None:
         return self._teams.get(team_id)
@@ -529,10 +504,9 @@ class CompetitionState:
     def team_with_key(self, public_key: bytes) -> TeamRecord | None:
         """The well-formed team registered with `public_key`; the first by
         team path if a forged chain holds several."""
-        owners = self._key_owners.get(to_hex(public_key), ())
-        for team_id in sorted(owners, key=team_path):
+        for team_id in sorted(self._teams.content, key=team_path):
             record = self.team(team_id)
-            if record is not None:
+            if record is not None and record.public_key == public_key:
                 return record
         return None
 
@@ -542,42 +516,39 @@ class CompetitionState:
     def challenges(self) -> dict[str, ChallengeDescriptor]:
         return self._challenges.all()
 
-    def _tally(self, totals: dict[str, list[int]], path: str, index: int) -> None:
+    def _tally(self, totals: dict[str, list[int]], path: str, index: int) -> str | None:
+        """Count the solve at `path` into `totals`, or return why it does
+        not count: it names a team or challenge the state lacks."""
         team_id, challenge_id = _SUBMISSION_PATH_RE.match(path).groups()
         if self.team(team_id) is None:
-            raise AuditError(f"submission for unknown team {team_id!r} at entry {index}")
+            return f"submission for unknown team {team_id!r} at entry {index}"
         challenge = self.challenge(challenge_id)
         if challenge is None:
-            raise AuditError(
-                f"submission for unknown challenge {challenge_id!r} at entry {index}"
-            )
+            return f"submission for unknown challenge {challenge_id!r} at entry {index}"
         row = totals.setdefault(team_id, [0, 0, index])
         row[0] += challenge.points
         row[1] += 1
         row[2] = max(row[2], index)
+        return None
+
+    def unresolved(self) -> str | None:
+        """Why the first solve that the scoreboard leaves out does not
+        count, or None when every solve counts."""
+        scratch: dict[str, list[int]] = {}
+        reasons = (self._tally(scratch, path, index) for path, index in self._solves.items())
+        return next((reason for reason in reasons if reason is not None), None)
 
     def scoreboard(self) -> list[ScoreboardRow]:
         """Rank teams by points; ties go to the earlier last solve (ledger
-        order, not claimed wall clocks), then team id.  Raises AuditError
-        when a solve names a team or challenge the state lacks."""
+        order, not claimed wall clocks), then team id.  Counts only the
+        solves that name a team and a challenge the state holds (see
+        `unresolved`), so it never raises."""
         if self._totals is None:
             totals: dict[str, list[int]] = {}
             for path, index in self._solves.items():
                 self._tally(totals, path, index)
             self._totals = totals
-        return self._ranked(self._totals)
-
-    def resolved_scoreboard(self) -> list[ScoreboardRow]:
-        """`scoreboard` counting only the solves that name a team and a
-        challenge the state holds."""
-        totals: dict[str, list[int]] = {}
-        for path, index in self._solves.items():
-            with contextlib.suppress(AuditError):
-                self._tally(totals, path, index)
-        return self._ranked(totals)
-
-    def _ranked(self, totals: dict[str, list[int]]) -> list[ScoreboardRow]:
-        rows = [(team_id, *totals.get(team_id, (0, 0, None))) for team_id in self.teams()]
+        rows = [(team_id, *self._totals.get(team_id, (0, 0, None))) for team_id in self.teams()]
         rows.sort(key=lambda r: (-r[1], r[3] if r[3] is not None else float("inf"), r[0]))
         return [
             ScoreboardRow(
@@ -692,14 +663,14 @@ def audit_all(chain: list[LedgerEntry]) -> AuditReport:
     One pass: each entry gets `audit_entry` (the chain, genesis and
     organizer rules), a team entry also `validate_changeset` (which
     re-verifies its proof), and then it is folded; the pass stops at a
-    CHAIN finding, keeping the findings before it.  Then recomputes the
-    scoreboard: if a solve names a team or challenge the chain lacks, the
-    first such is a SCOREBOARD finding, and every team's row counts the
-    solves that resolve.  An empty chain, which no host would open, is one
-    CHAIN finding at index 0.  Requires no secrets: any holder of the ledger
-    file gets the same report.  This is the check for a ledger file from
-    an untrusted source: a host loading one checks only the rules of
-    `audit_entry`, not the team entries.
+    CHAIN finding, keeping the findings before it.  Then the scoreboard,
+    which counts the solves that name a team and a challenge the chain
+    holds; if any other solve exists, the first (`unresolved`) is a
+    SCOREBOARD finding at the last entry.  An empty chain, which no host
+    would open, is one CHAIN finding at index 0.  Requires no secrets: any
+    holder of the ledger file gets the same report.  This is the check for
+    a ledger file from an untrusted source: a host loading one checks only
+    the rules of `audit_entry`, not the team entries.
     """
     from .validator import validate_changeset  # local import breaks the cycle
 
@@ -718,9 +689,7 @@ def audit_all(chain: list[LedgerEntry]) -> AuditReport:
                 findings.append(AuditFinding(entry.index, verdict.code.name, verdict.message))
         state.fold(entry)
 
-    try:
-        scoreboard = state.scoreboard()
-    except AuditError as exc:
-        findings.append(AuditFinding(len(chain) - 1, "SCOREBOARD", str(exc)))
-        scoreboard = state.resolved_scoreboard()
-    return AuditReport(findings=findings, scoreboard=scoreboard, entries=len(chain))
+    reason = state.unresolved()
+    if reason is not None:
+        findings.append(AuditFinding(len(chain) - 1, "SCOREBOARD", reason))
+    return AuditReport(findings=findings, scoreboard=state.scoreboard(), entries=len(chain))

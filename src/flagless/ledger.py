@@ -134,14 +134,9 @@ class LedgerEntry:
             raise ValueError("organizer signature must be 64 bytes")
 
     def to_json_dict(self) -> dict:
-        return {
-            "changeset": self.changeset.to_json_dict(),
-            "hash": to_hex(self.hash),
-            "index": self.index,
-            "org_sig": to_hex(self.org_sig) if self.org_sig is not None else None,
-            "prev_hash": to_hex(self.prev_hash),
-            "timestamp": self.timestamp,
-        }
+        return _fields(
+            self.index, self.timestamp, self.prev_hash, self.changeset, self.org_sig, self.hash
+        )
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "LedgerEntry":
@@ -159,19 +154,29 @@ class LedgerEntry:
         )
 
 
+def _fields(
+    index: int, timestamp: int, prev_hash: bytes, changeset: Changeset, *sealed: bytes | None
+) -> dict:
+    """An entry's JSON fields: those the organizer signature covers, then
+    as many of `org_sig` (which the hash covers too) and `hash` as
+    `sealed` gives, in that order."""
+    fields = {
+        "changeset": changeset.to_json_dict(),
+        "index": index,
+        "prev_hash": to_hex(prev_hash),
+        "timestamp": timestamp,
+    }
+    for name, value in zip(("org_sig", "hash"), sealed):
+        fields[name] = to_hex(value) if value is not None else None
+    return fields
+
+
 def signing_bytes(
     index: int, timestamp: int, prev_hash: bytes, changeset: Changeset
 ) -> bytes:
     """Serialization covered by the organizer signature (excludes the
     signature itself and the hash)."""
-    return canonical_bytes(
-        {
-            "changeset": changeset.to_json_dict(),
-            "index": index,
-            "prev_hash": to_hex(prev_hash),
-            "timestamp": timestamp,
-        }
-    )
+    return canonical_bytes(_fields(index, timestamp, prev_hash, changeset))
 
 
 def entry_hash(
@@ -181,17 +186,7 @@ def entry_hash(
     changeset: Changeset,
     org_sig: bytes | None,
 ) -> bytes:
-    return sha256(
-        canonical_bytes(
-            {
-                "changeset": changeset.to_json_dict(),
-                "index": index,
-                "org_sig": to_hex(org_sig) if org_sig is not None else None,
-                "prev_hash": to_hex(prev_hash),
-                "timestamp": timestamp,
-            }
-        )
-    )
+    return sha256(canonical_bytes(_fields(index, timestamp, prev_hash, changeset, org_sig)))
 
 
 def make_entry(

@@ -135,45 +135,34 @@ def validate_changeset(state: CompetitionState, changeset: Changeset) -> Validat
 
     Every outcome is a verdict; nothing here raises on untrusted input.
     """
-    classified: list[tuple[str, tuple]] = []
+    actions = []  # (change, its path's match) of each team-writable path
     for change in changeset.changes:
-        team_match = _TEAM_PATH_RE.match(change.path)
-        sub_match = _SUBMISSION_PATH_RE.match(change.path)
+        match = _TEAM_PATH_RE.match(change.path) or _SUBMISSION_PATH_RE.match(change.path)
         if change.path in state:
-            if sub_match:
+            if match is None:
                 return ValidationVerdict.reject(
-                    ReasonCode.DUPLICATE_SUBMISSION,
-                    f"{sub_match.group(1)!r} already solved {sub_match.group(2)!r}",
+                    ReasonCode.IMMUTABLE_PATH, f"{change.path!r} is already committed"
                 )
-            if team_match:
+            if match.re is _TEAM_PATH_RE:
                 return ValidationVerdict.reject(
-                    ReasonCode.DUPLICATE_TEAM,
-                    f"team {team_match.group(1)!r} already registered",
+                    ReasonCode.DUPLICATE_TEAM, f"team {match.group(1)!r} already registered"
                 )
             return ValidationVerdict.reject(
-                ReasonCode.IMMUTABLE_PATH, f"{change.path!r} is already committed"
+                ReasonCode.DUPLICATE_SUBMISSION,
+                f"{match.group(1)!r} already solved {match.group(2)!r}",
             )
-        if team_match:
-            classified.append(("registration", (change, team_match.group(1))))
-        elif sub_match:
-            classified.append(
-                ("submission", (change, sub_match.group(1), sub_match.group(2)))
-            )
-        else:
+        if match is None:
             return ValidationVerdict.reject(
                 ReasonCode.BAD_PATH, f"{change.path!r} is not a team-writable path"
             )
-    if len(classified) != 1:
+        actions.append((change, match))
+    if len(actions) != 1:
         return ValidationVerdict.reject(
-            ReasonCode.MIXED_CONCERNS,
-            f"changeset carries {len(classified)} actions, expected 1",
+            ReasonCode.MIXED_CONCERNS, f"changeset carries {len(actions)} actions, expected 1"
         )
-    kind, payload = classified[0]
-    if kind == "registration":
-        change, team_id = payload
-        return _validate_registration(state, change.content, team_id)
-    change, team_id, challenge_id = payload
-    return _validate_submission(state, change.content, team_id, challenge_id)
+    change, match = actions[0]
+    validate = _validate_registration if match.re is _TEAM_PATH_RE else _validate_submission
+    return validate(state, change.content, *match.groups())
 
 
 class CompetitionHost:
@@ -188,7 +177,9 @@ class CompetitionHost:
     raises `ChainError` and writes nothing.  Team entries are validated
     when `apply` appends them but not again at load, which would cost
     about as much as an audit: `audit_all` (the `flagless audit` command)
-    is the check for a ledger from an untrusted source.
+    is the check for a ledger from an untrusted source.  So a loaded
+    ledger can hold solves that name no team or challenge; the scoreboard
+    leaves them out, and the audit flags the entries that wrote them.
 
     All reads and appends take one lock.  An append builds the next entry
     on the state's head, folds it into the state and adds its canonical

@@ -7,6 +7,7 @@ import threading
 from dataclasses import dataclass, field
 from random import Random
 
+from flagless import ledger
 from flagless.canonical import canonical_bytes
 from flagless.competition import (
     ChallengeDescriptor,
@@ -16,8 +17,9 @@ from flagless.competition import (
     challenge_changeset,
     new_challenge,
     register_team,
+    submission_path,
 )
-from flagless.ledger import ZERO_HASH, LedgerEntry, entry_hash, genesis
+from flagless.ledger import ZERO_HASH, Changeset, FileChange, LedgerEntry, entry_hash, genesis
 from flagless.service import make_server
 from flagless.sigproof import KdfParams, keypair_from_seed
 from flagless.validator import CompetitionHost, ValidationVerdict
@@ -131,6 +133,16 @@ def brute_force_scoreboard(sim: Sim) -> list[tuple[int, str, int, int, int | Non
         (rank, tid, points, count, last)
         for rank, (tid, points, count, last) in enumerate(rows, start=1)
     ]
+
+
+def append_ghost_solve(chain: list[LedgerEntry], team_id: str) -> None:
+    """Forge a solve by `team_id` of challenge "ghost", which the chain
+    never released, onto the end of `chain`; the hashes still link."""
+    changeset = Changeset(
+        changes=(FileChange(path=submission_path(team_id, "ghost"), content=b"{}"),),
+        author=team_id,
+    )
+    ledger.append(chain, changeset, timestamp=chain[-1].timestamp + 1)
 
 
 def rebuild_consistent(

@@ -11,7 +11,7 @@ import pytest
 from flagless import cli, ledger
 from flagless.validator import CompetitionHost
 
-from helpers import BackgroundService
+from helpers import BackgroundService, append_ghost_solve
 
 FLAG = "flag{cli-test}"
 
@@ -164,6 +164,33 @@ def test_service_url_gives_the_same_results_as_ledger(competition, tmp_path, cap
         audited = both(lambda t: ["audit"])
         assert audited["ledger"] == audited["service"] and audited["ledger"][0] == 0
     assert ledger.read_ledger(str(served)) == host.chain
+
+
+def test_a_solve_of_no_challenge_is_not_scored_and_is_flagged(competition, tmp_path, capsys):
+    ledger_path, team_id = competition
+    chain = ledger.read_ledger(ledger_path)
+    append_ghost_solve(chain, team_id)
+    forged = tmp_path / "forged.ndjson"
+    forged.write_bytes(ledger.dump_chain(chain))
+
+    code, local = _run(capsys, "--json", "score", "--out", tmp_path / "l.json", "--ledger", forged)
+    assert code == 0
+    assert [(r["team_id"], r["points"], r["solves"]) for r in json.loads(local)] == [
+        (team_id, 100, 1)
+    ]
+    with CompetitionHost.open(str(forged)) as host, BackgroundService(host) as svc:
+        served = _run(capsys, "--json", "score", "--out", tmp_path / "s.json",
+                      "--service-url", svc.url)
+    assert served == (0, local)
+
+    code, out = _run(capsys, "--json", "audit", "--ledger", forged)
+    ghost = len(chain) - 1
+    assert code == 1
+    assert json.loads(out)["findings"] == [
+        {"code": "UNKNOWN_CHALLENGE", "index": ghost, "message": "challenge 'ghost'"},
+        {"code": "SCOREBOARD", "index": ghost,
+         "message": f"submission for unknown challenge 'ghost' at entry {ghost}"},
+    ]
 
 
 def test_importing_the_cli_loads_no_http_client_or_mail_parser():

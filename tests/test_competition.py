@@ -9,8 +9,8 @@ import pytest
 from flagless import _ed25519_core, competition, ed25519, ledger, sigproof
 from flagless.canonical import canonical_bytes, to_hex
 from flagless.competition import (
-    AuditError,
     ChallengeDescriptor,
+    CompetitionState,
     FlagMismatch,
     ScoreboardRow,
     TeamRecord,
@@ -32,7 +32,7 @@ from flagless.ledger import Changeset, FileChange
 from flagless.sigproof import KdfParams, derive_challenge_keys, normalize_flag
 from flagless.validator import ValidationVerdict
 
-from helpers import brute_force_scoreboard, rebuild_consistent, simulate
+from helpers import append_ghost_solve, brute_force_scoreboard, rebuild_consistent, simulate
 
 
 class TestSlugify:
@@ -264,19 +264,17 @@ class TestScoreboard:
         total = sum(r.points for r in rows)
         assert total == sum(sim.descriptors[c].points for (_, c) in sim.solves)
 
-    def test_unknown_challenge_is_audit_error(self, rng):
+    def test_unknown_challenge_solve_counts_for_nothing(self, rng):
         sim = simulate(rng, n_challenges=1, n_teams=1, solve_prob=0.0)
         chain = sim.chain()
         team_id = next(iter(sim.teams))
-        changeset = Changeset(
-            changes=(
-                FileChange(path=submission_path(team_id, "ghost"), content=b"{}"),
-            ),
-            author=team_id,
+        append_ghost_solve(chain, team_id)
+        rows = compute_scoreboard(ledger.replay(chain), chain)
+        assert rows == [ScoreboardRow(rank=1, team_id=team_id, points=0, solves=0,
+                                      last_solve_index=None)]
+        assert CompetitionState.from_chain(chain).unresolved() == (
+            f"submission for unknown challenge 'ghost' at entry {len(chain) - 1}"
         )
-        ledger.append(chain, changeset, timestamp=chain[-1].timestamp + 1)
-        with pytest.raises(AuditError):
-            compute_scoreboard(ledger.replay(chain), chain)
 
 
 class TestScoreboardRow:

@@ -1,18 +1,24 @@
-"""No dead code at module level: every function and class that a module of
-`flagless` defines is referenced somewhere in the package or the benchmark,
-outside its own definition.
+"""No dead code: every function and class that a module of `flagless`
+defines, and every method of such a class, is referenced somewhere in the
+package or the benchmark, outside its own definition.
 
 A reference is a name, an attribute, an imported name, or a string equal to
 the name (the traced benchmark looks names up as strings).  Tests do not
-count: a name that only tests use belongs in the tests.
+count: a name that only tests use belongs in the tests.  Two kinds of
+method need no reference: dunders, which the language calls, and a method
+that overrides one a base class defines, which the base's code calls
+(`socketserver`'s `handle`, say).
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "flagless"
 BENCH = REPO / "bench"
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _referenced_names(tree: ast.AST):
@@ -28,21 +34,19 @@ def _referenced_names(tree: ast.AST):
             yield node.value, node.lineno
 
 
-def test_every_module_level_definition_is_referenced():
-    definitions = []
+def _package_modules():
+    """(path, syntax tree) of each module of the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path, ast.parse(path.read_text(), str(path))
+
+
+def _dead(definitions: list[tuple[Path, ast.AST]]) -> list[str]:
+    """The definitions that nothing references outside themselves."""
     references: dict[str, list[tuple[Path, int]]] = {}
     for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        if path.parent == PACKAGE:
-            definitions += [
-                (path, node)
-                for node in tree.body
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            ]
-        for name, line in _referenced_names(tree):
+        for name, line in _referenced_names(ast.parse(path.read_text(), str(path))):
             references.setdefault(name, []).append((path, line))
-    assert definitions
-    dead = [
+    return [
         f"{path.name}:{node.lineno} {node.name}"
         for path, node in definitions
         if not any(
@@ -50,4 +54,31 @@ def test_every_module_level_definition_is_referenced():
             for where, line in references.get(node.name, ())
         )
     ]
-    assert dead == []
+
+
+def test_every_module_level_definition_is_referenced():
+    definitions = [
+        (path, node)
+        for path, tree in _package_modules()
+        for node in tree.body
+        if isinstance(node, _DEFINITIONS)
+    ]
+    assert definitions
+    assert _dead(definitions) == []
+
+
+def test_every_method_is_referenced_or_overrides_a_base():
+    definitions = []
+    for path, tree in _package_modules():
+        module = importlib.import_module(f"flagless.{path.stem}")
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            bases = getattr(module, cls.name).__mro__[1:]
+            definitions += [
+                (path, node)
+                for node in cls.body
+                if isinstance(node, _DEFINITIONS)
+                and not (node.name.startswith("__") and node.name.endswith("__"))
+                and not any(node.name in vars(base) for base in bases)
+            ]
+    assert definitions
+    assert _dead(definitions) == []

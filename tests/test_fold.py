@@ -4,7 +4,7 @@ The oracle below re-parses every team and challenge record of a plain
 path -> content dict on each call and rescans the whole chain for solves,
 as the validator and scoreboard once did.  Over simulated and forged
 chains, the fold must give the same verdict for every entry and every
-probe, and the same scoreboard (or the same AuditError) after every entry.
+probe, and the same scoreboard and first unresolved solve after every entry.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import pytest
 from flagless import ledger, sigproof
 from flagless.canonical import canonical_bytes, to_hex
 from flagless.competition import (
-    AuditError,
     AuditFinding,
     ChallengeDescriptor,
     CompetitionState,
@@ -74,28 +73,38 @@ def oracle_challenges(files: dict[str, bytes]) -> dict[str, ChallengeDescriptor]
     return challenges
 
 
-def oracle_scoreboard(files: dict[str, bytes], chain, resolved_only=False) -> list[ScoreboardRow]:
-    """The scoreboard, or AuditError at the first solve naming an unknown
-    team or challenge; with `resolved_only`, such solves are skipped."""
-    teams, challenges = oracle_teams(files), oracle_challenges(files)
+def oracle_solves(chain) -> dict[tuple[str, str], int]:
+    """(team, challenge) -> index of the first entry that solves it."""
     solves: dict[tuple[str, str], int] = {}
     for entry in chain:
         for change in entry.changeset.changes:
             match = _SUBMISSION_PATH_RE.match(change.path)
             if match:
                 solves.setdefault((match.group(1), match.group(2)), entry.index)
+    return solves
+
+
+def oracle_unresolved(files: dict[str, bytes], chain) -> str | None:
+    """Why the first solve naming an unknown team or challenge does not
+    count, or None when there is none."""
+    teams, challenges = oracle_teams(files), oracle_challenges(files)
+    for (team_id, challenge_id), index in oracle_solves(chain).items():
+        if team_id not in teams:
+            return f"submission for unknown team {team_id!r} at entry {index}"
+        if challenge_id not in challenges:
+            return f"submission for unknown challenge {challenge_id!r} at entry {index}"
+    return None
+
+
+def oracle_scoreboard(files: dict[str, bytes], chain) -> list[ScoreboardRow]:
+    """The scoreboard over the solves that name a known team and challenge."""
+    teams, challenges = oracle_teams(files), oracle_challenges(files)
     points = {t: 0 for t in teams}
     count = {t: 0 for t in teams}
     last: dict[str, int | None] = {t: None for t in teams}
-    for (team_id, challenge_id), index in solves.items():
-        if resolved_only and (team_id not in teams or challenge_id not in challenges):
+    for (team_id, challenge_id), index in oracle_solves(chain).items():
+        if team_id not in teams or challenge_id not in challenges:
             continue
-        if team_id not in teams:
-            raise AuditError(f"submission for unknown team {team_id!r} at entry {index}")
-        if challenge_id not in challenges:
-            raise AuditError(
-                f"submission for unknown challenge {challenge_id!r} at entry {index}"
-            )
         points[team_id] += challenges[challenge_id].points
         count[team_id] += 1
         last[team_id] = index if last[team_id] is None else max(last[team_id], index)
@@ -285,13 +294,6 @@ FORGERIES = [
 # ------------------------------------------------------------------ checks
 
 
-def _scoreboard(fn):
-    try:
-        return fn()
-    except AuditError as exc:
-        return ("AuditError", str(exc))
-
-
 def _probes(sim, secrets, rng):
     """One of each verdict the final state can give."""
     probes = [register_team("Fresh Crew", rng=rng)[2]]
@@ -327,18 +329,19 @@ def assert_fold_matches_oracle(sim, chain, secrets, rng):
         oracle.update((c.path, c.content) for c in entry.changeset.changes)
         fold.fold(entry)
         prefix = chain[: entry.index + 1]
-        expected = _scoreboard(lambda: oracle_scoreboard(oracle, prefix))
+        expected = oracle_scoreboard(oracle, prefix)
+        unresolved = oracle_unresolved(oracle, prefix)
         # read the incrementally kept totals after every entry ...
-        assert _scoreboard(fold.scoreboard) == expected, entry.index
+        assert fold.scoreboard() == expected, entry.index
+        assert fold.unresolved() == unresolved, entry.index
     # ... and count them once from a fresh fold
-    assert _scoreboard(CompetitionState.from_chain(chain).scoreboard) == expected
+    assert CompetitionState.from_chain(chain).scoreboard() == expected
     report = audit_all(chain)
-    if isinstance(expected, tuple):
-        assert report.scoreboard == oracle_scoreboard(oracle, chain, resolved_only=True)
-        assert report.findings[-1].code == "SCOREBOARD"
-        assert report.findings[-1].message == expected[1]
+    assert report.scoreboard == expected
+    if unresolved is not None:
+        assert report.findings[-1] == AuditFinding(len(chain) - 1, "SCOREBOARD", unresolved)
     else:
-        assert report.scoreboard == expected
+        assert "SCOREBOARD" not in {f.code for f in report.findings}
     for probe in _probes(sim, secrets, rng):
         assert validate_changeset(fold, probe) == oracle_validate(oracle, probe)
 

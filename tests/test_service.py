@@ -12,8 +12,9 @@ from flagless.canonical import canonical_bytes
 from flagless.competition import build_submission, register_team, scoreboard_bytes
 from flagless.ledger import Changeset, FileChange
 from flagless.service import _BAD_LENGTH, _Handler
+from flagless.validator import CompetitionHost
 
-from helpers import BackgroundService, simulate
+from helpers import BackgroundService, append_ghost_solve, simulate
 
 TIMEOUT_S = 3
 
@@ -294,3 +295,21 @@ class TestReads:
         assert [d["id"] for d in json.loads(body)] == sorted(sim.descriptors)
         status, body = _request(service, "GET", "/ledger")
         assert status == 200 and ledger.load_chain(body) == sim.chain()
+
+    def test_a_loaded_solve_of_no_challenge_leaves_the_scoreboard_served(self, rng, tmp_path):
+        # the host checks no team entry at load, so a forged file can hold one
+        sim = simulate(rng, n_challenges=2, n_teams=2, solve_prob=1.0)
+        honest = scoreboard_bytes(sim.host.scoreboard())
+        chain = sim.chain()
+        append_ghost_solve(chain, sorted(sim.teams)[0])
+        path = tmp_path / "forged.ndjson"
+        path.write_bytes(ledger.dump_chain(chain))
+        with CompetitionHost.open(str(path)) as host, BackgroundService(host) as svc:
+            conn = http.client.HTTPConnection(*svc.server.server_address[:2], timeout=TIMEOUT_S)
+            try:
+                for _ in range(2):  # one connection, kept alive
+                    conn.request("GET", "/scoreboard")
+                    resp = conn.getresponse()
+                    assert (resp.status, resp.read()) == (200, honest)
+            finally:
+                conn.close()
