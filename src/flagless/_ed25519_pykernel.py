@@ -9,31 +9,29 @@ every input point (identity and low-order points included) takes the
 same path.  Always available; the compiled kernel replaces it when the
 extension built.
 
-Two tables of multiples of the base point B are built once at import,
-with one batch inversion, and only their final tuples are kept:
+One table of odd multiples of the base point B is built once at import,
+with one batch inversion, and only its final tuples are kept:
 
-    _BASE_TABLE[i][j - 1] = j * 16^i * B               for i < 64, 1 <= j <= 8
-    _ODD_B[q][j]          = (2j + 1) * 2^(64q) * B      for q < 4, j < 64
+    _ODD_B[q][j]          = (2j + 1) * 2^(32q) * B      for q < 8, j < 64
 
-(about 65 KB for the 256 entries of `_ODD_B`).  `scalarmult_base` reduces
-k mod L and writes it in signed radix-16 digits in [-8, 8); one mixed
-addition per nonzero digit from `_BASE_TABLE` gives k*B with no doubling.
+(512 entries, about 130 KB).  Both multiplies split each scalar k into
+eight 32-bit pieces, k = sum of k_q * 2^(32q), and add up every k_q times
+2^(32q) times its point in one Straus loop over width-w NAF digits
+(`_joint`): w = 8 for each piece of a multiple of B, over `_ODD_B[q]`.
+`scalarmult_base` reduces k mod L and spends about 31 doublings and 31
+mixed additions.  `scalarmult_sub` computes s*B - h*A from the eight
+pieces of s mod L and the eight of h, with w = 4 for each h_q over the
+per-key rows
 
-`scalarmult_sub` computes s*B - h*A by splitting s mod L and h into four
-64-bit quarters, s = sum of s_q * 2^(64q) (the top quarter of h keeps
-every bit above 2^192, so any h >= 0 is exact), and summing s_q times
-2^(64q)*B and h_q times -2^(64q)*A in one Straus loop over width-w NAF
-digits: w = 8 for each s_q over `_ODD_B[q]`, and w = 5 for each h_q over
-the per-key rows
+    _neg_tables(A)[q][j]  = (2j + 1) * 2^(32q) * -A     for q < 8, j < 4
 
-    _neg_tables(A)[q][j]  = (2j + 1) * 2^(64q) * -A     for q < 4, j < 8
-
-All eight scalars share one chain of about 64 doublings instead of the
+(the top piece of h keeps every bit above 2^224, so any h >= 0 is exact).
+All sixteen pieces share one chain of about 34 doublings instead of the
 ~253 an unsplit scalar needs (Lim and Lee, "More Flexible Exponentiation
 with Precomputation", CRYPTO 1994), and only the last doubling before an
-addition computes T.  Every addend is affine, so a verify spends about 74
-mixed additions (30 for s, 44 for h) and builds no table.  The rows of
--A cost 196 doublings, 28 additions and one batch inversion;
+addition computes T.  Every addend is affine, so a verify spends about 85
+mixed additions (31 for s, 54 for h) and builds no table.  The rows of
+-A cost 232 doublings, 24 additions and one batch inversion;
 `_neg_tables` memoizes them per key in a 1024-entry LRU cache (about
 8 KB a key, 8.5 MB when full), so a competition's few hundred keys each
 pay that once per process.  See Bernstein, Duif, Lange, Schwabe and Yang,
@@ -44,14 +42,13 @@ Python integers are not constant-time, so neither is this kernel.
 from __future__ import annotations
 
 import functools
-import operator
 
 from ._ed25519_core import B_X, B_Y, D, L, P
 
 _D2 = (2 * D) % P
 _B = (B_X, B_Y, 1, B_X * B_Y % P)
 _MASK = (1 << 255) - 1
-_QUARTER = (1 << 64) - 1
+_PIECE = (1 << 32) - 1
 
 
 def _double(pt, n: int):
@@ -156,45 +153,26 @@ def _affine_niels(points) -> list:
     return out
 
 
-def _quarters(pt) -> list:
-    """[pt, 2^64*pt, 2^128*pt, 2^192*pt] in extended coordinates."""
-    out = [pt]
-    for _ in range(3):
-        out.append(_double(out[-1], 64))
-    return out
-
-
-def _build_tables():
-    points = []
-    row = _B  # 16^i * B
-    for _ in range(64):
-        niels = _niels(row)
-        multiples = [row]
-        for _ in range(7):
-            multiples.append(_add(multiples[-1], niels))
-        points.extend(multiples)
-        row = _double(multiples[-1], 1)
-    for quarter in _quarters(_B):
-        points.extend(_odd_multiples(quarter, 64))
+def _odd_rows(pt, count: int) -> tuple:
+    """Affine Niels rows `[q][j]` = (2j + 1) * 2^(32q) * pt, q < 8,
+    j < count, sharing one inversion."""
+    points = _odd_multiples(pt, count)
+    for _ in range(7):
+        pt = _double(pt, 32)
+        points += _odd_multiples(pt, count)
     table = _affine_niels(points)
-    base = tuple(tuple(table[i : i + 8]) for i in range(0, 512, 8))
-    odd = tuple(tuple(table[i : i + 64]) for i in range(512, 768, 64))
-    return base, odd
+    return tuple(tuple(table[i : i + count]) for i in range(0, 8 * count, count))
 
 
-_BASE_TABLE, _ODD_B = _build_tables()
+_ODD_B = _odd_rows(_B, 64)
 
 
 @functools.lru_cache(maxsize=1024)
 def _neg_tables(ax: int, ay: int) -> tuple:
     """Affine Niels rows for the affine point A = (ax, ay):
-    `_neg_tables(ax, ay)[q][j]` = (2j + 1) * 2^(64q) * -A, q < 4, j < 8."""
+    `_neg_tables(ax, ay)[q][j]` = (2j + 1) * 2^(32q) * -A, q < 8, j < 4."""
     nx = (P - ax) % P
-    points = []
-    for quarter in _quarters((nx, ay, 1, nx * ay % P)):
-        points.extend(_odd_multiples(quarter, 8))
-    table = _affine_niels(points)
-    return tuple(tuple(table[i : i + 8]) for i in range(0, 32, 8))
+    return _odd_rows((nx, ay, 1, nx * ay % P), 4)
 
 
 def _encode(pt) -> bytes:
@@ -205,71 +183,55 @@ def _encode(pt) -> bytes:
     return (y | ((x & 1) << 255)).to_bytes(32, "little")
 
 
-def _naf(k: int, w: int) -> dict[int, int]:
-    """Nonzero width-w NAF digits of k >= 0, by bit position.
+def _joint(terms) -> bytes:
+    """Encoded sum of k * Q over the (k, w, row) in `terms`, for k >= 0 and
+    row[j] = (2j + 1) * Q in affine Niels form for every j < 2^(w-2).
 
-    Each digit is odd with |digit| < 2^(w-1), and nonzero digits are at
-    least w positions apart.
+    Each k is written in width-w NAF: odd digits d with |d| < 2^(w-1), at
+    least w positions apart.  Every addend goes into a bucket by its bit
+    position, so the terms share one chain of doublings, as long as the
+    longest k, with no sort.
     """
-    digits = {}
-    full = 1 << w
-    i = 0
-    while k:
-        zeros = (k & -k).bit_length() - 1
-        k >>= zeros
-        i += zeros
-        d = k & (full - 1)
-        if d >= full >> 1:
-            d -= full
-        digits[i] = d
-        k = (k - d) >> w
-        i += w
-    return digits
-
-
-def _radix16(k: int) -> list[int]:
-    """The 64 signed radix-16 digits of k mod L, each in [-8, 8), least
-    significant first (the carry out of the top digit is 0 since L < 2^253)."""
-    digits = []
-    carry = 0
-    for byte in (k % L).to_bytes(32, "little"):
-        for v in (byte & 15, byte >> 4):
-            v += carry
-            carry = (v + 8) >> 4
-            digits.append(v - (carry << 4))
-    return digits
+    buckets = {}  # bit position -> affine Niels addends
+    for k, w, row in terms:
+        full = 1 << w
+        i = 0
+        while k:
+            zeros = (k & -k).bit_length() - 1
+            k >>= zeros
+            i += zeros
+            d = k & (full - 1)
+            if d >= full >> 1:
+                d -= full
+            addend = row[d >> 1] if d > 0 else _neg(row[-d >> 1])
+            buckets.setdefault(i, []).append(addend)
+            k = (k - d) >> w
+            i += w
+    pt = (0, 1, 1, 0)
+    above = max(buckets, default=0)
+    for i in range(above, -1, -1):
+        addends = buckets.get(i)
+        if addends:
+            if above > i:
+                pt = _double(pt, above - i)
+                above = i
+            for addend in addends:
+                pt = _madd(pt, addend)
+    if above:
+        pt = _double(pt, above)
+    return _encode(pt)
 
 
 def scalarmult_base(k: int) -> bytes:
     """Encoded k*B for the curve base point B."""
-    pt = (0, 1, 1, 0)
-    for row, v in zip(_BASE_TABLE, _radix16(k)):
-        if v > 0:
-            pt = _madd(pt, row[v - 1])
-        elif v < 0:
-            pt = _madd(pt, _neg(row[-v - 1]))
-    return _encode(pt)
+    k %= L
+    return _joint(((k >> (32 * q)) & _PIECE, 8, row) for q, row in enumerate(_ODD_B))
 
 
 def scalarmult_sub(s: int, h: int, ax: int, ay: int) -> bytes:
     """Encoded s*B - h*A for the affine point A = (ax, ay)."""
     s %= L
-    steps = []  # (bit position within a quarter, affine Niels addend)
-    for j, table in enumerate(_ODD_B):
-        for i, v in _naf((s >> (64 * j)) & _QUARTER, 8).items():
-            steps.append((i, table[v >> 1] if v > 0 else _neg(table[-v >> 1])))
-    for j, table in enumerate(_neg_tables(ax, ay)):
-        k = h >> (64 * j) if j == 3 else (h >> (64 * j)) & _QUARTER
-        for i, v in _naf(k, 5).items():
-            steps.append((i, table[v >> 1] if v > 0 else _neg(table[-v >> 1])))
-    steps.sort(key=operator.itemgetter(0), reverse=True)
-    above = steps[0][0] if steps else 0
-    pt = (0, 1, 1, 0)
-    for i, addend in steps:
-        if above > i:
-            pt = _double(pt, above - i)
-            above = i
-        pt = _madd(pt, addend)
-    if above:
-        pt = _double(pt, above)
-    return _encode(pt)
+    terms = [((s >> (32 * q)) & _PIECE, 8, row) for q, row in enumerate(_ODD_B)]
+    for q, row in enumerate(_neg_tables(ax, ay)):
+        terms.append((h >> (32 * q) if q == 7 else (h >> (32 * q)) & _PIECE, 4, row))
+    return _joint(terms)

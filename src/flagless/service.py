@@ -29,10 +29,13 @@ body is never parsed as a request (RFC 9112 section 6.3).  Otherwise an HTTP/1.1
 persists unless the request's Connection header has a `close` token, and
 an HTTP/1.0 one closes unless it has a `keep-alive` token.  At most
 `MAX_CONNECTIONS` connections are live at once; one more is answered 503
-with `Connection: close` and closed.  A connection that stays silent for
+with `Connection: close` and closed.  Connections are served by reused
+worker threads, and a worker starts only when the live connections
+outnumber the workers, so a client that opens a connection for each
+request starts no thread for each.  A connection that stays silent for
 `_Handler.timeout` seconds, mid-request (say, a body shorter than its
 Content-Length) or between keep-alive requests, is closed without an
-answer, so a stalled client cannot pin a handler thread.  The host
+answer, so a stalled client cannot pin a worker.  The host
 serializes appends and reads, so every read sees the state between two
 appends.  `GET /ledger` serves the canonical bytes the host holds (for a
 file host, the bytes of its file) without serializing the chain, and the
@@ -48,10 +51,12 @@ deterministically.
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
 import logging
 import re
+import socket
 import socketserver
 import threading
 import time
@@ -234,33 +239,78 @@ class _Handler(socketserver.StreamRequestHandler):
             )
 
 
-class _Server(socketserver.ThreadingTCPServer):
-    """A thread for each connection, and at most `MAX_CONNECTIONS` of them."""
+class _Server(socketserver.TCPServer):
+    """Connections served by reused daemon worker threads, at most
+    `MAX_CONNECTIONS` of them live at once.
+
+    An accepted connection waits in `_queue` for an idle worker, and a
+    worker starts only when the live connections outnumber the workers.
+    `server_close` ends every worker: each live connection reads the end
+    of its stream after its current answer, and each worker then takes a
+    stop mark (`None`) from the queue.
+    """
 
     allow_reuse_address = True
-    daemon_threads = True
 
     def __init__(self, address: tuple[str, int], handler: type[_Handler]):
         super().__init__(address, handler)
-        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+        self._lock = threading.Lock()
+        self._live: set[socket.socket] = set()  # accepted and not yet closed
+        self._workers: list[threading.Thread] = []
+        self._queue = collections.deque()  # (request, address), or None to stop
+        self._queued = threading.Semaphore(0)  # counts `_queue`
 
     def process_request(self, request, client_address) -> None:
-        if not self._slots.acquire(blocking=False):
+        with self._lock:
+            live = len(self._live)  # before this one
+            if live < MAX_CONNECTIONS:
+                self._live.add(request)
+        if live >= MAX_CONNECTIONS:
             request.sendall(_answer(503, _BUSY, "application/json", True))
             log.debug("%s refused: %d connections live", client_address[0], MAX_CONNECTIONS)
             self.shutdown_request(request)
             return
-        try:
-            super().process_request(request, client_address)
-        except BaseException:  # no thread started, so none will free the slot
-            self._slots.release()
-            raise
+        if live >= len(self._workers):
+            worker = threading.Thread(target=self._work, daemon=True)
+            try:
+                worker.start()
+            except BaseException:  # no worker for it, so none will free its slot
+                with self._lock:
+                    self._live.discard(request)
+                raise
+            self._workers.append(worker)
+        self._queue.append((request, client_address))
+        self._queued.release()
 
-    def finish_request(self, request, client_address) -> None:
-        try:
-            super().finish_request(request, client_address)
-        finally:
-            self._slots.release()  # before the socket closes
+    def _work(self) -> None:
+        while True:
+            self._queued.acquire()
+            item = self._queue.popleft()
+            if item is None:
+                return
+            request, client_address = item
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                with self._lock:
+                    self._live.discard(request)  # before the socket closes
+                self.shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._lock:
+            for request in self._live:
+                try:
+                    request.shutdown(socket.SHUT_RD)
+                except OSError:  # the peer has gone
+                    pass
+        for _ in self._workers:
+            self._queue.append(None)
+            self._queued.release()
+        for worker in self._workers:
+            worker.join()
 
 
 def make_server(host: CompetitionHost, address: tuple[str, int]) -> _Server:

@@ -228,6 +228,9 @@ EDGE_SCALARS = [0, 1, 2, 7, 8, 9, 15, 16, L - 1, L, L + 1, 2**252, 2**255 - 1]
 # where a scalar crosses from one 64-bit quarter into the next
 QUARTER_EDGE_IDS = ["2^64-1", "2^64", "2^128-1", "2^128+1", "2^192-1", "2^192", "2^256-1"]
 QUARTER_EDGES = [2**64 - 1, 2**64, 2**128 - 1, 2**128 + 1, 2**192 - 1, 2**192, 2**256 - 1]
+# where a scalar crosses from one 32-bit piece into the next
+PIECE_EDGE_IDS = [f"2^{32 * k}{end}" for k in range(1, 8) for end in ("-1", "")]
+PIECE_EDGES = [2 ** (32 * k) + end for k in range(1, 8) for end in (-1, 0)]
 
 
 class TestAgainstReferenceKernel:
@@ -276,9 +279,31 @@ class TestAgainstReferenceKernel:
         for s, h in [(k, 0), (0, k), (k, k), (k, L - 1)]:
             assert kernel.scalarmult_sub(s, h, ax, ay) == ref_scalarmult_sub(s, h, ax, ay)
 
+    @pytest.mark.parametrize("k", PIECE_EDGES, ids=PIECE_EDGE_IDS)
+    def test_piece_boundaries(self, kernel, k):
+        ((ax, ay),) = _random_points(random.Random(19), 1)
+        assert kernel.scalarmult_base(k) == ref_scalarmult_base(k)
+        for s, h in [(k, 0), (0, k), (k, k), (k, L - 1)]:
+            assert kernel.scalarmult_sub(s, h, ax, ay) == ref_scalarmult_sub(s, h, ax, ay)
+
+    def test_every_window_digit_at_the_bottom_of_each_piece(self, kernel):
+        # odd m < 256 gives every width-8 NAF digit, positive and negative,
+        # and odd m < 16 every width-4 digit; shifted to the bottom of a
+        # 32-bit piece, each reaches every odd multiple of 2^(32q)*B and of
+        # 2^(32q)*-A that the pure kernel tables
+        ((ax, ay),) = _random_points(random.Random(20), 1)
+        for q in range(8):
+            for m in range(1, 256, 2):
+                s = m << (32 * q)
+                assert kernel.scalarmult_base(s) == ref_scalarmult_base(s), (m, q)
+                assert kernel.scalarmult_sub(s, 0, ax, ay) == ref_scalarmult_sub(s, 0, ax, ay)
+            for m in range(1, 16, 2):
+                h = m << (32 * q)
+                assert kernel.scalarmult_sub(0, h, ax, ay) == ref_scalarmult_sub(0, h, ax, ay)
+
     def test_pure_joint_multiply_takes_h_of_any_size(self):
         # the compiled kernel takes h < 2^256 only; the pure one keeps every
-        # bit above 2^192 in its top quarter, as its docstring promises
+        # bit above 2^224 in its top piece, as its docstring promises
         ((ax, ay),) = _random_points(random.Random(17), 1)
         for h in [2**256, 2**257 + 2**64 + 1]:
             assert pykernel.scalarmult_sub(1, h, ax, ay) == ref_scalarmult_sub(1, h, ax, ay)
@@ -298,16 +323,16 @@ class TestAgainstReferenceKernel:
             assert pykernel.scalarmult_sub(s, h, ax, ay) == expected  # repeat: a hit
             assert memo.cache_info().hits == hits + 1
 
-    def test_pure_key_tables_hold_the_odd_multiples_of_each_quarter(self):
-        # row (q, j) is (2j + 1) * 2^(64q) * -A in affine Niels form
+    def test_pure_key_tables_hold_odd_multiples_of_each_piece(self):
+        # row (q, j) is (2j + 1) * 2^(32q) * -A in affine Niels form
         points = _random_points(random.Random(18), 3) + _torsion_points()
         for ax, ay in points:
             tables = pykernel._neg_tables(ax, ay)
-            assert [len(row) for row in tables] == [8, 8, 8, 8]
+            assert [len(row) for row in tables] == [4] * 8
             a_neg = _ref_point((core.P - ax) % core.P, ay)
             for q, row in enumerate(tables):
                 for j, entry in enumerate(row):
-                    assert entry == _ref_affine_niels(_ref_mul(a_neg, (2 * j + 1) << (64 * q)))
+                    assert entry == _ref_affine_niels(_ref_mul(a_neg, (2 * j + 1) << (32 * q)))
 
     def test_joint_multiply_edge_points_and_scalars(self, kernel):
         torsion = _torsion_points()

@@ -247,7 +247,7 @@ def malformed_team(forge, rng):
 
 def reused_key(forge, rng):
     victim = forge.sim.teams[sorted(forge.sim.teams)[0]]
-    # "copycat-a" sorts before "copycat" by id but after it by path
+    # "copycat" sorts before "copycat-a" by id but after it by path ("-" < "/")
     for team_id in ("copycat", "copycat-a"):
         forge.team_entry(team_path(team_id), _team_file(team_id, team_id, victim.public_key))
 

@@ -115,6 +115,21 @@ def test_serve_exits_cleanly_on_sigint(sim, path, rng):
     assert ledger.read_ledger(str(path))[-1].hash.hex() == body["hash"]
 
 
+def test_serve_exits_promptly_on_sigint_with_a_connection_idle(sim, path):
+    # the keep-alive connection's worker waits to read; SIGINT must not wait
+    # for its read timeout
+    with _serve(path) as (proc, port):
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=TIMEOUT_S)
+        try:
+            conn.request("GET", "/healthz")
+            resp = conn.getresponse()
+            assert resp.status == 200 and resp.read()
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=TIMEOUT_S) == 0
+        finally:
+            conn.close()
+
+
 def test_writers_refused_while_serve_holds_the_ledger(sim, path, tmp_path, capsys):
     org_key = _key_file(tmp_path / "organizer.key", TeamSecret("organizer", sim.org_seed))
     (_, secret), = sim.secrets.items()

@@ -3,6 +3,8 @@
 import http.client
 import json
 import socket
+import struct
+import threading
 import time
 
 import pytest
@@ -282,6 +284,52 @@ class TestConnectionCap:
             finally:
                 for sock in held:
                     sock.close()
+
+
+class TestWorkers:
+    def test_fresh_connections_reuse_at_most_two_workers(self, sim):
+        with BackgroundService(sim.host) as svc:
+            before = set(threading.enumerate())
+            workers = set()
+            for _ in range(40):
+                conn = http.client.HTTPConnection(*svc.server.server_address[:2], timeout=TIMEOUT_S)
+                try:
+                    conn.request("GET", "/healthz")
+                    assert conn.getresponse().read()
+                    # the thread serving this connection is alive until it closes
+                    workers |= set(threading.enumerate()) - before
+                finally:
+                    conn.close()
+        # a worker frees its slot as its client closes, so at most the next
+        # connection finds it not yet idle
+        assert 1 <= len(workers) <= 2
+        assert not any(worker.is_alive() for worker in workers)
+
+    def test_closing_the_server_ends_its_workers_with_a_connection_idle(self, sim):
+        svc = BackgroundService(sim.host)
+        idle = http.client.HTTPConnection(*svc.server.server_address[:2], timeout=TIMEOUT_S)
+        try:
+            with svc:
+                before = set(threading.enumerate())
+                idle.request("GET", "/healthz")  # kept alive, its worker waits to read
+                assert idle.getresponse().read()
+                assert _request(svc, "GET", "/healthz")[0] == 200
+                workers = set(threading.enumerate()) - before
+                start = time.monotonic()
+            assert time.monotonic() - start < TIMEOUT_S
+        finally:
+            idle.close()
+        assert len(workers) == 2 and not any(worker.is_alive() for worker in workers)
+
+    def test_a_connection_reset_mid_body_leaves_its_worker_serving(self, service):
+        for _ in range(5):
+            with socket.create_connection(service.server.server_address[:2]) as sock:
+                # a zero linger time makes the close a reset
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                sock.sendall(b"POST /changesets HTTP/1.1\r\nContent-Length: 100\r\n\r\n{")
+            assert _request(service, "GET", "/healthz")[0] == 200
+        workers = service.server._workers
+        assert workers and all(worker.is_alive() for worker in workers)
 
 
 class TestReads:
