@@ -1,9 +1,12 @@
 """Command-line interface for organizers, players, and auditors.
 
 Player commands target either a local ledger file (--ledger) or a running
-service (--service-url) and behave identically against both.  Organizer
-commands (init, challenge add) are local-only: privileged entries are
-signed with the organizer key, which never belongs on the wire.
+service (--service-url) and behave identically against both: a --ledger
+target reads each body with `CompetitionHost.read(route)` on the file and
+submits through `service.answer`, as `serve` does, so the commands parse
+the same bytes and statuses from either.  Organizer commands (init,
+challenge add) are local-only: privileged entries are signed with the
+organizer key, which never belongs on the wire.
 
 `init` creates the ledger file; every later entry is appended by the one
 `CompetitionHost` holding the file (`serve`, `challenge add`, or a local
@@ -25,7 +28,7 @@ import sys
 import time
 
 from . import competition, ledger, service, sigproof
-from .canonical import canonical_bytes, canonical_dumps, to_hex
+from .canonical import canonical_bytes, canonical_dumps
 from .competition import (
     AuditReport,
     ChallengeDescriptor,
@@ -39,7 +42,7 @@ from .competition import (
     scoreboard_bytes,
 )
 from .sigproof import PROFILES
-from .validator import CompetitionHost, ValidationVerdict
+from .validator import CompetitionHost
 
 
 class CliError(Exception):
@@ -51,40 +54,45 @@ class CliError(Exception):
 # ---------------------------------------------------------------- targets
 
 
-class LocalTarget:
+class _Target:
+    """The player commands' reads and submissions, built on two hooks:
+    `_get(route)`, the body of `GET route`, and `_post(changeset)`, the
+    status and payload of `POST /changesets`."""
+
+    def challenges(self) -> list[ChallengeDescriptor]:
+        return [ChallengeDescriptor.from_json_dict(d) for d in json.loads(self._get("/challenges"))]
+
+    def scoreboard(self) -> list[ScoreboardRow]:
+        return [ScoreboardRow.from_json_dict(r) for r in json.loads(self._get("/scoreboard"))]
+
+    def submit(self, changeset) -> dict:
+        status, payload = self._post(changeset)
+        if status == 201:
+            return {"outcome": "ACCEPT", **payload}
+        if status == 422:
+            return payload
+        raise CliError(f"service error {status}: {payload}")
+
+
+class LocalTarget(_Target):
     def __init__(self, ledger_path: str):
         self.path = ledger_path
 
     def ledger_bytes(self) -> bytes:
+        # the raw file, not a host's: `audit` reports a forged file that
+        # a host would refuse to load
         with open(self.path, "rb") as fh:
             return fh.read()
 
-    def host(self) -> CompetitionHost:
-        return CompetitionHost.load(self.ledger_bytes())
+    def _get(self, route: str) -> bytes:
+        return CompetitionHost.load(self.ledger_bytes()).read(route)
 
-    def challenges(self) -> list[ChallengeDescriptor]:
-        return self.host().challenges()
-
-    def scoreboard(self) -> list[ScoreboardRow]:
-        return self.host().scoreboard()
-
-    def submit(self, changeset) -> dict:
+    def _post(self, changeset) -> tuple[int, dict]:
         with CompetitionHost.open(self.path) as host:
-            result = host.apply(changeset, int(time.time()))
-            if isinstance(result, ValidationVerdict):
-                return {
-                    "outcome": "REJECT",
-                    "code": result.code.name,
-                    "message": result.message,
-                }
-            return {
-                "outcome": "ACCEPT",
-                "index": result.index,
-                "hash": to_hex(result.hash),
-            }
+            return service.answer(host, changeset)
 
 
-class RemoteTarget:
+class RemoteTarget(_Target):
     def __init__(self, base_url: str):
         self.base_url = base_url.rstrip("/")
 
@@ -102,15 +110,7 @@ class RemoteTarget:
     def ledger_bytes(self) -> bytes:
         return self._get("/ledger")
 
-    def challenges(self) -> list[ChallengeDescriptor]:
-        listing = json.loads(self._get("/challenges").decode("utf-8"))
-        return [ChallengeDescriptor.from_json_dict(obj) for obj in listing]
-
-    def scoreboard(self) -> list[ScoreboardRow]:
-        rows = json.loads(self._get("/scoreboard").decode("utf-8"))
-        return [ScoreboardRow.from_json_dict(r) for r in rows]
-
-    def submit(self, changeset) -> dict:
+    def _post(self, changeset) -> tuple[int, dict]:
         import urllib.request
 
         body = canonical_bytes(changeset.to_json_dict())
@@ -122,13 +122,9 @@ class RemoteTarget:
         )
         try:
             with urllib.request.urlopen(request, timeout=60) as resp:
-                payload = json.loads(resp.read().decode("utf-8"))
-                return {"outcome": "ACCEPT", **payload}
+                return resp.status, json.loads(resp.read())
         except urllib.error.HTTPError as exc:
-            payload = json.loads(exc.read().decode("utf-8"))
-            if exc.code == 422:
-                return payload
-            raise CliError(f"service error {exc.code}: {payload}") from exc
+            return exc.code, json.loads(exc.read())
         except urllib.error.URLError as exc:
             raise CliError(f"cannot reach service: {exc.reason}") from exc
 
@@ -212,7 +208,7 @@ def cmd_challenge_add(args) -> int:
         categories=tuple(args.category),
     )
     with CompetitionHost.open(args.ledger) as host:
-        if any(d.id == args.id for d in host.challenges()):
+        if any(d["id"] == args.id for d in json.loads(host.read("/challenges"))):
             raise CliError(f"challenge {args.id!r} already released")
         entry = host.apply_organizer(
             challenge_changeset(descriptor), secret.seed, int(time.time())

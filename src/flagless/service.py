@@ -35,7 +35,8 @@ outnumber the workers, so a client that opens a connection for each
 request starts no thread for each.  A connection that stays silent for
 `_Handler.timeout` seconds, mid-request (say, a body shorter than its
 Content-Length) or between keep-alive requests, is closed without an
-answer, so a stalled client cannot pin a worker.  The host
+answer, so a stalled client cannot pin a worker.  One that the client
+resets is closed and logged at debug level only.  The host
 serializes appends and reads, so every read sees the state between two
 appends.  `GET /ledger` serves the canonical bytes the host holds (for a
 file host, the bytes of its file) without serializing the chain, and the
@@ -44,9 +45,10 @@ the handler an immutable `bytes`, written to the socket outside the
 host's lock, with its headers in one write.  When the host holds a ledger
 file, a 201 goes out only after the entry's line is fsynced there; if
 that write fails, the connection is closed without an answer and the
-entry is not kept.  Transient 5xx answers and unanswered requests are
-safe to retry because duplicate submissions are rejected
-deterministically.
+entry is not kept.  A 503 is safe to retry: its request was not read.
+An unanswered POST may still have been appended, so its retry can get
+422 `DUPLICATE_SUBMISSION` or `DUPLICATE_TEAM`; `GET /ledger` tells
+whether the entry is there.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ def _http_date(second: int) -> str:
     return time.strftime("%a, %d %b %Y %H:%M:%S GMT", time.gmtime(second))
 
 
-def _answer(status: int, body: bytes, content_type: str, close: bool) -> bytes:
+def _response(status: int, body: bytes, content_type: str, close: bool) -> bytes:
     """A whole answer, head and body, to go out in one write."""
     head = (
         f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\nServer: flagless\r\n"
@@ -93,6 +95,16 @@ def _answer(status: int, body: bytes, content_type: str, close: bool) -> bytes:
         + f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n\r\n"
     )
     return head.encode("ascii") + body
+
+
+def answer(host: CompetitionHost, changeset: Changeset) -> tuple[int, dict]:
+    """`host.apply(changeset)` as the status and payload of its answer:
+    201 {"hash", "index"} of the appended entry, or 422 {"code",
+    "message", "outcome": "REJECT"} of the verdict."""
+    result = host.apply(changeset)
+    if isinstance(result, ValidationVerdict):
+        return 422, {"code": result.code.name, "message": result.message, "outcome": "REJECT"}
+    return 201, {"hash": to_hex(result.hash), "index": result.index}
 
 
 class _Refused(Exception):
@@ -120,15 +132,18 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:
         try:
-            while self._read_head():
-                getattr(self, "do_" + self.command)()
-                if self.close_connection:
-                    return
-        except _Refused as exc:
-            status, error = exc.args
-            self._respond(status, canonical_bytes({"error": error}), close=True)
+            try:
+                while self._read_head():
+                    getattr(self, "do_" + self.command)()
+                    if self.close_connection:
+                        return
+            except _Refused as exc:
+                status, error = exc.args
+                self._respond(status, canonical_bytes({"error": error}), close=True)
         except TimeoutError:
             pass  # closed without an answer
+        except ConnectionError as exc:  # the client reset or closed mid-request
+            log.debug("%s %s %s: %s", self.client_address[0], self.command, self.path, exc)
 
     def _line(self) -> bytes:
         line = self.rfile.readline(_MAX_LINE + 1)
@@ -174,7 +189,7 @@ class _Handler(socketserver.StreamRequestHandler):
         self, status: int, body: bytes, content_type: str = "application/json", *, close=False
     ) -> None:
         self.close_connection = self.close_connection or close
-        self.request.sendall(_answer(status, body, content_type, self.close_connection))
+        self.request.sendall(_response(status, body, content_type, self.close_connection))
         log.debug("%s %s %s %d", self.client_address[0], self.command, self.path, status)
 
     def _respond_json(self, status: int, obj) -> None:
@@ -184,16 +199,13 @@ class _Handler(socketserver.StreamRequestHandler):
         # A GET body is never read, so a connection that sent one closes.
         chunked = self.headers.get("Transfer-Encoding") is not None
         close = chunked or self.headers.get("Content-Length") not in (None, "0")
-        if self.path == "/scoreboard":
-            self._respond(200, self.host.scoreboard_body(), close=close)
-        elif self.path == "/challenges":
-            self._respond(200, self.host.challenges_body(), close=close)
-        elif self.path == "/ledger":
-            self._respond(200, self.host.ledger_bytes(), "application/x-ndjson", close=close)
-        elif self.path == "/healthz":
-            self._respond(200, self.host.head_body(), close=close)
-        else:
+        body = self.host.read(self.path)
+        if body is None:
             self._respond(404, _NOT_FOUND, close=close)
+        elif self.path == "/ledger":
+            self._respond(200, body, "application/x-ndjson", close=close)
+        else:
+            self._respond(200, body, close=close)
 
     def do_POST(self) -> None:
         if self.path != "/changesets":
@@ -223,20 +235,7 @@ class _Handler(socketserver.StreamRequestHandler):
         except RecursionError:
             self._respond_json(400, {"error": "malformed changeset: nested too deeply"})
             return
-        result = self.host.apply(changeset)
-        if isinstance(result, ValidationVerdict):
-            self._respond_json(
-                422,
-                {
-                    "code": result.code.name,
-                    "message": result.message,
-                    "outcome": "REJECT",
-                },
-            )
-        else:
-            self._respond_json(
-                201, {"hash": to_hex(result.hash), "index": result.index}
-            )
+        self._respond_json(*answer(self.host, changeset))
 
 
 class _Server(socketserver.TCPServer):
@@ -266,7 +265,7 @@ class _Server(socketserver.TCPServer):
             if live < MAX_CONNECTIONS:
                 self._live.add(request)
         if live >= MAX_CONNECTIONS:
-            request.sendall(_answer(503, _BUSY, "application/json", True))
+            request.sendall(_response(503, _BUSY, "application/json", True))
             log.debug("%s refused: %d connections live", client_address[0], MAX_CONNECTIONS)
             self.shutdown_request(request)
             return

@@ -24,9 +24,7 @@ from dataclasses import dataclass
 from . import competition, ledger, sigproof
 from .canonical import canonical_bytes, to_hex
 from .competition import (
-    ChallengeDescriptor,
     CompetitionState,
-    ScoreboardRow,
     SubmissionRecord,
     TeamRecord,
     _SUBMISSION_PATH_RE,
@@ -167,8 +165,8 @@ def validate_changeset(state: CompetitionState, changeset: Changeset) -> Validat
 
 class CompetitionHost:
     """Owns a ledger's canonical bytes and its folded state, and
-    serializes every append.  It keeps no parsed chain: `chain` and
-    `snapshot` parse the bytes it holds.
+    serializes every append.  It keeps no parsed chain: `snapshot` parses
+    the bytes it holds.
 
     The host refuses any entry that breaks a rule of
     `competition.audit_entry`: the chain, genesis and organizer rules.
@@ -184,10 +182,11 @@ class CompetitionHost:
     All reads and appends take one lock.  An append builds the next entry
     on the state's head, folds it into the state and adds its canonical
     line to the ledger bytes the host holds, so `ledger_bytes` returns the
-    NDJSON ledger without serializing it again.  The scoreboard, challenge
-    and head bodies are each built on their first read after an append
-    and then kept until the next one; every read returns an immutable
-    `bytes`, so a caller writes it out without holding the lock.
+    NDJSON ledger without serializing it again.  `read(route)` gives it and
+    the head, scoreboard and challenge bodies, each built on its first
+    read after an append and then kept until the next one; every read
+    returns an immutable `bytes`, so a caller writes it out without
+    holding the lock.
 
     A host made by `open` is the only writer of its ledger file: it holds
     an exclusive lock on the file until `close`, and appends each entry as
@@ -212,7 +211,7 @@ class CompetitionHost:
         # per append.  Joined only when read, so an append never copies
         # the whole ledger.
         self._chunks = [ledger.dump_chain(chain) if _data is None else _data]
-        self._bodies: dict[str, bytes] = {}  # read bodies built since the last append
+        self._bodies: dict[str, bytes] = {}  # route -> body built since the last append
 
     @classmethod
     def load(cls, data: bytes) -> "CompetitionHost":
@@ -323,11 +322,6 @@ class CompetitionHost:
             data, head, files = b"".join(self._chunks), self._state.head, dict(self._state.files)
         return ledger.load_chain(data)[:-1] + [head], files
 
-    @property
-    def chain(self) -> list[LedgerEntry]:
-        """`snapshot`'s chain."""
-        return self.snapshot()[0]
-
     def ledger_bytes(self) -> bytes:
         """The ledger as canonical NDJSON: for a file host, the file's bytes."""
         with self._lock:
@@ -335,39 +329,27 @@ class CompetitionHost:
                 self._chunks = [b"".join(self._chunks)]
             return self._chunks[0]
 
-    def _body(self, name: str, build) -> bytes:
+    def read(self, route: str) -> bytes | None:
+        """The body of `GET route`, or None for a route that is not served."""
+        if route == "/ledger":
+            return self.ledger_bytes()
+        build = _BODIES.get(route)
+        if build is None:
+            return None
         with self._lock:
-            body = self._bodies.get(name)
+            body = self._bodies.get(route)
             if body is None:
-                body = self._bodies[name] = build()
+                body = self._bodies[route] = build(self._state)
             return body
 
-    def head_body(self) -> bytes:
-        """Canonical JSON `{"hash": <hex>, "index": <int>}` of the head."""
-        return self._body(
-            "head",
-            lambda: canonical_bytes(
-                {"hash": to_hex(self._state.head.hash), "index": self._state.head.index}
-            ),
-        )
 
-    def scoreboard_body(self) -> bytes:
-        """`scoreboard_bytes` of the current scoreboard."""
-        return self._body("scoreboard", lambda: scoreboard_bytes(self._state.scoreboard()))
-
-    def challenges_body(self) -> bytes:
-        """Canonical JSON list of the released challenge descriptors."""
-        return self._body(
-            "challenges",
-            lambda: canonical_bytes(
-                [d.to_json_dict() for d in self._state.challenges().values()]
-            ),
-        )
-
-    def scoreboard(self) -> list[ScoreboardRow]:
-        with self._lock:
-            return self._state.scoreboard()
-
-    def challenges(self) -> list[ChallengeDescriptor]:
-        with self._lock:
-            return list(self._state.challenges().values())
+# route -> its body as a function of the state, for each route but /ledger
+_BODIES = {
+    "/healthz": lambda state: canonical_bytes(
+        {"hash": to_hex(state.head.hash), "index": state.head.index}
+    ),
+    "/scoreboard": lambda state: scoreboard_bytes(state.scoreboard()),
+    "/challenges": lambda state: canonical_bytes(
+        [d.to_json_dict() for d in state.challenges().values()]
+    ),
+}

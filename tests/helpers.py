@@ -59,7 +59,7 @@ class Sim:
     solves: dict[tuple[str, str], int] = field(default_factory=dict)
 
     def chain(self):
-        return self.host.chain
+        return self.host.snapshot()[0]
 
 
 def simulate(

@@ -147,7 +147,7 @@ def test_service_url_gives_the_same_results_as_ledger(competition, tmp_path, cap
             name: (code, json.loads(out))
             for name, (code, out) in both(lambda t: [*submit, key(t)]).items()
         }
-        heads = {"ledger": ledger.read_ledger(ledger_path)[-1], "service": host.chain[-1]}
+        heads = {"ledger": ledger.read_ledger(ledger_path)[-1], "service": host.snapshot()[0][-1]}
         for name, (code, result) in solved.items():
             assert code == 0 and result["outcome"] == "ACCEPT"
             assert result.pop("hash") == heads[name].hash.hex()
@@ -163,7 +163,7 @@ def test_service_url_gives_the_same_results_as_ledger(competition, tmp_path, cap
 
         audited = both(lambda t: ["audit"])
         assert audited["ledger"] == audited["service"] and audited["ledger"][0] == 0
-    assert ledger.read_ledger(str(served)) == host.chain
+    assert ledger.read_ledger(str(served)) == host.snapshot()[0]
 
 
 def test_a_solve_of_no_challenge_is_not_scored_and_is_flagged(competition, tmp_path, capsys):

@@ -2,9 +2,12 @@
 
 The host keeps its ledger as the canonical NDJSON it loaded and the line
 of each append, and builds its scoreboard, challenge and head bodies once
-per chain head.  These tests hold those bytes to fresh serializations
-after every kind of append, and check that concurrent readers only ever
-see whole, immutable snapshots.
+per chain head; `CompetitionHost.read(route)` gives each of them, and is
+the one read path of both `serve` and the CLI's `--ledger` target.  These
+tests hold those bytes to fresh serializations after every kind of
+append, check that HTTP and a `--ledger` target read exactly
+`host.read(route)`, and check that concurrent readers only ever see
+whole, immutable snapshots.
 """
 
 import http.client
@@ -14,7 +17,7 @@ import threading
 
 import pytest
 
-from flagless import ledger, validator
+from flagless import cli, ledger, validator
 from flagless.canonical import canonical_bytes
 from flagless.competition import (
     CompetitionState,
@@ -30,6 +33,7 @@ from flagless.validator import CompetitionHost, ValidationVerdict
 from helpers import BackgroundService, simulate
 
 TIMEOUT_S = 10
+ROUTES = ("/ledger", "/scoreboard", "/challenges", "/healthz")
 
 
 @pytest.fixture
@@ -61,11 +65,16 @@ def _get(conn, route) -> bytes:
 
 
 def _check(host, path, conn) -> None:
-    """The held and served bytes against fresh serializations."""
+    """The held and served bytes against fresh serializations, and each
+    route's HTTP body, and a `--ledger` target's, against `host.read`."""
+    for route in ROUTES:
+        assert _get(conn, route) == host.read(route), route
+        if path is not None:
+            assert cli.LocalTarget(str(path))._get(route) == host.read(route), route
     held = host.ledger_bytes()
     chain = ledger.load_chain(held)
     assert held == ledger.dump_chain(chain)
-    assert chain == host.chain
+    assert chain == host.snapshot()[0]
     if path is not None:
         assert held == path.read_bytes()
     assert _get(conn, "/ledger") == held
@@ -128,6 +137,19 @@ def test_held_bytes_match_a_fresh_serialization_after_every_append(
 
             assert not isinstance(host.apply(late), ValidationVerdict)
             _check(host, path, conn)
+        finally:
+            conn.close()
+
+
+@pytest.mark.parametrize("route", ["/", "/scoreboard/", "/Ledger", "/healthz?x=1", "/changesets"])
+def test_an_unserved_route_reads_none_and_answers_404(sim, route):
+    assert sim.host.read(route) is None
+    with BackgroundService(sim.host) as svc:
+        conn = http.client.HTTPConnection(*svc.server.server_address[:2], timeout=TIMEOUT_S)
+        try:
+            conn.request("GET", route)
+            resp = conn.getresponse()
+            assert (resp.status, json.loads(resp.read())) == (404, {"error": "not found"})
         finally:
             conn.close()
 

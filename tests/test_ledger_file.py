@@ -103,7 +103,8 @@ def test_acknowledged_entries_survive_sigkill(sim, path, rng):
     assert len(chain) == len(sim.chain()) + len(changesets)
     assert [(i, chain[i].hash.hex()) for i, _ in acks] == acks
     with CompetitionHost.open(str(path)) as host:  # the dead child's lock is gone
-        assert {r.team_id: r.solves for r in host.scoreboard()}[team_id] == 1
+        rows = json.loads(host.read("/scoreboard"))
+        assert {r["team_id"]: r["solves"] for r in rows}[team_id] == 1
 
 
 def test_serve_exits_cleanly_on_sigint(sim, path, rng):
@@ -189,8 +190,8 @@ def test_each_entry_is_one_line_fsynced_before_it_is_returned(sim, path, rng, mo
             ledger.Changeset((ledger.FileChange("meta/notice", b"hi"),), "organizer"),
             sim.org_seed,
         )
-        assert synced[-1] == path.read_bytes() == ledger.dump_chain(host.chain)
-        assert host.chain[-1] == org
+        assert synced[-1] == path.read_bytes() == ledger.dump_chain(host.snapshot()[0])
+        assert host.snapshot()[0][-1] == org
 
 
 @pytest.mark.parametrize(
@@ -210,10 +211,10 @@ def test_organizer_entry_the_audit_flags_is_refused(
     assert [(f.index, f.code) for f in audit_all(forged).findings] == [(len(forged) - 1, code)]
     before = path.read_bytes()
     with CompetitionHost.open(str(path)) as host:
-        chain, held = host.chain, host.ledger_bytes()
+        chain, held = host.snapshot()[0], host.ledger_bytes()
         with pytest.raises(ledger.ChainError, match=code):
             host.apply_organizer(changeset, sim.org_seed)
-        assert host.chain == chain and host.ledger_bytes() == held == path.read_bytes()
+        assert host.snapshot()[0] == chain and host.ledger_bytes() == held == path.read_bytes()
     assert path.read_bytes() == before
     # nor can `challenge add` write it
     org_key = _key_file(tmp_path / "organizer.key", TeamSecret("organizer", sim.org_seed))
@@ -246,11 +247,11 @@ def test_failed_write_keeps_nothing(path, rng, monkeypatch):
     changeset = register_team("Unlucky", rng=rng)[2]
     with CompetitionHost.open(str(path)) as host:
         host.apply(register_team("Lucky", rng=rng)[2])  # the rollback must keep it
-        chain, before = host.chain, path.read_bytes()
+        chain, before = host.snapshot()[0], path.read_bytes()
         monkeypatch.setattr(validator.os, "fsync", fsync)
         with pytest.raises(OSError, match="simulated"):
             host.apply(changeset)
-        assert host.chain == chain and path.read_bytes() == before
+        assert host.snapshot()[0] == chain and path.read_bytes() == before
         monkeypatch.undo()
         # folded state untouched too: the same registration is still new
         entry = host.apply(changeset)
@@ -263,7 +264,7 @@ def test_failed_rollback_refuses_later_appends(path, rng, monkeypatch):
         raise OSError(5, "simulated I/O error")
 
     with CompetitionHost.open(str(path)) as host:
-        chain, before = host.chain, path.read_bytes()
+        chain, before = host.snapshot()[0], path.read_bytes()
         monkeypatch.setattr(validator.os, "fsync", fail)
         monkeypatch.setattr(validator.os, "ftruncate", fail)
         with pytest.raises(OSError, match="simulated"):
@@ -274,9 +275,9 @@ def test_failed_rollback_refuses_later_appends(path, rng, monkeypatch):
         # appending behind the stray line would break the chain in the file
         with pytest.raises(ValueError, match="closed"):
             host.apply(register_team("Next", rng=rng)[2])
-        assert host.chain == chain and path.read_bytes() == stray
+        assert host.snapshot()[0] == chain and path.read_bytes() == stray
     with CompetitionHost.open(str(path)) as host:  # the file still loads
-        assert host.chain[: len(chain)] == chain
+        assert host.snapshot()[0][: len(chain)] == chain
 
 
 def test_closed_host_refuses_appends(path, rng):
@@ -284,7 +285,7 @@ def test_closed_host_refuses_appends(path, rng):
         pass
     with pytest.raises(ValueError, match="closed"):
         host.apply(register_team("Late", rng=rng)[2])
-    assert len(host.chain) == len(ledger.read_ledger(str(path)))
+    assert len(host.snapshot()[0]) == len(ledger.read_ledger(str(path)))
 
 
 def test_write_ledger_never_overwrites(sim, path):

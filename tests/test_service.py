@@ -11,7 +11,12 @@ import pytest
 
 from flagless import ledger
 from flagless.canonical import canonical_bytes
-from flagless.competition import build_submission, register_team, scoreboard_bytes
+from flagless.competition import (
+    CompetitionState,
+    build_submission,
+    register_team,
+    scoreboard_bytes,
+)
 from flagless.ledger import Changeset, FileChange
 from flagless.service import _BAD_LENGTH, _Handler
 from flagless.validator import CompetitionHost
@@ -321,7 +326,7 @@ class TestWorkers:
             idle.close()
         assert len(workers) == 2 and not any(worker.is_alive() for worker in workers)
 
-    def test_a_connection_reset_mid_body_leaves_its_worker_serving(self, service):
+    def test_a_connection_reset_mid_body_leaves_its_worker_serving(self, service, capsys):
         for _ in range(5):
             with socket.create_connection(service.server.server_address[:2]) as sock:
                 # a zero linger time makes the close a reset
@@ -330,13 +335,19 @@ class TestWorkers:
             assert _request(service, "GET", "/healthz")[0] == 200
         workers = service.server._workers
         assert workers and all(worker.is_alive() for worker in workers)
+        # every connection is done with once it leaves the live set
+        deadline = time.monotonic() + TIMEOUT_S
+        while service.server._live and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not service.server._live
+        assert capsys.readouterr().err == ""  # a client's reset is no server error
 
 
 class TestReads:
     def test_reads_match_the_host(self, service, sim):
         assert _request(service, "GET", "/scoreboard") == (
             200,
-            scoreboard_bytes(sim.host.scoreboard()),
+            scoreboard_bytes(CompetitionState.from_chain(sim.chain()).scoreboard()),
         )
         status, body = _request(service, "GET", "/challenges")
         assert status == 200
@@ -347,7 +358,7 @@ class TestReads:
     def test_a_loaded_solve_of_no_challenge_leaves_the_scoreboard_served(self, rng, tmp_path):
         # the host checks no team entry at load, so a forged file can hold one
         sim = simulate(rng, n_challenges=2, n_teams=2, solve_prob=1.0)
-        honest = scoreboard_bytes(sim.host.scoreboard())
+        honest = sim.host.read("/scoreboard")
         chain = sim.chain()
         append_ghost_solve(chain, sorted(sim.teams)[0])
         path = tmp_path / "forged.ndjson"

@@ -276,7 +276,7 @@ class TestConcurrency:
         _, files = fresh.host.snapshot()
         solved = [p for p in files if p.startswith("submissions/")]
         assert solved == [submission_path(team_id, cid)]
-        assert ledger.verify_chain(fresh.host.chain)
+        assert ledger.verify_chain(fresh.host.snapshot()[0])
 
     def test_host_rejects_broken_chain_on_load(self, rng):
         sim = simulate(rng, n_challenges=1, n_teams=1)
