@@ -85,7 +85,7 @@ class LocalTarget(_Target):
             return fh.read()
 
     def _get(self, route: str) -> bytes:
-        return CompetitionHost.load(self.ledger_bytes()).read(route)
+        return b"".join(CompetitionHost.load(self.ledger_bytes()).read(route))
 
     def _post(self, changeset) -> tuple[int, dict]:
         with CompetitionHost.open(self.path) as host:
@@ -208,11 +208,9 @@ def cmd_challenge_add(args) -> int:
         categories=tuple(args.category),
     )
     with CompetitionHost.open(args.ledger) as host:
-        if any(d["id"] == args.id for d in json.loads(host.read("/challenges"))):
+        if any(d["id"] == args.id for d in json.loads(b"".join(host.read("/challenges")))):
             raise CliError(f"challenge {args.id!r} already released")
-        entry = host.apply_organizer(
-            challenge_changeset(descriptor), secret.seed, int(time.time())
-        )
+        entry = host.apply_organizer(challenge_changeset(descriptor), secret.seed)
     if args.json:
         print(canonical_dumps({"entry": entry.index, "id": args.id}))
     else:

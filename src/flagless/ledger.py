@@ -20,10 +20,11 @@ is its one writer and appends each entry as one fsynced line.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import ed25519
@@ -122,6 +123,9 @@ class LedgerEntry:
     changeset: Changeset
     org_sig: bytes | None
     hash: bytes
+    # `preimage()` once known.  Never passed in, and so never copied by
+    # `dataclasses.replace`: a changed entry serializes its own fields.
+    _preimage: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not _is_int(self.index) or self.index < 0:
@@ -133,10 +137,17 @@ class LedgerEntry:
         if self.org_sig is not None and len(self.org_sig) != 64:
             raise ValueError("organizer signature must be 64 bytes")
 
-    def to_json_dict(self) -> dict:
-        return _fields(
-            self.index, self.timestamp, self.prev_hash, self.changeset, self.org_sig, self.hash
-        )
+    def preimage(self) -> bytes:
+        """The canonical JSON of every field but `hash`: the bytes `hash`
+        must be the SHA-256 of.  Serialized from the fields on the first
+        call and kept, so an entry is serialized once however often it is
+        hashed, checked or dumped."""
+        if self._preimage is None:
+            fields = _fields(
+                self.index, self.timestamp, self.prev_hash, self.changeset, self.org_sig
+            )
+            object.__setattr__(self, "_preimage", canonical_bytes(fields))
+        return self._preimage
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "LedgerEntry":
@@ -158,17 +169,34 @@ def _fields(
     index: int, timestamp: int, prev_hash: bytes, changeset: Changeset, *sealed: bytes | None
 ) -> dict:
     """An entry's JSON fields: those the organizer signature covers, then
-    as many of `org_sig` (which the hash covers too) and `hash` as
-    `sealed` gives, in that order."""
+    `org_sig` (which the hash covers too) if `sealed` gives it."""
     fields = {
         "changeset": changeset.to_json_dict(),
         "index": index,
         "prev_hash": to_hex(prev_hash),
         "timestamp": timestamp,
     }
-    for name, value in zip(("org_sig", "hash"), sealed):
-        fields[name] = to_hex(value) if value is not None else None
+    for value in sealed:
+        fields["org_sig"] = to_hex(value) if value is not None else None
     return fields
+
+
+# Canonical JSON sorts an entry's keys as changeset < hash < index <
+# org_sig < prev_hash < timestamp.  The changeset's own keys are author,
+# changes, content and path, and a quote inside a string is escaped, so
+# `,"index":` occurs once in an entry's canonical bytes, just after the
+# hash field, and `,"org_sig":"` once, where a signature field starts: 128
+# hex digits and a closing quote follow it.
+_INDEX_KEY = b',"index":'
+_SIG_KEY = b',"org_sig":"'
+_SIG_FIELD_LEN = len(_SIG_KEY) + 2 * 64 + 1
+
+
+def _line(preimage: bytes, digest: bytes) -> bytes:
+    """The canonical line of an entry: its preimage with the hash field
+    `digest` put in."""
+    at = preimage.rindex(_INDEX_KEY)
+    return b'%s,"hash":"%s"%s' % (preimage[:at], digest.hex().encode(), preimage[at:])
 
 
 def signing_bytes(
@@ -179,16 +207,6 @@ def signing_bytes(
     return canonical_bytes(_fields(index, timestamp, prev_hash, changeset))
 
 
-def entry_hash(
-    index: int,
-    timestamp: int,
-    prev_hash: bytes,
-    changeset: Changeset,
-    org_sig: bytes | None,
-) -> bytes:
-    return sha256(canonical_bytes(_fields(index, timestamp, prev_hash, changeset, org_sig)))
-
-
 def make_entry(
     index: int,
     timestamp: int,
@@ -196,19 +214,25 @@ def make_entry(
     changeset: Changeset,
     org_secret: bytes | None = None,
 ) -> LedgerEntry:
+    """The entry with these fields, hashed, and signed with `org_secret` if
+    given.  A team entry costs one serialization, an organizer entry two
+    (the signed bytes, then the preimage)."""
     org_sig = None
     if org_secret is not None:
         org_sig = ed25519.sign(
             org_secret, signing_bytes(index, timestamp, prev_hash, changeset)
         )
-    return LedgerEntry(
+    preimage = canonical_bytes(_fields(index, timestamp, prev_hash, changeset, org_sig))
+    entry = LedgerEntry(
         index=index,
         timestamp=timestamp,
         prev_hash=prev_hash,
         changeset=changeset,
         org_sig=org_sig,
-        hash=entry_hash(index, timestamp, prev_hash, changeset, org_sig),
+        hash=sha256(preimage),
     )
+    object.__setattr__(entry, "_preimage", preimage)
+    return entry
 
 
 def genesis(
@@ -294,15 +318,14 @@ def link_fault(
         return "prev_hash does not link to predecessor"
     if head is not None and entry.timestamp < head.timestamp:
         return "timestamp regressed"
-    recomputed = entry_hash(
-        entry.index, entry.timestamp, entry.prev_hash, entry.changeset, entry.org_sig
-    )
-    if recomputed != entry.hash:
+    preimage = entry.preimage()
+    if sha256(preimage) != entry.hash:
         return "hash mismatch"
     if entry.org_sig is not None:
         if org_key is None:
             return "organizer key unavailable in genesis"
-        payload = signing_bytes(entry.index, entry.timestamp, entry.prev_hash, entry.changeset)
+        at = preimage.rindex(_SIG_KEY)  # the signed bytes: all but the signature
+        payload = preimage[:at] + preimage[at + _SIG_FIELD_LEN :]
         if not ed25519.verify(org_key, entry.org_sig, payload):
             return "organizer signature invalid"
     return None
@@ -333,7 +356,7 @@ def replay(chain: list[LedgerEntry]) -> dict[str, bytes]:
 
 
 def dump_entry(entry: LedgerEntry) -> bytes:
-    return canonical_bytes(entry.to_json_dict())
+    return _line(entry.preimage(), entry.hash)
 
 
 def dump_chain(chain: Iterable[LedgerEntry]) -> bytes:
@@ -347,13 +370,14 @@ def load_chain(data: bytes) -> list[LedgerEntry]:
     and end in a newline; anything else (re-encoded hex case, shuffled
     keys, duplicate keys, stray whitespace, a last line cut short) is
     rejected so that no two distinct byte streams parse to the same chain.
+    That one serialization of each line is the preimage its entry keeps,
+    so checking the chain serializes nothing again.
     """
-    lines = data.split(b"\n")
-    last = lines.pop()
-    if last:
-        raise ChainError(f"ledger line {len(lines)}: cut short, no final newline")
     chain: list[LedgerEntry] = []
-    for lineno, line in enumerate(lines):
+    for lineno, line in enumerate(io.BytesIO(data)):  # holds no second copy of `data`
+        if not line.endswith(b"\n"):
+            raise ChainError(f"ledger line {lineno}: cut short, no final newline")
+        line = line[:-1]
         try:
             obj = json.loads(line.decode("utf-8"))
             entry = LedgerEntry.from_json_dict(obj)

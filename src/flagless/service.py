@@ -40,14 +40,16 @@ resets is closed and logged at debug level only.  The host
 serializes appends and reads, so every read sees the state between two
 appends.  `GET /ledger` serves the canonical bytes the host holds (for a
 file host, the bytes of its file) without serializing the chain, and the
-other GET bodies are built at most once per chain head.  Each read hands
-the handler an immutable `bytes`, written to the socket outside the
-host's lock, with its headers in one write.  When the host holds a ledger
-file, a 201 goes out only after the entry's line is fsynced there; if
-that write fails, the connection is closed without an answer and the
-entry is not kept.  A 503 is safe to retry: its request was not read.
-An unanswered POST may still have been appended, so its retry can get
-422 `DUPLICATE_SUBMISSION` or `DUPLICATE_TEAM`; `GET /ledger` tells
+other GET bodies are built at most once per chain head (the challenge
+list once per release).  Each read hands the handler immutable pieces (a
+few for the ledger, one for any other body), written to the socket
+outside the host's lock, after the answer's head, in one gather write:
+no answer copies the ledger.  When the host holds a ledger file, a 201
+goes out only after the entry's line is fsynced there; if that write
+fails, the connection is closed without an answer and the entry is not
+kept.  A 503 is safe to retry: its request was not read.  An unanswered
+POST may still have been appended, so its retry can get 422
+`DUPLICATE_SUBMISSION` or `DUPLICATE_TEAM`; `GET /ledger` tells
 whether the entry is there.
 """
 
@@ -86,15 +88,23 @@ def _http_date(second: int) -> str:
     return time.strftime("%a, %d %b %Y %H:%M:%S GMT", time.gmtime(second))
 
 
-def _response(status: int, body: bytes, content_type: str, close: bool) -> bytes:
-    """A whole answer, head and body, to go out in one write."""
+def _send(sock: socket.socket, status: int, pieces, content_type: str, close: bool) -> None:
+    """Write an answer whose body is `pieces` joined: its head, then the
+    pieces, in one gather write (`sendmsg`), with more only for what the
+    socket did not take."""
     head = (
         f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\nServer: flagless\r\n"
         f"Date: {_http_date(int(time.time()))}\r\n"
         + ("Connection: close\r\n" if close else "")
-        + f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n\r\n"
+        + f"Content-Type: {content_type}\r\nContent-Length: {sum(map(len, pieces))}\r\n\r\n"
     )
-    return head.encode("ascii") + body
+    buffers = [head.encode("ascii"), *pieces]
+    while buffers:
+        sent = sock.sendmsg(buffers)
+        while buffers and sent >= len(buffers[0]):
+            sent -= len(buffers.pop(0))
+        if sent:
+            buffers[0] = memoryview(buffers[0])[sent:]
 
 
 def answer(host: CompetitionHost, changeset: Changeset) -> tuple[int, dict]:
@@ -123,8 +133,8 @@ class _Headers(dict):
 
 
 class _Handler(socketserver.StreamRequestHandler):
-    # An answer is one write, but a long ledger's last segment would still
-    # wait on the client's delayed ACK (~40 ms on keep-alive).
+    # An answer is one gather write, but a long ledger's last segment would
+    # still wait on the client's delayed ACK (~40 ms on keep-alive).
     disable_nagle_algorithm = True
     # Socket timeout in seconds; a read that times out closes the connection.
     timeout = 30
@@ -139,7 +149,7 @@ class _Handler(socketserver.StreamRequestHandler):
                         return
             except _Refused as exc:
                 status, error = exc.args
-                self._respond(status, canonical_bytes({"error": error}), close=True)
+                self._respond(status, [canonical_bytes({"error": error})], close=True)
         except TimeoutError:
             pass  # closed without an answer
         except ConnectionError as exc:  # the client reset or closed mid-request
@@ -186,30 +196,30 @@ class _Handler(socketserver.StreamRequestHandler):
         return True
 
     def _respond(
-        self, status: int, body: bytes, content_type: str = "application/json", *, close=False
+        self, status: int, pieces, content_type: str = "application/json", *, close=False
     ) -> None:
         self.close_connection = self.close_connection or close
-        self.request.sendall(_response(status, body, content_type, self.close_connection))
+        _send(self.request, status, pieces, content_type, self.close_connection)
         log.debug("%s %s %s %d", self.client_address[0], self.command, self.path, status)
 
     def _respond_json(self, status: int, obj) -> None:
-        self._respond(status, canonical_bytes(obj))
+        self._respond(status, [canonical_bytes(obj)])
 
     def do_GET(self) -> None:
         # A GET body is never read, so a connection that sent one closes.
         chunked = self.headers.get("Transfer-Encoding") is not None
         close = chunked or self.headers.get("Content-Length") not in (None, "0")
-        body = self.host.read(self.path)
-        if body is None:
-            self._respond(404, _NOT_FOUND, close=close)
+        pieces = self.host.read(self.path)
+        if pieces is None:
+            self._respond(404, [_NOT_FOUND], close=close)
         elif self.path == "/ledger":
-            self._respond(200, body, "application/x-ndjson", close=close)
+            self._respond(200, pieces, "application/x-ndjson", close=close)
         else:
-            self._respond(200, body, close=close)
+            self._respond(200, pieces, close=close)
 
     def do_POST(self) -> None:
         if self.path != "/changesets":
-            self._respond(404, _NOT_FOUND, close=True)
+            self._respond(404, [_NOT_FOUND], close=True)
             return
         # RFC 9112 section 6.3: no Transfer-Encoding and exactly one
         # Content-Length of ASCII digits; anything else is unrecoverable
@@ -218,11 +228,11 @@ class _Handler(socketserver.StreamRequestHandler):
         value = lengths[0] if len(lengths) == 1 else ""
         chunked = self.headers.get("Transfer-Encoding") is not None
         if chunked or not (value.isascii() and value.isdigit()):
-            self._respond(400, _BAD_LENGTH, close=True)
+            self._respond(400, [_BAD_LENGTH], close=True)
             return
         length = int(value)
         if length > MAX_BODY_BYTES:
-            self._respond(413, _TOO_LARGE, close=True)
+            self._respond(413, [_TOO_LARGE], close=True)
             return
         if self._http11 and self.headers.get("Expect", "").lower() == "100-continue":
             self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
@@ -265,7 +275,7 @@ class _Server(socketserver.TCPServer):
             if live < MAX_CONNECTIONS:
                 self._live.add(request)
         if live >= MAX_CONNECTIONS:
-            request.sendall(_response(503, _BUSY, "application/json", True))
+            _send(request, 503, [_BUSY], "application/json", True)
             log.debug("%s refused: %d connections live", client_address[0], MAX_CONNECTIONS)
             self.shutdown_request(request)
             return

@@ -180,13 +180,19 @@ class CompetitionHost:
     leaves them out, and the audit flags the entries that wrote them.
 
     All reads and appends take one lock.  An append builds the next entry
-    on the state's head, folds it into the state and adds its canonical
-    line to the ledger bytes the host holds, so `ledger_bytes` returns the
-    NDJSON ledger without serializing it again.  `read(route)` gives it and
-    the head, scoreboard and challenge bodies, each built on its first
-    read after an append and then kept until the next one; every read
-    returns an immutable `bytes`, so a caller writes it out without
-    holding the lock.
+    on the state's head, serializing it once, folds it into the state and
+    adds its canonical line to the ledger the host holds.  The ledger is
+    held as a few immutable pieces: the bytes loaded, never copied, then
+    the appended lines, merged so that each appended piece is more than
+    twice the size of the next, which leaves O(log n) of them.
+    `read(route)` gives a body as immutable pieces, so a caller writes it
+    out without holding the lock and no read joins the ledger: the
+    ledger's pieces, or the head, scoreboard or challenge body as one
+    piece, built on its first read after the state it depends on moves and
+    then kept.  The head and scoreboard bodies depend on the head; the
+    challenge body only on the state's count of challenge writes, so team
+    entries leave it as it is.  An append given no timestamp takes the
+    clock's, or the head's when the clock is behind it.
 
     A host made by `open` is the only writer of its ledger file: it holds
     an exclusive lock on the file until `close`, and appends each entry as
@@ -207,11 +213,10 @@ class CompetitionHost:
             raise ledger.ChainError(ledger.NO_GENESIS)
         self._fd: int | None = None  # the ledger file's descriptor, if any
         self._size = 0  # bytes of the file the held ledger accounts for
-        # dump_chain(chain) in pieces: the ledger as loaded, then one line
-        # per append.  Joined only when read, so an append never copies
-        # the whole ledger.
-        self._chunks = [ledger.dump_chain(chain) if _data is None else _data]
-        self._bodies: dict[str, bytes] = {}  # route -> body built since the last append
+        # dump_chain(chain) in pieces, the first of them as loaded
+        self._pieces = [ledger.dump_chain(chain) if _data is None else _data]
+        # route -> (the version of the state it was built at, its body as pieces)
+        self._bodies: dict[str, tuple[int, tuple[bytes, ...]]] = {}
 
     @classmethod
     def load(cls, data: bytes) -> "CompetitionHost":
@@ -266,7 +271,7 @@ class CompetitionHost:
             raise ValueError("the competition host is closed")
         head = self._state.head
         if timestamp is None:
-            timestamp = int(time.time())
+            timestamp = max(int(time.time()), head.timestamp)
         entry = ledger.make_entry(head.index + 1, timestamp, head.hash, changeset, org_secret)
         self._check(entry)
         line = ledger.dump_entry(entry) + b"\n"
@@ -286,8 +291,10 @@ class CompetitionHost:
                     os.close(fd)
                 raise
             self._size += len(line)
-        self._chunks.append(line)
-        self._bodies.clear()
+        pieces = self._pieces
+        pieces.append(line)
+        while len(pieces) > 2 and len(pieces[-2]) <= 2 * len(pieces[-1]):  # never the first
+            pieces[-2:] = [pieces[-2] + pieces[-1]]
         self._state.fold(entry)
         return entry
 
@@ -319,37 +326,46 @@ class CompetitionHost:
         in the package calls it: the tests read it, and the benchmark's
         traced run wraps it."""
         with self._lock:
-            data, head, files = b"".join(self._chunks), self._state.head, dict(self._state.files)
+            data, head, files = b"".join(self._pieces), self._state.head, dict(self._state.files)
         return ledger.load_chain(data)[:-1] + [head], files
 
-    def ledger_bytes(self) -> bytes:
-        """The ledger as canonical NDJSON: for a file host, the file's bytes."""
-        with self._lock:
-            if len(self._chunks) > 1:
-                self._chunks = [b"".join(self._chunks)]
-            return self._chunks[0]
-
-    def read(self, route: str) -> bytes | None:
-        """The body of `GET route`, or None for a route that is not served."""
+    def read(self, route: str) -> tuple[bytes, ...] | None:
+        """The body of `GET route` as immutable pieces, or None for a route
+        that is not served.  The pieces of `/ledger` join to the canonical
+        NDJSON ledger: for a file host, the file's bytes."""
         if route == "/ledger":
-            return self.ledger_bytes()
-        build = _BODIES.get(route)
-        if build is None:
+            with self._lock:
+                return tuple(self._pieces)
+        if route not in _BODIES:
             return None
+        version, build = _BODIES[route]
         with self._lock:
-            body = self._bodies.get(route)
-            if body is None:
-                body = self._bodies[route] = build(self._state)
-            return body
+            now = version(self._state)
+            kept = self._bodies.get(route)
+            if kept is None or kept[0] != now:
+                kept = self._bodies[route] = (now, (build(self._state),))
+            return kept[1]
 
 
-# route -> its body as a function of the state, for each route but /ledger
+def _head_index(state: CompetitionState) -> int:
+    return state.head.index
+
+
+# route -> (the version of the state its body depends on, the body as a
+# function of the state), for each route but /ledger: a body built at one
+# version is kept until the version moves
 _BODIES = {
-    "/healthz": lambda state: canonical_bytes(
-        {"hash": to_hex(state.head.hash), "index": state.head.index}
+    "/healthz": (
+        _head_index,
+        lambda state: canonical_bytes(
+            {"hash": to_hex(state.head.hash), "index": state.head.index}
+        ),
     ),
-    "/scoreboard": lambda state: scoreboard_bytes(state.scoreboard()),
-    "/challenges": lambda state: canonical_bytes(
-        [d.to_json_dict() for d in state.challenges().values()]
+    "/scoreboard": (_head_index, lambda state: scoreboard_bytes(state.scoreboard())),
+    "/challenges": (
+        lambda state: state.challenge_writes,
+        lambda state: canonical_bytes(
+            [d.to_json_dict() for d in state.challenges().values()]
+        ),
     ),
 }

@@ -8,9 +8,10 @@ from dataclasses import dataclass, field
 from random import Random
 
 from flagless import ledger
-from flagless.canonical import canonical_bytes
+from flagless.canonical import canonical_bytes, sha256
 from flagless.competition import (
     ChallengeDescriptor,
+    ScoreboardRow,
     TeamRecord,
     TeamSecret,
     build_submission,
@@ -19,10 +20,37 @@ from flagless.competition import (
     register_team,
     submission_path,
 )
-from flagless.ledger import ZERO_HASH, Changeset, FileChange, LedgerEntry, entry_hash, genesis
+from flagless.ledger import ZERO_HASH, Changeset, FileChange, LedgerEntry, genesis
 from flagless.service import make_server
 from flagless.sigproof import KdfParams, keypair_from_seed
 from flagless.validator import CompetitionHost, ValidationVerdict
+
+
+def entry_hash(
+    index: int, timestamp: int, prev_hash: bytes, changeset: Changeset, org_sig: bytes | None
+) -> bytes:
+    """SHA-256 of an entry's canonical JSON without its hash field,
+    serialized from the fields: the reference the ledger's hashes are held
+    to."""
+    fields = {
+        "changeset": changeset.to_json_dict(),
+        "index": index,
+        "org_sig": None if org_sig is None else org_sig.hex(),
+        "prev_hash": prev_hash.hex(),
+        "timestamp": timestamp,
+    }
+    return sha256(canonical_bytes(fields))
+
+
+def scoreboard_json(rows: list[ScoreboardRow]) -> bytes:
+    """`canonical_bytes` of the rows' `to_json_dict`s: the reference
+    `scoreboard_bytes`, which formats them directly, is held to."""
+    return canonical_bytes([row.to_json_dict() for row in rows])
+
+
+def read_joined(host: CompetitionHost, route: str = "/ledger") -> bytes:
+    """`host.read(route)`, its pieces joined."""
+    return b"".join(host.read(route))
 
 
 class BackgroundService:

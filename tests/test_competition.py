@@ -32,7 +32,13 @@ from flagless.ledger import Changeset, FileChange
 from flagless.sigproof import KdfParams, derive_challenge_keys, normalize_flag
 from flagless.validator import ValidationVerdict
 
-from helpers import append_ghost_solve, brute_force_scoreboard, rebuild_consistent, simulate
+from helpers import (
+    append_ghost_solve,
+    brute_force_scoreboard,
+    rebuild_consistent,
+    scoreboard_json,
+    simulate,
+)
 
 
 class TestSlugify:
@@ -302,6 +308,18 @@ class TestScoreboardRow:
     def test_malformed_rejected(self, broken):
         with pytest.raises(ValueError):
             ScoreboardRow.from_json_dict(broken)
+
+    def test_bytes_are_the_canonical_json_of_the_rows(self):
+        # a remote's rows may carry any team id, so the direct format
+        # escapes it as canonical JSON does
+        names = ["a", 'q"uote', "back\\slash", "tab\tnl\n\x00", "caf\u00e9 \u2028", ""]
+        rows = [
+            ScoreboardRow(rank=i, team_id=name, points=10**12 * i, solves=i, last_solve_index=last)
+            for i, name in enumerate(names)
+            for last in (None, 0, 2**40)
+        ]
+        for n in range(len(rows) + 1):
+            assert scoreboard_bytes(rows[:n]) == scoreboard_json(rows[:n])
 
 
 class TestStateParsers:

@@ -40,7 +40,7 @@ from flagless.validator import (
     validate_changeset,
 )
 
-from helpers import simulate
+from helpers import read_joined, scoreboard_json, simulate
 
 # ------------------------------------------------------------------ oracle
 
@@ -321,6 +321,7 @@ def _probes(sim, secrets, rng):
 def assert_fold_matches_oracle(sim, chain, secrets, rng):
     oracle: dict[str, bytes] = {}
     fold = CompetitionState()
+    hosted = True
     for entry in chain:
         if entry.index > 0 and entry.org_sig is None:
             assert validate_changeset(fold, entry.changeset) == oracle_validate(
@@ -334,6 +335,15 @@ def assert_fold_matches_oracle(sim, chain, secrets, rng):
         # read the incrementally kept totals after every entry ...
         assert fold.scoreboard() == expected, entry.index
         assert fold.unresolved() == unresolved, entry.index
+        # the host's scoreboard body is the canonical JSON of a fresh fold's rows
+        if hosted:
+            try:
+                host = CompetitionHost(prefix)
+            except ledger.ChainError:  # the host refuses this entry and all after it
+                hosted = False
+            else:
+                rows = CompetitionState.from_chain(prefix).scoreboard()
+                assert read_joined(host, "/scoreboard") == scoreboard_json(rows), entry.index
     # ... and count them once from a fresh fold
     assert CompetitionState.from_chain(chain).scoreboard() == expected
     report = audit_all(chain)
@@ -392,7 +402,7 @@ def test_host_refuses_exactly_what_the_audit_flags_by_its_rules(rng, forgeries):
                 load()
         else:
             # team entries are not validated again at load
-            assert load().ledger_bytes() == ledger.dump_chain(forge.chain)
+            assert read_joined(load()) == ledger.dump_chain(forge.chain)
 
 
 def test_audit_stops_at_the_first_chain_finding_keeping_those_before(rng):

@@ -25,12 +25,11 @@ from flagless.competition import (
     challenge_changeset,
     new_challenge,
     register_team,
-    scoreboard_bytes,
 )
 from flagless.sigproof import KdfParams
 from flagless.validator import CompetitionHost, ValidationVerdict
 
-from helpers import BackgroundService, simulate
+from helpers import BackgroundService, read_joined, scoreboard_json, simulate
 
 TIMEOUT_S = 10
 ROUTES = ("/ledger", "/scoreboard", "/challenges", "/healthz")
@@ -68,10 +67,10 @@ def _check(host, path, conn) -> None:
     """The held and served bytes against fresh serializations, and each
     route's HTTP body, and a `--ledger` target's, against `host.read`."""
     for route in ROUTES:
-        assert _get(conn, route) == host.read(route), route
+        assert _get(conn, route) == read_joined(host, route), route
         if path is not None:
-            assert cli.LocalTarget(str(path))._get(route) == host.read(route), route
-    held = host.ledger_bytes()
+            assert cli.LocalTarget(str(path))._get(route) == read_joined(host, route), route
+    held = read_joined(host)
     chain = ledger.load_chain(held)
     assert held == ledger.dump_chain(chain)
     assert chain == host.snapshot()[0]
@@ -79,7 +78,7 @@ def _check(host, path, conn) -> None:
         assert held == path.read_bytes()
     assert _get(conn, "/ledger") == held
     state = CompetitionState.from_chain(chain)
-    assert _get(conn, "/scoreboard") == scoreboard_bytes(state.scoreboard())
+    assert _get(conn, "/scoreboard") == scoreboard_json(state.scoreboard())
     assert _get(conn, "/challenges") == canonical_bytes(
         [d.to_json_dict() for d in state.challenges().values()]
     )
@@ -152,6 +151,36 @@ def test_an_unserved_route_reads_none_and_answers_404(sim, route):
             assert (resp.status, json.loads(resp.read())) == (404, {"error": "not found"})
         finally:
             conn.close()
+
+
+def test_the_challenge_list_is_kept_until_a_release(sim, rng):
+    host = sim.host
+    listed = host.read("/challenges")
+    (team_id,) = sim.teams
+    solve = build_submission(sim.secrets[team_id], sim.descriptors["chal-0"], sim.flags["chal-0"])
+    for changeset in (register_team("Keeper", rng=rng)[2], solve[1]):
+        assert not isinstance(host.apply(changeset), ValidationVerdict)
+        assert host.read("/challenges") is listed
+    descriptor = new_challenge(
+        "late", "flag{late}", title="Late", points=50, kdf=KdfParams.test(), rng=rng
+    )
+    host.apply_organizer(challenge_changeset(descriptor), sim.org_seed)
+    assert [d["id"] for d in json.loads(read_joined(host, "/challenges"))] == [
+        "chal-0", "chal-1", "late"
+    ]
+
+
+def test_the_ledger_is_held_in_few_pieces_and_the_loaded_bytes_uncopied(sim, rng):
+    data = ledger.dump_chain(sim.chain())
+    host = CompetitionHost.load(data)
+    for i in range(40):
+        assert not isinstance(host.apply(register_team(f"Piece {i}", rng=rng)[2]), ValidationVerdict)
+        pieces = host.read("/ledger")
+        assert pieces[0] is data
+        # each appended piece is more than twice the next, so few are held
+        assert all(len(a) > 2 * len(b) for a, b in zip(pieces[1:], pieces[2:]))
+    assert len(pieces) <= 5
+    assert b"".join(pieces) == ledger.dump_chain(host.snapshot()[0])
 
 
 def test_concurrent_readers_see_whole_growing_ledgers(rng, tmp_path):

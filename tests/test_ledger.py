@@ -1,13 +1,15 @@
 """Chain integrity: hashing, linking, folding, canonical NDJSON, tampering."""
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagless import ledger
-from flagless.canonical import canonical_bytes
+from flagless import canonical, ledger
+from flagless.canonical import canonical_bytes, sha256
+from flagless.competition import register_team
 from flagless.ledger import (
     ZERO_HASH,
     ChainError,
@@ -25,6 +27,8 @@ from flagless.ledger import (
 )
 from flagless.sigproof import keypair_from_seed
 from flagless.validator import CompetitionHost
+
+from helpers import entry_hash, simulate
 
 
 def _org(rng):
@@ -159,6 +163,29 @@ class TestVerifyChain:
         verdict = verify_chain(chain)
         assert not verdict and verdict.index == 3 and "hash" in verdict.reason
 
+    def test_replaced_entry_is_hashed_from_its_new_fields(self, rng):
+        sim = simulate(rng, n_challenges=1, n_teams=2, solve_prob=0.0)
+        chain = load_chain(dump_chain(sim.chain()))  # every entry keeps its preimage
+        team, release = chain[-1], chain[1]
+        assert release.org_sig is not None and verify_chain(chain)
+        bad_changeset = Changeset(
+            changes=(FileChange(path=team.changeset.changes[0].path, content=b"evil"),),
+            author=team.changeset.author,
+        )
+        for index, changes in ((team.index, {"changeset": bad_changeset}),
+                               (release.index, {"timestamp": release.timestamp + 1})):
+            forged = list(chain)
+            forged[index] = dataclasses.replace(chain[index], **changes)
+            verdict = verify_chain(forged)
+            assert not verdict and verdict.index == index and verdict.reason == "hash mismatch"
+        evil = dataclasses.replace(team, changeset=bad_changeset)
+        assert b'"ZXZpbA=="' in dump_entry(evil) and b'"ZXZpbA=="' not in dump_entry(team)
+        # with the hash made good, the organizer signature still covers the old bytes
+        stamped = dataclasses.replace(release, timestamp=release.timestamp + 1)
+        forged = list(chain)
+        forged[release.index] = dataclasses.replace(stamped, hash=sha256(stamped.preimage()))
+        assert verify_chain(forged).reason == "organizer signature invalid"
+
     def test_removed_entry_detected(self, rng):
         chain, _ = _chain(rng, n_extra=4)
         del chain[2]
@@ -284,7 +311,7 @@ class TestCanonicalNdjson:
         changeset = genesis(org.public, b'{"name":"t"}', timestamp=0).changeset
 
         def line(index, timestamp, prev_hash):
-            digest = ledger.entry_hash(index, timestamp, prev_hash, changeset, None)
+            digest = entry_hash(index, timestamp, prev_hash, changeset, None)
             return digest, canonical_bytes(
                 {
                     "changeset": changeset.to_json_dict(),
@@ -305,6 +332,14 @@ class TestCanonicalNdjson:
         with pytest.raises(ChainError):
             load_chain(bool_time + line(True, 1, bool_hash)[1])
 
+    def test_last_line_cut_short_rejected(self, rng):
+        chain, _ = _chain(rng, n_extra=2)
+        raw = dump_chain(chain)
+        with pytest.raises(ChainError, match="ledger line 2: cut short"):
+            load_chain(raw[:-1])
+        with pytest.raises(ChainError, match="ledger line 3: cut short"):
+            load_chain(raw + b"{")
+
     def test_deeply_nested_line_rejected(self):
         with pytest.raises(ChainError):
             load_chain(b"[" * 100_000 + b"\n")
@@ -322,6 +357,30 @@ class TestCanonicalNdjson:
         entry = ledger.make_entry(0, 7, ZERO_HASH, changeset)
         line = dump_entry(entry)
         assert load_chain(line + b"\n") == [entry]
+
+    def test_a_line_without_its_hash_field_hashes_to_the_entry_hash(self, rng):
+        sim = simulate(rng, n_challenges=2, n_teams=2, solve_prob=1.0)
+        chain = sim.chain()
+        lines = dump_chain(chain).split(b"\n")[:-1]
+        assert len(lines) == len(chain)
+        for entry, line in zip(chain, lines):
+            at = line.rindex(b',"hash":"')
+            cut = line[:at] + line[at + len(b',"hash":"') + 64 + 1 :]
+            fields = entry.index, entry.timestamp, entry.prev_hash, entry.changeset, entry.org_sig
+            assert sha256(cut) == entry_hash(*fields) == entry.hash
+
+    def test_load_and_a_team_append_serialize_each_entry_once(self, rng, monkeypatch):
+        sim = simulate(rng, n_challenges=2, n_teams=2, solve_prob=1.0)
+        data = dump_chain(sim.chain())
+        changeset = register_team("Counted", rng=rng)[2]
+        calls = []
+        dumps = canonical.canonical_dumps
+        monkeypatch.setattr(canonical, "canonical_dumps", lambda obj: calls.append(1) or dumps(obj))
+        host = CompetitionHost.load(data)
+        assert len(calls) == data.count(b"\n")
+        calls.clear()
+        assert host.apply(changeset).index == data.count(b"\n")
+        assert len(calls) == 1
 
     def test_single_bit_mutations_detected_sample(self, rng):
         chain, _ = _chain(rng, n_extra=6)

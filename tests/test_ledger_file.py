@@ -21,7 +21,7 @@ from flagless.canonical import canonical_bytes
 from flagless.competition import TeamSecret, audit_all, build_submission, register_team
 from flagless.validator import CompetitionHost
 
-from helpers import simulate
+from helpers import read_joined, simulate
 
 TIMEOUT_S = 10
 
@@ -103,7 +103,7 @@ def test_acknowledged_entries_survive_sigkill(sim, path, rng):
     assert len(chain) == len(sim.chain()) + len(changesets)
     assert [(i, chain[i].hash.hex()) for i, _ in acks] == acks
     with CompetitionHost.open(str(path)) as host:  # the dead child's lock is gone
-        rows = json.loads(host.read("/scoreboard"))
+        rows = json.loads(read_joined(host, "/scoreboard"))
         assert {r["team_id"]: r["solves"] for r in rows}[team_id] == 1
 
 
@@ -211,10 +211,10 @@ def test_organizer_entry_the_audit_flags_is_refused(
     assert [(f.index, f.code) for f in audit_all(forged).findings] == [(len(forged) - 1, code)]
     before = path.read_bytes()
     with CompetitionHost.open(str(path)) as host:
-        chain, held = host.snapshot()[0], host.ledger_bytes()
+        chain, held = host.snapshot()[0], read_joined(host)
         with pytest.raises(ledger.ChainError, match=code):
             host.apply_organizer(changeset, sim.org_seed)
-        assert host.snapshot()[0] == chain and host.ledger_bytes() == held == path.read_bytes()
+        assert host.snapshot()[0] == chain and read_joined(host) == held == path.read_bytes()
     assert path.read_bytes() == before
     # nor can `challenge add` write it
     org_key = _key_file(tmp_path / "organizer.key", TeamSecret("organizer", sim.org_seed))

@@ -1,7 +1,9 @@
 """HTTP contract of the service: status codes, bodies, hostile requests."""
 
+import hashlib
 import http.client
 import json
+import re
 import socket
 import struct
 import threading
@@ -16,12 +18,13 @@ from flagless.competition import (
     build_submission,
     register_team,
     scoreboard_bytes,
+    submission_path,
 )
 from flagless.ledger import Changeset, FileChange
 from flagless.service import _BAD_LENGTH, _Handler
 from flagless.validator import CompetitionHost
 
-from helpers import BackgroundService, append_ghost_solve, simulate
+from helpers import BackgroundService, append_ghost_solve, read_joined, simulate
 
 TIMEOUT_S = 3
 
@@ -118,6 +121,14 @@ class TestWrites:
             status, reply = _post(service, register_team(name, rng=rng)[2])
             assert status == 201
             assert _request(service, "GET", "/healthz") == (200, reply)
+
+    def test_a_clock_behind_the_head_stamps_the_heads_time(self, sim, rng, monkeypatch):
+        head = sim.host.apply(register_team("Ahead", rng=rng)[2], sim.chain()[-1].timestamp + 100)
+        monkeypatch.setattr(time, "time", lambda: head.timestamp - 100.5)
+        with BackgroundService(sim.host) as svc:
+            status, reply = _post(svc, register_team("Behind", rng=rng)[2])
+        assert status == 201 and json.loads(reply)["index"] == head.index + 1
+        assert sim.chain()[-1].timestamp == head.timestamp
 
     def test_deeply_nested_record_is_422(self, service):
         changeset = Changeset(
@@ -343,6 +354,71 @@ class TestWorkers:
         assert capsys.readouterr().err == ""  # a client's reset is no server error
 
 
+def _answer(reader) -> bytes:
+    """One raw answer, head and body, read by its Content-Length."""
+    head = b""
+    while not head.endswith(b"\r\n\r\n"):
+        line = reader.readline()
+        assert line, head
+        head += line
+    (length,) = re.findall(rb"\r\nContent-Length: (\d+)\r\n", head)
+    return head + reader.read(int(length))
+
+
+# SHA-256 of the raw answers that `test_wire_bytes_are_pinned` collects,
+# `Date` lines masked, as the service gave them when each answer was one
+# `bytes` written whole
+WIRE_DIGEST = "76b57b66c87308e658f1501db7cad883cad510c30feacf64d2ecdadc44cb638e"
+
+
+def test_wire_bytes_are_pinned(rng, monkeypatch):
+    monkeypatch.setattr(time, "time", lambda: 1_700_000_000.5)
+    sim = simulate(rng, n_challenges=2, n_teams=2, solve_prob=0.0)
+    first, second = sorted(sim.teams)
+    solve = build_submission(sim.secrets[first], sim.descriptors["chal-1"], sim.flags["chal-1"])[1]
+    misfiled = build_submission(sim.secrets[second], sim.descriptors["chal-0"], sim.flags["chal-0"])
+    misfiled = Changeset(
+        changes=(FileChange(path=submission_path(first, "chal-0"), content=misfiled[0].serialize()),),
+        author=first,
+    )
+    team = register_team("Wire Crew", rng=rng)[2]
+    gets = [b"GET %s HTTP/1.1\r\nHost: x\r\n\r\n" % route
+            for route in (b"/healthz", b"/scoreboard", b"/challenges", b"/ledger")]
+    posts = [
+        b"POST /changesets HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+        for body in (canonical_bytes(c.to_json_dict()) for c in (
+            team, team, solve, solve, misfiled,
+            Changeset(changes=(FileChange(path="loot/x", content=b"{}"),), author="x"),
+        ))
+    ]
+    kept_alive = gets + posts + gets + [
+        b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n",
+        b"POST /changesets HTTP/1.1\r\nHost: x\r\nContent-Length: 8\r\n\r\nnot json",
+    ]
+    closing = [
+        b"POST /scoreboard HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}",
+        b"GET /ledger HTTP/1.0\r\n\r\n",
+        b"GET /scoreboard HTTP/1.1\r\nConnection: close\r\n\r\n",
+        b"BREW /healthz HTTP/1.1\r\n\r\n",
+    ]
+    answers = []
+    with BackgroundService(sim.host) as svc:
+        address = svc.server.server_address[:2]
+        with socket.create_connection(address, timeout=TIMEOUT_S) as sock:
+            reader = sock.makefile("rb")
+            for request in kept_alive:
+                sock.sendall(request)
+                answers.append(_answer(reader))
+            reader.close()
+        answers += [_until_eof(svc, request) for request in closing]
+    statuses = [answer.split(b" ", 2)[1] for answer in answers]
+    assert statuses == [b"200"] * 4 + [b"201", b"422", b"201", b"422", b"422", b"422"] + [
+        b"200"
+    ] * 4 + [b"404", b"400", b"404", b"200", b"200", b"501"]
+    masked = re.sub(rb"\r\nDate: [^\r]*\r\n", b"\r\nDate: -\r\n", b"".join(answers))
+    assert hashlib.sha256(masked).hexdigest() == WIRE_DIGEST
+
+
 class TestReads:
     def test_reads_match_the_host(self, service, sim):
         assert _request(service, "GET", "/scoreboard") == (
@@ -358,7 +434,7 @@ class TestReads:
     def test_a_loaded_solve_of_no_challenge_leaves_the_scoreboard_served(self, rng, tmp_path):
         # the host checks no team entry at load, so a forged file can hold one
         sim = simulate(rng, n_challenges=2, n_teams=2, solve_prob=1.0)
-        honest = sim.host.read("/scoreboard")
+        honest = read_joined(sim.host, "/scoreboard")
         chain = sim.chain()
         append_ghost_solve(chain, sorted(sim.teams)[0])
         path = tmp_path / "forged.ndjson"
