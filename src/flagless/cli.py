@@ -51,27 +51,46 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
+class _Refused(CliError):
+    """A 422 whose body does not decode: the changeset was not appended."""
+
+
 # ---------------------------------------------------------------- targets
 
 
 class _Target:
     """The player commands' reads and submissions, built on two hooks:
     `_get(route)`, the body of `GET route`, and `_post(changeset)`, the
-    status and payload of `POST /changesets`."""
+    status and body of `POST /changesets`.  A body that is not JSON of the
+    shape its command expects, or nests too deeply to parse, is a `CliError`."""
 
     def challenges(self) -> list[ChallengeDescriptor]:
-        return [ChallengeDescriptor.from_json_dict(d) for d in json.loads(self._get("/challenges"))]
+        return self._listing("/challenges", ChallengeDescriptor.from_json_dict)
 
     def scoreboard(self) -> list[ScoreboardRow]:
-        return [ScoreboardRow.from_json_dict(r) for r in json.loads(self._get("/scoreboard"))]
+        return self._listing("/scoreboard", ScoreboardRow.from_json_dict)
+
+    def _listing(self, route: str, parse) -> list:
+        try:
+            items = competition._parse_json(self._get(route))
+            if not isinstance(items, list):
+                raise ValueError("not a list")
+            return [parse(item) for item in items]
+        except ValueError as exc:
+            raise CliError(f"malformed answer to GET {route}: {exc}") from None
 
     def submit(self, changeset) -> dict:
-        status, payload = self._post(changeset)
-        if status == 201:
-            return {"outcome": "ACCEPT", **payload}
-        if status == 422:
-            return payload
-        raise CliError(f"service error {status}: {payload}")
+        status, body = self._post(changeset)
+        try:
+            payload = competition._parse_json(body)
+        except ValueError:
+            payload = None
+        if status == 201 and isinstance(payload, dict) and ledger._is_int(payload.get("index")):
+            return {**payload, "outcome": "ACCEPT"}
+        if status == 422 and isinstance(payload, dict) and isinstance(payload.get("code"), str):
+            return {**payload, "outcome": "REJECT"}
+        error = _Refused if status == 422 else CliError
+        raise error(f"unexpected {status} answer to POST /changesets")
 
 
 class LocalTarget(_Target):
@@ -87,9 +106,10 @@ class LocalTarget(_Target):
     def _get(self, route: str) -> bytes:
         return b"".join(CompetitionHost.load(self.ledger_bytes()).read(route))
 
-    def _post(self, changeset) -> tuple[int, dict]:
+    def _post(self, changeset) -> tuple[int, bytes]:
         with CompetitionHost.open(self.path) as host:
-            return service.answer(host, changeset)
+            status, payload = service.answer(host, changeset)
+        return status, canonical_bytes(payload)
 
 
 class RemoteTarget(_Target):
@@ -110,7 +130,7 @@ class RemoteTarget(_Target):
     def ledger_bytes(self) -> bytes:
         return self._get("/ledger")
 
-    def _post(self, changeset) -> tuple[int, dict]:
+    def _post(self, changeset) -> tuple[int, bytes]:
         import urllib.request
 
         body = canonical_bytes(changeset.to_json_dict())
@@ -122,15 +142,15 @@ class RemoteTarget(_Target):
         )
         try:
             with urllib.request.urlopen(request, timeout=60) as resp:
-                return resp.status, json.loads(resp.read())
+                return resp.status, resp.read()
         except urllib.error.HTTPError as exc:
-            return exc.code, json.loads(exc.read())
+            return exc.code, exc.read()
         except urllib.error.URLError as exc:
             raise CliError(f"cannot reach service: {exc.reason}") from exc
 
 
 def _target(args) -> LocalTarget | RemoteTarget:
-    if getattr(args, "service_url", None):
+    if args.service_url:
         return RemoteTarget(args.service_url)
     return LocalTarget(args.ledger)
 
@@ -157,9 +177,9 @@ def _read_secret(path: str) -> TeamSecret:
 
 
 def _read_flag(args) -> str:
-    if getattr(args, "flag", None) is not None:
+    if args.flag is not None:
         return args.flag
-    if getattr(args, "flag_file", None):
+    if args.flag_file:
         try:
             with open(args.flag_file, "r", encoding="utf-8") as fh:
                 return fh.read()
@@ -223,7 +243,7 @@ def cmd_team_register(args) -> int:
     _write_private_file(args.secret_out, canonical_bytes(secret.to_json_dict()))
     try:
         result = _target(args).submit(changeset)
-    except (BlockingIOError, FileNotFoundError):  # ledger file held or missing
+    except (BlockingIOError, FileNotFoundError, _Refused):  # held or missing file, or refused
         os.unlink(args.secret_out)
         raise
     if result["outcome"] != "ACCEPT":
@@ -328,8 +348,8 @@ def cmd_serve(args) -> int:
 # --------------------------------------------------------------- parser
 
 
-def _add_target_options(parser: argparse.ArgumentParser, *, required: bool = True) -> None:
-    group = parser.add_mutually_exclusive_group(required=required)
+def _add_target_options(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--ledger", metavar="PATH", help="local ledger file")
     group.add_argument("--service-url", metavar="URL", help="running service")
 

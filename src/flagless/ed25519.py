@@ -1,48 +1,23 @@
-"""Public Ed25519 API with kernel selection.
+"""Public Ed25519 API over whichever group-arithmetic kernel is built.
 
-Prefers the compiled group-arithmetic kernel when it is built (`python
-setup.py build_ext --inplace` compiles `_ed25519_ckernel.c` next to this
-module), otherwise falls back to the pure-Python one.  `FLAGLESS_ED25519_BACKEND`
-(`compiled` or `pure`) forces a specific kernel and raises if it is
-unavailable, which keeps benchmark comparisons honest.
+The compiled kernel is used when it is built (`python setup.py
+build_ext --inplace` compiles `_ed25519_ckernel.c` next to this module),
+the pure-Python one otherwise; `BACKEND` names the one in use.  There is
+no switch: both kernels give the same bytes and verdicts.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import _ed25519_core as _core
-from . import _ed25519_pykernel as _pykernel
+from . import _ed25519_pykernel as _kernel
 
+BACKEND = "pure"
 try:
-    from . import _ed25519_ckernel as _ckernel
+    from . import _ed25519_ckernel as _kernel
+
+    BACKEND = "compiled"
 except ImportError:
-    _ckernel = None
-
-
-def available_backends() -> dict[str, object]:
-    backends: dict[str, object] = {"pure": _pykernel}
-    if _ckernel is not None:
-        backends["compiled"] = _ckernel
-    return backends
-
-
-def _select() -> tuple[str, object]:
-    forced = os.environ.get("FLAGLESS_ED25519_BACKEND")
-    backends = available_backends()
-    if forced:
-        if forced not in backends:
-            raise RuntimeError(
-                f"FLAGLESS_ED25519_BACKEND={forced!r} requested but only "
-                f"{sorted(backends)} are available"
-            )
-        return forced, backends[forced]
-    if "compiled" in backends:
-        return "compiled", backends["compiled"]
-    return "pure", backends["pure"]
-
-
-BACKEND, _kernel = _select()
+    pass
 
 
 def public_key(seed: bytes) -> bytes:

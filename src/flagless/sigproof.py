@@ -214,20 +214,16 @@ def verify_proof(
     team_public: bytes,
     challenge_public: bytes,
     challenge_id: bytes,
-    proof: Proof | bytes,
+    proof: Proof,
 ) -> bool:
     """Accept iff the proof is for challenge_id, the team key signed it, and
     the challenge key signed that signature and the identifier.
 
-    Needs only public values.  Structurally malformed proofs are rejected,
-    never raised on.  The team layer is checked first, so a proof taken from
-    another team fails at its first verify.
+    Needs only public values, and never raises on a `Proof`: bytes too
+    short for two signatures never become one (`Proof.parse` raises).  The
+    team layer is checked first, so a proof taken from another team fails
+    at its first verify.
     """
-    if isinstance(proof, bytes):
-        try:
-            proof = Proof.parse(proof)
-        except ValueError:
-            return False
     return (
         proof.challenge_id == challenge_id
         and ed25519.verify(team_public, proof.inner_sig, challenge_id)

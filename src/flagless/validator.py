@@ -131,7 +131,9 @@ def validate_changeset(state: CompetitionState, changeset: Changeset) -> Validat
     submission and one point decompression for a registration, plus one
     the first time a team or challenge record is looked up.
 
-    Every outcome is a verdict; nothing here raises on untrusted input.
+    The changeset's author must be the team its path names; that rule
+    comes last, so it turns only an accept into a rejection.  Every
+    outcome is a verdict; nothing here raises on untrusted input.
     """
     actions = []  # (change, its path's match) of each team-writable path
     for change in changeset.changes:
@@ -160,7 +162,10 @@ def validate_changeset(state: CompetitionState, changeset: Changeset) -> Validat
         )
     change, match = actions[0]
     validate = _validate_registration if match.re is _TEAM_PATH_RE else _validate_submission
-    return validate(state, change.content, *match.groups())
+    verdict = validate(state, change.content, *match.groups())
+    if verdict and changeset.author != match.group(1):
+        return ValidationVerdict.reject(ReasonCode.MALFORMED_RECORD, "author is not the team")
+    return verdict
 
 
 class CompetitionHost:

@@ -1,9 +1,12 @@
 """The CLI end to end: organizer, player and auditor, on a local ledger
 and through a running service."""
 
+import contextlib
+import http.server
 import json
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -191,6 +194,85 @@ def test_a_solve_of_no_challenge_is_not_scored_and_is_flagged(competition, tmp_p
         {"code": "SCOREBOARD", "index": ghost,
          "message": f"submission for unknown challenge 'ghost' at entry {ghost}"},
     ]
+
+
+class _StubHandler(http.server.BaseHTTPRequestHandler):
+    """Answers each request with `answers[method, path]`: (status, body)."""
+
+    answers: dict[tuple[str, str], tuple[int, bytes]]
+
+    def do_GET(self):
+        self._answer()
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self._answer()
+
+    def _answer(self):
+        status, body = self.answers[self.command, self.path]
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextlib.contextmanager
+def _stub_service(answers):
+    """The URL of a service that gives each request a fixed answer."""
+    handler = type("Stub", (_StubHandler,), {"answers": answers})
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+def _error_line(capsys) -> str:
+    """The one line a failed command writes to stderr."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    return line
+
+
+_NOT_A_LISTING = [pytest.param(b"[" * 100_000, id="100000-brackets"), b"not json", b"\xff", b"{}", b"[1]", b'[{"id": "x"}]', b"7"]
+
+
+@pytest.mark.parametrize("body", _NOT_A_LISTING)
+def test_a_broken_listing_is_one_error_line(body, tmp_path, capsys):
+    answers = {("GET", "/challenges"): (200, body), ("GET", "/scoreboard"): (200, body)}
+    with _stub_service(answers) as url:
+        for argv in (["challenges"], ["score", "--out", tmp_path / "s.json"]):
+            assert cli.run([*map(str, argv), "--service-url", url]) == 1
+            assert "malformed answer to GET /" in _error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "status,body,kept",
+    [
+        (422, b"{}", False),
+        pytest.param(422, b"[" * 100_000, False, id="422-100000-brackets"),
+        (422, b'{"code": 7}', False),
+        (201, b"{}", True),  # it may have landed, so the key stays
+        (201, b'{"index": "1"}', True),
+        (500, b"", True),
+    ],
+)
+def test_a_broken_registration_answer_is_one_error_line(status, body, kept, tmp_path, capsys):
+    secret = tmp_path / "team.key"
+    with _stub_service({("POST", "/changesets"): (status, body)}) as url:
+        argv = ["team", "register", "--name", "Gamma", "--secret-out", str(secret)]
+        assert cli.run([*argv, "--service-url", url]) == 1
+    assert "answer to POST /changesets" in _error_line(capsys)
+    assert secret.exists() == kept
 
 
 def test_importing_the_cli_loads_no_http_client_or_mail_parser():

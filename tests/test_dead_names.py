@@ -8,6 +8,9 @@ count: a name that only tests use belongs in the tests.  Two kinds of
 method need no reference: dunders, which the language calls, and a method
 that overrides one a base class defines, which the base's code calls
 (`socketserver`'s `handle`, say).
+
+Likewise every name a module imports outside its functions and classes is
+read in that module, or listed in its `__all__`.
 """
 
 import ast
@@ -82,3 +85,41 @@ def test_every_method_is_referenced_or_overrides_a_base():
             ]
     assert definitions
     assert _dead(definitions) == []
+
+
+def _module_imports(tree: ast.Module):
+    """(bound name, line) of each import outside any function or class,
+    `from __future__` ones aside."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif not isinstance(node, _DEFINITIONS):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, and every string in its `__all__`."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return used
+
+
+def test_every_module_level_import_is_used():
+    imports, unused = 0, []
+    for path, tree in _package_modules():
+        used = _used_names(tree)
+        for name, line in _module_imports(tree):
+            imports += 1
+            if name not in used:
+                unused.append(f"{path.name}:{line} {name}")
+    assert imports
+    assert unused == []

@@ -2,11 +2,16 @@
 independent-library oracle."""
 
 import random
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flagless
 from flagless import _ed25519_core as core
 from flagless import _ed25519_pykernel as pykernel
 from flagless import ed25519
@@ -404,44 +409,42 @@ class TestLibraryOracle:
             assert core.verify(their_public, their_key.sign(message), message, kernel)
 
 
-def test_backend_selection_reports_available():
-    backends = ed25519.available_backends()
-    assert "pure" in backends
-    assert ed25519.BACKEND in backends
+# prints the kernel in use, then whether the compiled one imports
+_BACKEND_REPORT = """
+import flagless
+try:
+    import flagless._ed25519_ckernel
+except ImportError:
+    print(flagless.ED25519_BACKEND, "unbuilt")
+else:
+    print(flagless.ED25519_BACKEND, "built")
+"""
 
 
-def _backend_in_child(name: str):
-    """Import flagless in a fresh interpreter with the backend forced to name.
-
-    The child inherits this environment, with the directory holding the
-    flagless package under test put first on PYTHONPATH, so it imports the
-    same copy (from src/ or from an install) that this suite is testing.
-    """
-    import os
-    import subprocess
-    import sys
-
-    import flagless
-
-    package_root = os.path.dirname(os.path.dirname(flagless.__file__))
-    env = dict(os.environ, FLAGLESS_ED25519_BACKEND=name)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, os.environ.get("PYTHONPATH")) if p
-    )
-    return subprocess.run(
-        [sys.executable, "-c", "import flagless; print(flagless.ED25519_BACKEND)"],
-        env=env,
+def _backend_report(package_root: Path) -> str:
+    """`_BACKEND_REPORT` run by a fresh interpreter on the flagless package
+    in `package_root`."""
+    out = subprocess.run(
+        [sys.executable, "-c", _BACKEND_REPORT],
+        cwd=package_root,  # `-c` puts the cwd first on sys.path
         capture_output=True,
         text=True,
+        check=True,
     )
+    return out.stdout
 
 
-def test_env_var_forces_backend():
-    for name in ed25519.available_backends():
-        out = _backend_in_child(name)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == name
+def test_backend_selection_reports_available():
+    report = _backend_report(Path(flagless.__file__).parents[1])
+    assert report in ("compiled built\n", "pure unbuilt\n")
 
-    out = _backend_in_child("no-such-kernel")
-    assert out.returncode != 0
-    assert "FLAGLESS_ED25519_BACKEND" in out.stderr
+
+def test_a_built_kernel_is_the_one_used(compiled_kernel, tmp_path):
+    # a copy of the package with the kernel built next to its sources, as
+    # `setup.py build_ext --inplace` leaves it
+    package = tmp_path / "flagless"
+    shutil.copytree(
+        Path(flagless.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__", "*.so")
+    )
+    shutil.copy(compiled_kernel.__file__, package)
+    assert _backend_report(tmp_path) == "compiled built\n"

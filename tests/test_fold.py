@@ -122,6 +122,13 @@ def _reject(code, message=""):
     return ValidationVerdict.reject(code, message)
 
 
+def _authored(changeset: Changeset, team_id: str) -> ValidationVerdict:
+    """An accept for a changeset whose author is the team its path names."""
+    if changeset.author != team_id:
+        return _reject(ReasonCode.MALFORMED_RECORD, "author is not the team")
+    return ValidationVerdict.accept()
+
+
 def oracle_validate(files: dict[str, bytes], changeset: Changeset) -> ValidationVerdict:
     actions = []
     for change in changeset.changes:
@@ -170,7 +177,7 @@ def oracle_validate(files: dict[str, bytes], changeset: Changeset) -> Validation
                     ReasonCode.DUPLICATE_TEAM,
                     f"public key already registered to {existing.id!r}",
                 )
-        return ValidationVerdict.accept()
+        return _authored(changeset, team_id)
     teams = oracle_teams(files)
     if team_id not in teams:
         return _reject(ReasonCode.UNKNOWN_TEAM, f"team {team_id!r}")
@@ -190,7 +197,7 @@ def oracle_validate(files: dict[str, bytes], changeset: Changeset) -> Validation
         record.proof,
     ):
         return _reject(ReasonCode.INVALID_PROOF)
-    return ValidationVerdict.accept()
+    return _authored(changeset, team_id)
 
 
 # ------------------------------------------------------------------ chains

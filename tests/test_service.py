@@ -112,6 +112,14 @@ class TestWrites:
         }
         assert len(sim.chain()) == length
 
+    @pytest.mark.parametrize("author", ["organizer", "x" * (512 << 10)], ids=["organizer", "512KiB"])
+    def test_a_changeset_by_another_author_is_422(self, service, sim, rng, author):
+        _, _, changeset = register_team("Web Crew", rng=rng)
+        before = read_joined(sim.host)
+        status, body = _post(service, Changeset(changes=changeset.changes, author=author))
+        assert status == 422 and json.loads(body)["code"] == "MALFORMED_RECORD"
+        assert _request(service, "GET", "/ledger") == (200, before)
+
     def test_healthz_names_the_last_acknowledged_entry(self, service, sim, rng):
         head = sim.chain()[-1]
         status, body = _request(service, "GET", "/healthz")
@@ -336,6 +344,22 @@ class TestWorkers:
         finally:
             idle.close()
         assert len(workers) == 2 and not any(worker.is_alive() for worker in workers)
+
+    def test_a_worker_that_cannot_start_frees_its_slot(self, sim, monkeypatch, capsys):
+        start, refused = threading.Thread.start, []
+
+        def start_or_refuse_once(thread):
+            if not refused:
+                refused.append(thread)
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        with BackgroundService(sim.host) as svc:
+            monkeypatch.setattr(threading.Thread, "start", start_or_refuse_once)
+            assert _until_eof(svc, b"") == b""  # closed without an answer
+            assert refused and not svc.server._live
+            assert _request(svc, "GET", "/healthz")[0] == 200
+        assert "can't start new thread" in capsys.readouterr().err
 
     def test_a_connection_reset_mid_body_leaves_its_worker_serving(self, service, capsys):
         for _ in range(5):

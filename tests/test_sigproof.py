@@ -225,15 +225,17 @@ class TestProofScheme:
 
     def test_malformed_proof_rejected_not_raised(self, rng):
         team, challenge = self._fresh(rng)
-        assert not verify_proof(team.public, challenge.public, b"c", b"")
-        assert not verify_proof(team.public, challenge.public, b"c", b"\x00" * 127)
-        assert not verify_proof(team.public, challenge.public, b"c", b"\x00" * 129)
+        for raw in (b"", b"\x00" * 127):
+            with pytest.raises(ValueError):
+                Proof.parse(raw)
+        for raw in (b"\x00" * 128, b"\x00" * 129):
+            assert not verify_proof(team.public, challenge.public, b"c", Proof.parse(raw))
 
     def test_fuzzed_proofs_rejected(self, rng):
         team, challenge = self._fresh(rng)
         for _ in range(100):
             blob = rng.randbytes(128 + rng.randrange(0, 32))
-            assert not verify_proof(team.public, challenge.public, b"c", blob)
+            assert not verify_proof(team.public, challenge.public, b"c", Proof.parse(blob))
 
     def test_proof_bytes_contain_no_secrets(self, rng):
         # the serialized proof is exactly two signatures plus the public id
@@ -275,7 +277,10 @@ class TestProofMutations:
         return teams, challenge
 
     def _agree(self, team_public, challenge_public, challenge_id, raw) -> bool:
-        verdict = verify_proof(team_public, challenge_public, challenge_id, raw)
+        try:
+            verdict = verify_proof(team_public, challenge_public, challenge_id, Proof.parse(raw))
+        except ValueError:  # too short to hold two signatures
+            verdict = False
         assert verdict == nested_open_verdict(team_public, challenge_public, challenge_id, raw)
         return verdict
 

@@ -10,6 +10,7 @@ from flagless import ledger
 from flagless.canonical import canonical_bytes, to_b64, to_hex
 from flagless.competition import (
     CompetitionState,
+    audit_all,
     build_submission,
     challenge_path,
     register_team,
@@ -165,6 +166,42 @@ class TestSubmissionRules:
             changeset = _single(submission_path(team_id, cid), canonical_bytes(body))
             verdict = validate_changeset(fresh_state, changeset)
             assert verdict.code is ReasonCode.INVALID_PROOF
+
+
+def _authored_by(changeset: Changeset, author: str) -> Changeset:
+    return Changeset(changes=changeset.changes, author=author)
+
+
+class TestAuthorRule:
+    """A team changeset's author is the team its path names."""
+
+    def test_a_registration_by_another_author_is_malformed(self, state, rng):
+        _, _, changeset = register_team("Newcomers", rng=rng)
+        for author in ("organizer", "x" * (512 << 10)):
+            verdict = validate_changeset(state, _authored_by(changeset, author))
+            assert verdict.code is ReasonCode.MALFORMED_RECORD
+
+    def test_a_solve_by_another_author_is_malformed(self, rng):
+        sim = simulate(rng, n_challenges=1, n_teams=2, solve_prob=0.0)
+        team_a, team_b = sorted(sim.teams)
+        (cid,) = sim.descriptors
+        _, changeset = build_submission(sim.secrets[team_a], sim.descriptors[cid], sim.flags[cid])
+        state = CompetitionState.from_chain(sim.chain())
+        assert validate_changeset(state, changeset)
+        verdict = validate_changeset(state, _authored_by(changeset, team_b))
+        assert verdict.code is ReasonCode.MALFORMED_RECORD
+
+    def test_other_rules_come_first(self, state, sim):
+        team_id = next(iter(sim.teams))
+        changeset = _single(team_path(team_id), b"{}", author="organizer")
+        assert validate_changeset(state, changeset).code is ReasonCode.DUPLICATE_TEAM
+
+    def test_the_audit_flags_a_forged_entry_once(self, sim, rng):
+        chain = sim.chain()
+        _, _, changeset = register_team("Newcomers", rng=rng)
+        forged = ledger.append(chain, _authored_by(changeset, "organizer"))
+        findings = [(f.index, f.code) for f in audit_all(chain).findings]
+        assert findings == [(forged.index, ReasonCode.MALFORMED_RECORD.name)]
 
 
 class TestPathRules:
