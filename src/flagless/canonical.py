@@ -6,6 +6,9 @@ NaN/Infinity.  Two processes serializing the same logical value must produce
 identical bytes, otherwise chain hashes stop being comparable across
 replicas.
 
+:func:`parse_json` is the package's one JSON decoder: every byte string
+read from outside goes through it, so a decode raises only `ValueError`.
+
 The hex/base64 decoders are deliberately strict (lowercase hex only,
 canonical base64 only) so that a value round-trips to the exact byte string
 it was parsed from.
@@ -34,6 +37,28 @@ def canonical_dumps(obj: Any) -> str:
 
 def canonical_bytes(obj: Any) -> bytes:
     return canonical_dumps(obj).encode("utf-8")
+
+
+def parse_json(data: bytes) -> Any:
+    """The value of the UTF-8 JSON `data`.  Bytes that are not UTF-8 and
+    text that is not JSON raise the decoder's `ValueError`; nesting too
+    deep to decode raises `ValueError("nested too deeply")`."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
+
+
+def json_object(obj: Any, keys: set[str], what: str) -> None:
+    """Raise `ValueError("malformed <what>")` unless `obj` is a JSON object
+    with exactly the names `keys`."""
+    if not isinstance(obj, dict) or obj.keys() != keys:
+        raise ValueError(f"malformed {what}")
+
+
+def is_int(value: Any) -> bool:
+    """JSON integers only: `true` parses to a bool, which is an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def sha256(data: bytes) -> bytes:

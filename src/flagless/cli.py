@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import argparse
 import getpass
-import json
 import os
 import sys
 import time
 
 from . import competition, ledger, service, sigproof
-from .canonical import canonical_bytes, canonical_dumps
+from .canonical import canonical_bytes, canonical_dumps, is_int, parse_json
 from .competition import (
     AuditReport,
     ChallengeDescriptor,
@@ -72,7 +71,7 @@ class _Target:
 
     def _listing(self, route: str, parse) -> list:
         try:
-            items = competition._parse_json(self._get(route))
+            items = parse_json(self._get(route))
             if not isinstance(items, list):
                 raise ValueError("not a list")
             return [parse(item) for item in items]
@@ -82,10 +81,10 @@ class _Target:
     def submit(self, changeset) -> dict:
         status, body = self._post(changeset)
         try:
-            payload = competition._parse_json(body)
+            payload = parse_json(body)
         except ValueError:
             payload = None
-        if status == 201 and isinstance(payload, dict) and ledger._is_int(payload.get("index")):
+        if status == 201 and isinstance(payload, dict) and is_int(payload.get("index")):
             return {**payload, "outcome": "ACCEPT"}
         if status == 422 and isinstance(payload, dict) and isinstance(payload.get("code"), str):
             return {**payload, "outcome": "REJECT"}
@@ -169,7 +168,7 @@ def _write_private_file(path: str, payload: bytes) -> None:
 def _read_secret(path: str) -> TeamSecret:
     try:
         with open(path, "rb") as fh:
-            return TeamSecret.from_json_dict(json.loads(fh.read().decode("utf-8")))
+            return TeamSecret.from_json_dict(parse_json(fh.read()))
     except OSError as exc:
         raise CliError(f"cannot read secret file: {exc}") from exc
     except ValueError as exc:
@@ -228,7 +227,7 @@ def cmd_challenge_add(args) -> int:
         categories=tuple(args.category),
     )
     with CompetitionHost.open(args.ledger) as host:
-        if any(d["id"] == args.id for d in json.loads(b"".join(host.read("/challenges")))):
+        if any(d["id"] == args.id for d in parse_json(b"".join(host.read("/challenges")))):
             raise CliError(f"challenge {args.id!r} already released")
         entry = host.apply_organizer(challenge_changeset(descriptor), secret.seed)
     if args.json:

@@ -23,7 +23,6 @@ the state holds; a forged chain can hold others, and the audit flags them.
 
 from __future__ import annotations
 
-import json
 import re
 import secrets
 import unicodedata
@@ -32,13 +31,14 @@ from json.encoder import encode_basestring
 from random import Random
 from typing import NamedTuple
 
-from .canonical import canonical_bytes, from_b64, from_hex, to_b64, to_hex
+from .canonical import (
+    canonical_bytes, from_b64, from_hex, is_int, json_object, parse_json, to_b64, to_hex
+)
 from .ledger import (
     Changeset,
     FileChange,
     LedgerEntry,
     NO_GENESIS,
-    _is_int,
     link_fault,
     organizer_key,
 )
@@ -107,7 +107,7 @@ class ChallengeDescriptor:
         object.__setattr__(self, "categories", tuple(self.categories))
         if not valid_slug(self.id):
             raise ValueError(f"challenge id is not a valid slug: {self.id!r}")
-        if not isinstance(self.points, int) or isinstance(self.points, bool) or self.points < 1:
+        if not is_int(self.points) or self.points < 1:
             raise ValueError("points must be a positive integer")
         if len(self.salt) != sigproof.SALT_LEN:
             raise ValueError("salt must be 16 bytes")
@@ -132,18 +132,8 @@ class ChallengeDescriptor:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ChallengeDescriptor":
-        keys = {
-            "categories",
-            "description",
-            "id",
-            "kdf",
-            "points",
-            "public_key",
-            "salt",
-            "title",
-        }
-        if not isinstance(obj, dict) or set(obj) != keys:
-            raise ValueError("malformed challenge descriptor")
+        keys = {"categories", "description", "id", "kdf", "points", "public_key", "salt", "title"}
+        json_object(obj, keys, "challenge descriptor")
         if not isinstance(obj["categories"], list):
             raise ValueError("categories must be a list")
         return cls(
@@ -186,8 +176,7 @@ class TeamRecord:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TeamRecord":
-        if not isinstance(obj, dict) or set(obj) != {"id", "name", "public_key"}:
-            raise ValueError("malformed team record")
+        json_object(obj, {"id", "name", "public_key"}, "team record")
         return cls(
             id=obj["id"], name=obj["name"], public_key=from_hex(obj["public_key"])
         )
@@ -215,8 +204,7 @@ class TeamSecret:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TeamSecret":
-        if not isinstance(obj, dict) or set(obj) != {"id", "public_key", "seed"}:
-            raise ValueError("malformed secret key file")
+        json_object(obj, {"id", "public_key", "seed"}, "secret key file")
         secret = cls(team_id=obj["id"], seed=from_hex(obj["seed"]))
         if to_hex(secret.keypair().public) != obj["public_key"]:
             raise ValueError("secret key file is inconsistent")
@@ -242,8 +230,7 @@ class SubmissionRecord:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SubmissionRecord":
-        if not isinstance(obj, dict) or set(obj) != {"challenge_id", "proof", "team_id"}:
-            raise ValueError("malformed submission record")
+        json_object(obj, {"challenge_id", "proof", "team_id"}, "submission record")
         return cls(
             team_id=obj["team_id"],
             challenge_id=obj["challenge_id"],
@@ -277,11 +264,10 @@ class ScoreboardRow(NamedTuple):
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ScoreboardRow":
         keys = {"last_solve_index", "points", "rank", "solves", "team_id"}
-        if not isinstance(obj, dict) or set(obj) != keys:
-            raise ValueError("malformed scoreboard row")
-        if not all(_is_int(obj[k]) for k in ("points", "rank", "solves")):
+        json_object(obj, keys, "scoreboard row")
+        if not all(is_int(obj[k]) for k in ("points", "rank", "solves")):
             raise ValueError("rank, points and solves must be integers")
-        if obj["last_solve_index"] is not None and not _is_int(obj["last_solve_index"]):
+        if obj["last_solve_index"] is not None and not is_int(obj["last_solve_index"]):
             raise ValueError("last_solve_index must be an integer or null")
         if not isinstance(obj["team_id"], str):
             raise ValueError("team_id must be a string")
@@ -382,15 +368,6 @@ def build_submission(
     return record, changeset
 
 
-def _parse_json(content: bytes):
-    try:
-        return json.loads(content.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError included
-        raise ValueError(f"invalid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ValueError("invalid JSON: nested too deeply") from exc
-
-
 class _Records:
     """Latest content per id, decoded (point decompression included) on
     the first lookup only, then cached.
@@ -417,7 +394,7 @@ class _Records:
         if key not in self.content:
             return None
         try:
-            record = self._decode(_parse_json(self.content[key]))
+            record = self._decode(parse_json(self.content[key]))
         except ValueError:
             record = None
         self._decoded[key] = record
@@ -630,7 +607,8 @@ def audit_entry(state: CompetitionState, entry: LedgerEntry) -> list[AuditFindin
     only `meta/` and must publish an organizer key (GENESIS_SCOPE,
     GENESIS_KEY).  A later organizer-signed entry may write only
     `challenges/` and `meta/` (ORG_SCOPE), and only well-formed
-    descriptors under `challenges/` (BAD_DESCRIPTOR).  Team entries have
+    descriptors, each its own canonical bytes, under `challenges/`
+    (BAD_DESCRIPTOR).  Team entries have
     no rule here: `validator.validate_changeset` is theirs.
     """
     head = state.head
@@ -654,9 +632,11 @@ def audit_entry(state: CompetitionState, entry: LedgerEntry) -> list[AuditFindin
                     match = _CHALLENGE_PATH_RE.match(change.path)
                     if not match:
                         raise ValueError(f"bad path {change.path!r}")
-                    descriptor = ChallengeDescriptor.from_json_dict(_parse_json(change.content))
+                    descriptor = ChallengeDescriptor.from_json_dict(parse_json(change.content))
                     if descriptor.id != match.group(1):
                         raise ValueError("descriptor id does not match its path")
+                    if descriptor.serialize() != change.content:
+                        raise ValueError("descriptor is not in canonical form")
                 except ValueError as exc:
                     findings.append(AuditFinding(entry.index, "BAD_DESCRIPTOR", str(exc)))
             elif not change.path.startswith("meta/"):

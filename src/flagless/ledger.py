@@ -21,7 +21,6 @@ is its one writer and appends each entry as one fsynced line.
 from __future__ import annotations
 
 import io
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -29,7 +28,9 @@ from typing import Iterable
 
 from . import ed25519
 from ._ed25519_core import decoded_key
-from .canonical import canonical_bytes, from_b64, from_hex, sha256, to_b64, to_hex
+from .canonical import (
+    canonical_bytes, from_b64, from_hex, is_int, json_object, parse_json, sha256, to_b64, to_hex
+)
 
 HASH_LEN = 32
 ZERO_HASH = bytes(HASH_LEN)
@@ -95,24 +96,17 @@ class Changeset:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Changeset":
-        if not isinstance(obj, dict) or set(obj) != {"author", "changes"}:
-            raise ValueError("malformed changeset record")
+        json_object(obj, {"author", "changes"}, "changeset record")
         raw_changes = obj["changes"]
         if not isinstance(raw_changes, list):
             raise ValueError("changeset changes must be a list")
         changes = []
         for entry in raw_changes:
-            if not isinstance(entry, dict) or set(entry) != {"content", "path"}:
-                raise ValueError("malformed file change record")
+            json_object(entry, {"content", "path"}, "file change record")
             changes.append(
                 FileChange(path=entry["path"], content=from_b64(entry["content"]))
             )
         return cls(changes=tuple(changes), author=obj["author"])
-
-
-def _is_int(value) -> bool:
-    """JSON integers only: `true` parses to a bool, which is an int."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,9 +122,9 @@ class LedgerEntry:
     _preimage: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not _is_int(self.index) or self.index < 0:
+        if not is_int(self.index) or self.index < 0:
             raise ValueError("index must be a non-negative integer")
-        if not _is_int(self.timestamp) or self.timestamp < 0:
+        if not is_int(self.timestamp) or self.timestamp < 0:
             raise ValueError("timestamp must be non-negative UTC seconds")
         if len(self.prev_hash) != HASH_LEN or len(self.hash) != HASH_LEN:
             raise ValueError("hashes must be 32 bytes")
@@ -152,8 +146,7 @@ class LedgerEntry:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "LedgerEntry":
         keys = {"changeset", "hash", "index", "org_sig", "prev_hash", "timestamp"}
-        if not isinstance(obj, dict) or set(obj) != keys:
-            raise ValueError("malformed ledger entry record")
+        json_object(obj, keys, "ledger entry record")
         org_sig = obj["org_sig"]
         return cls(
             index=obj["index"],
@@ -379,9 +372,8 @@ def load_chain(data: bytes) -> list[LedgerEntry]:
             raise ChainError(f"ledger line {lineno}: cut short, no final newline")
         line = line[:-1]
         try:
-            obj = json.loads(line.decode("utf-8"))
-            entry = LedgerEntry.from_json_dict(obj)
-        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
+            entry = LedgerEntry.from_json_dict(parse_json(line))
+        except ValueError as exc:
             raise ChainError(f"ledger line {lineno}: {exc}") from exc
         if dump_entry(entry) != line:
             raise ChainError(f"ledger line {lineno}: not in canonical form")

@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import json
 import logging
 import re
 import socket
@@ -66,7 +65,7 @@ import threading
 import time
 from http import HTTPStatus
 
-from .canonical import canonical_bytes, to_hex
+from .canonical import canonical_bytes, parse_json, to_hex
 from .ledger import Changeset
 from .validator import CompetitionHost, ValidationVerdict
 
@@ -238,12 +237,9 @@ class _Handler(socketserver.StreamRequestHandler):
             self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
         body = self.rfile.read(length)
         try:
-            changeset = Changeset.from_json_dict(json.loads(body.decode("utf-8")))
-        except ValueError as exc:  # UnicodeDecodeError included
+            changeset = Changeset.from_json_dict(parse_json(body))
+        except ValueError as exc:
             self._respond_json(400, {"error": f"malformed changeset: {exc}"})
-            return
-        except RecursionError:
-            self._respond_json(400, {"error": "malformed changeset: nested too deeply"})
             return
         self._respond_json(*answer(self.host, changeset))
 

@@ -24,6 +24,7 @@ import hashlib
 from dataclasses import dataclass
 
 from . import ed25519
+from .canonical import is_int, json_object
 
 SEED_LEN = 32
 SALT_LEN = 16
@@ -54,21 +55,18 @@ class KdfParams:
     They travel with the challenge descriptor so that verifiers never have
     to guess how a flag was stretched.  cost_n is the CPU/memory cost (a
     power of two), block_r the block-size factor, parallel_p the
-    parallelization factor; out_len is fixed to the seed length.
+    parallelization factor; the record's out_len is always SEED_LEN.
     """
 
     cost_n: int
     block_r: int = 8
     parallel_p: int = 1
-    out_len: int = SEED_LEN
 
     def __post_init__(self) -> None:
         if self.cost_n < 2 or self.cost_n & (self.cost_n - 1):
             raise ValueError("cost_n must be a power of two >= 2")
         if self.block_r < 1 or self.parallel_p < 1:
             raise ValueError("block_r and parallel_p must be >= 1")
-        if self.out_len != SEED_LEN:
-            raise ValueError(f"out_len must be {SEED_LEN}")
         if _scrypt_maxmem(self.cost_n, self.block_r, self.parallel_p) > _MAXMEM_CAP:
             raise ValueError("cost parameters exceed the supported memory budget")
 
@@ -77,25 +75,20 @@ class KdfParams:
             "cost_n": self.cost_n,
             "block_r": self.block_r,
             "parallel_p": self.parallel_p,
-            "out_len": self.out_len,
+            "out_len": SEED_LEN,
         }
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "KdfParams":
-        if not isinstance(obj, dict) or set(obj) != {
-            "cost_n",
-            "block_r",
-            "parallel_p",
-            "out_len",
-        }:
-            raise ValueError("malformed KDF parameter record")
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in obj.values()):
+        json_object(obj, {"cost_n", "block_r", "parallel_p", "out_len"}, "KDF parameter record")
+        if not all(is_int(v) for v in obj.values()):
             raise ValueError("KDF parameters must be integers")
+        if obj["out_len"] != SEED_LEN:
+            raise ValueError(f"out_len must be {SEED_LEN}")
         return cls(
             cost_n=obj["cost_n"],
             block_r=obj["block_r"],
             parallel_p=obj["parallel_p"],
-            out_len=obj["out_len"],
         )
 
     @classmethod
@@ -189,7 +182,7 @@ def scrypt_seed(flag_bytes: bytes, salt: bytes, params: KdfParams) -> bytes:
         params.cost_n,
         params.block_r,
         params.parallel_p,
-        params.out_len,
+        SEED_LEN,
     )
 
 

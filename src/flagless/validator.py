@@ -21,8 +21,8 @@ import threading
 import time
 from dataclasses import dataclass
 
-from . import competition, ledger, sigproof
-from .canonical import canonical_bytes, to_hex
+from . import ledger, sigproof
+from .canonical import canonical_bytes, parse_json, to_hex
 from .competition import (
     CompetitionState,
     SubmissionRecord,
@@ -69,13 +69,14 @@ class ValidationVerdict:
 ACCEPT = ValidationVerdict.accept()
 
 _CLOSED = -1  # CompetitionHost._fd once close() has run
+_NOT_CANONICAL = "record is not in canonical form"
 
 
 def _validate_registration(
     state: CompetitionState, content: bytes, team_id: str
 ) -> ValidationVerdict:
     try:
-        record = TeamRecord.from_json_dict(competition._parse_json(content))
+        record = TeamRecord.from_json_dict(parse_json(content))
     except ValueError as exc:
         return ValidationVerdict.reject(ReasonCode.MALFORMED_RECORD, str(exc))
     if record.id != team_id:
@@ -93,6 +94,8 @@ def _validate_registration(
             ReasonCode.DUPLICATE_TEAM,
             f"public key already registered to {existing.id!r}",
         )
+    if record.serialize() != content:
+        return ValidationVerdict.reject(ReasonCode.MALFORMED_RECORD, _NOT_CANONICAL)
     return ACCEPT
 
 
@@ -108,7 +111,7 @@ def _validate_submission(
             ReasonCode.UNKNOWN_CHALLENGE, f"challenge {challenge_id!r}"
         )
     try:
-        record = SubmissionRecord.from_json_dict(competition._parse_json(content))
+        record = SubmissionRecord.from_json_dict(parse_json(content))
     except ValueError as exc:
         return ValidationVerdict.reject(ReasonCode.MALFORMED_RECORD, str(exc))
     if record.team_id != team_id or record.challenge_id != challenge_id:
@@ -122,6 +125,8 @@ def _validate_submission(
         record.proof,
     ):
         return ValidationVerdict.reject(ReasonCode.INVALID_PROOF)
+    if record.serialize() != content:
+        return ValidationVerdict.reject(ReasonCode.MALFORMED_RECORD, _NOT_CANONICAL)
     return ACCEPT
 
 
@@ -131,8 +136,9 @@ def validate_changeset(state: CompetitionState, changeset: Changeset) -> Validat
     submission and one point decompression for a registration, plus one
     the first time a team or challenge record is looked up.
 
-    The changeset's author must be the team its path names; that rule
-    comes last, so it turns only an accept into a rejection.  Every
+    Two rules come last, so each turns only an accept into a rejection:
+    the record's content must be its canonical form (`serialize()`), and
+    the changeset's author must be the team its path names.  Every
     outcome is a verdict; nothing here raises on untrusted input.
     """
     actions = []  # (change, its path's match) of each team-writable path

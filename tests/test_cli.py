@@ -275,6 +275,21 @@ def test_a_broken_registration_answer_is_one_error_line(status, body, kept, tmp_
     assert secret.exists() == kept
 
 
+def test_a_key_file_nested_too_deeply_is_one_error_line(competition, tmp_path, capsys):
+    ledger_path, _ = competition
+    nested = tmp_path / "nested.key"
+    nested.write_bytes(b"[" * 100_000)
+    before = Path(ledger_path).read_bytes()
+    for argv in (
+        ["submit", "--challenge", "warmup", "--flag", FLAG, "--secret", nested],
+        ["challenge", "add", "--id", "deep", "--title", "Deep", "--points", 1,
+         "--flag", FLAG, "--kdf-profile", "test", "--organizer-key", nested],
+    ):
+        assert cli.run([*map(str, argv), "--ledger", ledger_path]) == 1
+        assert "nested too deeply" in _error_line(capsys)
+    assert Path(ledger_path).read_bytes() == before
+
+
 def test_importing_the_cli_loads_no_http_client_or_mail_parser():
     # `serve` and the local commands start without them; --service-url
     # loads urllib on first use (test_service_url_gives_the_same_results_as_ledger)

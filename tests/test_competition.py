@@ -436,6 +436,17 @@ class TestAudit:
         report = audit_all(forged)
         assert any(f.index == target for f in report.findings)
 
+    def test_padded_team_record_is_one_malformed_finding(self, rng):
+        sim = simulate(rng, n_challenges=1, n_teams=1, solve_prob=0)
+        chain = sim.chain()
+        record = register_team("Padded Crew", rng=rng)[0]
+        content = record.serialize() + b" " * 4096
+        padded = Changeset(changes=(FileChange(team_path(record.id), content),), author=record.id)
+        entry = ledger.append(chain, padded, timestamp=chain[-1].timestamp + 1)
+        assert [(f.index, f.code, f.message) for f in audit_all(chain).findings] == [
+            (entry.index, "MALFORMED_RECORD", "record is not in canonical form")
+        ]
+
     def test_flag_secrecy_at_rest(self, rng):
         sim = simulate(rng)
         raw = ledger.dump_chain(sim.chain())

@@ -123,3 +123,27 @@ def test_every_module_level_import_is_used():
                 unused.append(f"{path.name}:{line} {name}")
     assert imports
     assert unused == []
+
+
+def _decodes_json(node: ast.AST) -> bool:
+    """Whether `node` names `json.loads` or `json.load`, imports either, or
+    catches `RecursionError`."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("load", "loads") and getattr(node.value, "id", None) == "json"
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "json" and any(a.name in ("load", "loads") for a in node.names)
+    if isinstance(node, ast.ExceptHandler) and node.type is not None:
+        return any(getattr(n, "id", None) == "RecursionError" for n in ast.walk(node.type))
+    return False
+
+
+def test_only_canonical_decodes_json():
+    """`canonical.parse_json` is the package's one JSON decoder."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _package_modules()
+        if path.name != "canonical.py"
+        for node in ast.walk(tree)
+        if _decodes_json(node)
+    ]
+    assert found == []

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from flagless import ledger, sigproof
-from flagless.canonical import canonical_bytes, to_hex
+from flagless.canonical import canonical_bytes, parse_json, to_hex
 from flagless.competition import (
     AuditFinding,
     ChallengeDescriptor,
@@ -23,7 +23,6 @@ from flagless.competition import (
     _CHALLENGE_PATH_RE,
     _SUBMISSION_PATH_RE,
     _TEAM_PATH_RE,
-    _parse_json,
     audit_all,
     build_submission,
     challenge_path,
@@ -52,7 +51,7 @@ def oracle_teams(files: dict[str, bytes]) -> dict[str, TeamRecord]:
         if not match:
             continue
         try:
-            record = TeamRecord.from_json_dict(_parse_json(files[path]))
+            record = TeamRecord.from_json_dict(parse_json(files[path]))
         except ValueError:
             continue
         teams[match.group(1)] = record
@@ -66,7 +65,7 @@ def oracle_challenges(files: dict[str, bytes]) -> dict[str, ChallengeDescriptor]
         if not match:
             continue
         try:
-            descriptor = ChallengeDescriptor.from_json_dict(_parse_json(files[path]))
+            descriptor = ChallengeDescriptor.from_json_dict(parse_json(files[path]))
         except ValueError:
             continue
         challenges[match.group(1)] = descriptor
@@ -122,8 +121,11 @@ def _reject(code, message=""):
     return ValidationVerdict.reject(code, message)
 
 
-def _authored(changeset: Changeset, team_id: str) -> ValidationVerdict:
-    """An accept for a changeset whose author is the team its path names."""
+def _last_rules(changeset: Changeset, team_id: str, record, content: bytes) -> ValidationVerdict:
+    """An accept for a changeset whose record's content is its canonical
+    form and whose author is the team its path names."""
+    if record.serialize() != content:
+        return _reject(ReasonCode.MALFORMED_RECORD, "record is not in canonical form")
     if changeset.author != team_id:
         return _reject(ReasonCode.MALFORMED_RECORD, "author is not the team")
     return ValidationVerdict.accept()
@@ -159,7 +161,7 @@ def oracle_validate(files: dict[str, bytes], changeset: Changeset) -> Validation
     change, team_id, challenge_id = actions[0]
     if challenge_id is None:
         try:
-            record = TeamRecord.from_json_dict(_parse_json(change.content))
+            record = TeamRecord.from_json_dict(parse_json(change.content))
         except ValueError as exc:
             return _reject(ReasonCode.MALFORMED_RECORD, str(exc))
         if record.id != team_id:
@@ -177,7 +179,7 @@ def oracle_validate(files: dict[str, bytes], changeset: Changeset) -> Validation
                     ReasonCode.DUPLICATE_TEAM,
                     f"public key already registered to {existing.id!r}",
                 )
-        return _authored(changeset, team_id)
+        return _last_rules(changeset, team_id, record, change.content)
     teams = oracle_teams(files)
     if team_id not in teams:
         return _reject(ReasonCode.UNKNOWN_TEAM, f"team {team_id!r}")
@@ -185,7 +187,7 @@ def oracle_validate(files: dict[str, bytes], changeset: Changeset) -> Validation
     if challenge_id not in challenges:
         return _reject(ReasonCode.UNKNOWN_CHALLENGE, f"challenge {challenge_id!r}")
     try:
-        record = SubmissionRecord.from_json_dict(_parse_json(change.content))
+        record = SubmissionRecord.from_json_dict(parse_json(change.content))
     except ValueError as exc:
         return _reject(ReasonCode.MALFORMED_RECORD, str(exc))
     if record.team_id != team_id or record.challenge_id != challenge_id:
@@ -197,7 +199,7 @@ def oracle_validate(files: dict[str, bytes], changeset: Changeset) -> Validation
         record.proof,
     ):
         return _reject(ReasonCode.INVALID_PROOF)
-    return _authored(changeset, team_id)
+    return _last_rules(changeset, team_id, record, change.content)
 
 
 # ------------------------------------------------------------------ chains

@@ -370,6 +370,9 @@ class TestCanonicalNdjson:
             assert sha256(cut) == entry_hash(*fields) == entry.hash
 
     def test_load_and_a_team_append_serialize_each_entry_once(self, rng, monkeypatch):
+        """Besides each entry once, a load serializes each challenge
+        descriptor and an accepted append its record, both to check that
+        their content is canonical."""
         sim = simulate(rng, n_challenges=2, n_teams=2, solve_prob=1.0)
         data = dump_chain(sim.chain())
         changeset = register_team("Counted", rng=rng)[2]
@@ -377,10 +380,10 @@ class TestCanonicalNdjson:
         dumps = canonical.canonical_dumps
         monkeypatch.setattr(canonical, "canonical_dumps", lambda obj: calls.append(1) or dumps(obj))
         host = CompetitionHost.load(data)
-        assert len(calls) == data.count(b"\n")
+        assert len(calls) == data.count(b"\n") + 2
         calls.clear()
         assert host.apply(changeset).index == data.count(b"\n")
-        assert len(calls) == 1
+        assert len(calls) == 2
 
     def test_single_bit_mutations_detected_sample(self, rng):
         chain, _ = _chain(rng, n_extra=6)

@@ -9,6 +9,7 @@ import contextlib
 import http.client
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -18,7 +19,15 @@ import pytest
 import flagless
 from flagless import cli, ledger, validator
 from flagless.canonical import canonical_bytes
-from flagless.competition import TeamSecret, audit_all, build_submission, register_team
+from flagless.competition import (
+    TeamSecret,
+    audit_all,
+    build_submission,
+    challenge_path,
+    new_challenge,
+    register_team,
+)
+from flagless.sigproof import KdfParams
 from flagless.validator import CompetitionHost
 
 from helpers import read_joined, simulate
@@ -194,13 +203,18 @@ def test_each_entry_is_one_line_fsynced_before_it_is_returned(sim, path, rng, mo
         assert host.snapshot()[0][-1] == org
 
 
+_PADDED = new_challenge("padded", "flag{p}", "Padded", 1, KdfParams.test(), rng=random.Random(0))
+
+
 @pytest.mark.parametrize(
     "change,code",
     [
         (ledger.FileChange("teams/evil/team.json", b"{}"), "ORG_SCOPE"),
         (ledger.FileChange("challenges/evil.json", b'{"id":1}'), "BAD_DESCRIPTOR"),
+        # well-formed, but padded with a newline: not in canonical form
+        (ledger.FileChange(challenge_path("padded"), _PADDED.serialize() + b"\n"), "BAD_DESCRIPTOR"),
     ],
-    ids=["ORG_SCOPE", "BAD_DESCRIPTOR"],
+    ids=["ORG_SCOPE", "BAD_DESCRIPTOR", "BAD_DESCRIPTOR-not-canonical"],
 )
 def test_organizer_entry_the_audit_flags_is_refused(
     sim, path, tmp_path, rng, capsys, monkeypatch, change, code

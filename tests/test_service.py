@@ -19,6 +19,7 @@ from flagless.competition import (
     register_team,
     scoreboard_bytes,
     submission_path,
+    team_path,
 )
 from flagless.ledger import Changeset, FileChange
 from flagless.service import _BAD_LENGTH, _Handler
@@ -118,6 +119,30 @@ class TestWrites:
         before = read_joined(sim.host)
         status, body = _post(service, Changeset(changes=changeset.changes, author=author))
         assert status == 422 and json.loads(body)["code"] == "MALFORMED_RECORD"
+        assert _request(service, "GET", "/ledger") == (200, before)
+
+    @pytest.mark.parametrize("case", ["padded-registration", "padded-solve", "duplicate-name"])
+    def test_a_record_not_in_canonical_form_is_422(self, service, sim, rng, case):
+        if case == "padded-solve":
+            (team_id,) = sim.teams
+            (cid,) = sim.descriptors
+            record, _ = build_submission(sim.secrets[team_id], sim.descriptors[cid], sim.flags[cid])
+            path, content = submission_path(team_id, cid), record.serialize() + b"\n" * 300_000
+        else:
+            record = register_team("Dup Crew", rng=rng)[0]
+            team_id, path, content = record.id, team_path(record.id), record.serialize()
+            if case == "duplicate-name":  # Python's parser keeps the last "id"
+                content = b'{"id":"someone-else",' + content[1:]
+            else:
+                content += b" " * 700_000
+        changeset = Changeset(changes=(FileChange(path=path, content=content),), author=team_id)
+        before = read_joined(sim.host)
+        status, body = _post(service, changeset)
+        assert status == 422 and json.loads(body) == {
+            "code": "MALFORMED_RECORD",
+            "message": "record is not in canonical form",
+            "outcome": "REJECT",
+        }
         assert _request(service, "GET", "/ledger") == (200, before)
 
     def test_healthz_names_the_last_acknowledged_entry(self, service, sim, rng):
@@ -311,11 +336,17 @@ class TestConnectionCap:
 
 
 class TestWorkers:
-    def test_fresh_connections_reuse_at_most_two_workers(self, sim):
+    def test_fresh_connections_one_at_a_time_share_one_worker(self, sim):
         with BackgroundService(sim.host) as svc:
             before = set(threading.enumerate())
             workers = set()
             for _ in range(40):
+                # the last connection is live until its worker reads the
+                # client's end of stream; with none live, the one worker serves
+                deadline = time.monotonic() + TIMEOUT_S
+                while svc.server._live and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                assert not svc.server._live
                 conn = http.client.HTTPConnection(*svc.server.server_address[:2], timeout=TIMEOUT_S)
                 try:
                     conn.request("GET", "/healthz")
@@ -324,9 +355,8 @@ class TestWorkers:
                     workers |= set(threading.enumerate()) - before
                 finally:
                     conn.close()
-        # a worker frees its slot as its client closes, so at most the next
-        # connection finds it not yet idle
-        assert 1 <= len(workers) <= 2
+        # a worker starts only when the live connections outnumber the workers
+        assert len(workers) == 1
         assert not any(worker.is_alive() for worker in workers)
 
     def test_closing_the_server_ends_its_workers_with_a_connection_idle(self, sim):

@@ -128,8 +128,8 @@ class TestKdfParams:
             KdfParams(cost_n=cost)
 
     def test_out_len_pinned_to_seed(self):
-        with pytest.raises(ValueError):
-            KdfParams(cost_n=16, out_len=64)
+        with pytest.raises(ValueError, match="out_len"):
+            KdfParams.from_json_dict({**KdfParams.test().to_json_dict(), "out_len": 64})
 
     def test_round_trip(self):
         params = KdfParams.competition()
