@@ -41,7 +41,7 @@ from .competition import (
     scoreboard_bytes,
 )
 from .sigproof import PROFILES
-from .validator import CompetitionHost
+from .validator import CompetitionHost, FileRegion
 
 
 class CliError(Exception):
@@ -103,7 +103,12 @@ class LocalTarget(_Target):
             return fh.read()
 
     def _get(self, route: str) -> bytes:
-        return b"".join(CompetitionHost.load(self.ledger_bytes()).read(route))
+        with CompetitionHost.load(self.ledger_bytes()) as host:
+            body = host.read(route)
+        if isinstance(body, FileRegion):
+            with body:
+                return body.read()
+        return body
 
     def _post(self, changeset) -> tuple[int, bytes]:
         with CompetitionHost.open(self.path) as host:
@@ -227,7 +232,7 @@ def cmd_challenge_add(args) -> int:
         categories=tuple(args.category),
     )
     with CompetitionHost.open(args.ledger) as host:
-        if any(d["id"] == args.id for d in parse_json(b"".join(host.read("/challenges")))):
+        if any(d["id"] == args.id for d in parse_json(host.read("/challenges"))):
             raise CliError(f"challenge {args.id!r} already released")
         entry = host.apply_organizer(challenge_changeset(descriptor), secret.seed)
     if args.json:

@@ -35,22 +35,23 @@ outnumber the workers, so a client that opens a connection for each
 request starts no thread for each.  A connection that stays silent for
 `_Handler.timeout` seconds, mid-request (say, a body shorter than its
 Content-Length) or between keep-alive requests, is closed without an
-answer, so a stalled client cannot pin a worker.  One that the client
-resets is closed and logged at debug level only.  The host
-serializes appends and reads, so every read sees the state between two
-appends.  `GET /ledger` serves the canonical bytes the host holds (for a
-file host, the bytes of its file) without serializing the chain, and the
-other GET bodies are built at most once per chain head (the challenge
-list once per release).  Each read hands the handler immutable pieces (a
-few for the ledger, one for any other body), written to the socket
-outside the host's lock, after the answer's head, in one gather write:
-no answer copies the ledger.  When the host holds a ledger file, a 201
-goes out only after the entry's line is fsynced there; if that write
-fails, the connection is closed without an answer and the entry is not
-kept.  A 503 is safe to retry: its request was not read.  An unanswered
-POST may still have been appended, so its retry can get 422
-`DUPLICATE_SUBMISSION` or `DUPLICATE_TEAM`; `GET /ledger` tells
-whether the entry is there.
+answer, so a stalled client cannot pin a worker; one whose client takes
+no byte of an answer for that long is closed with the answer cut short.
+One that the client resets is closed and logged at debug level only.
+The host serializes appends and reads, so every read sees the state
+between two appends.  `GET /ledger` is the acknowledged prefix of the
+host's file (for `serve`, the ledger file): its bytes up to the last
+entry acknowledged when the read began, sent from the file with
+`sendfile` after the answer's head, outside the host's lock.  So `serve`
+keeps no copy of the ledger, and never sends a byte past that prefix.
+The other GET bodies are built at most once per chain head (the
+challenge list once per release), and each goes out with its head in one
+gather write.  A 201 goes out only after the entry's line is fsynced to
+the host's file; if that write fails, the connection is closed without
+an answer and the entry is not kept.  A 503 is safe to retry: its
+request was not read.  An unanswered POST may still have been appended,
+so its retry can get 422 `DUPLICATE_SUBMISSION` or `DUPLICATE_TEAM`;
+`GET /ledger` tells whether the entry is there.
 """
 
 from __future__ import annotations
@@ -58,7 +59,9 @@ from __future__ import annotations
 import collections
 import functools
 import logging
+import os
 import re
+import select
 import socket
 import socketserver
 import threading
@@ -67,7 +70,7 @@ from http import HTTPStatus
 
 from .canonical import canonical_bytes, parse_json, to_hex
 from .ledger import Changeset
-from .validator import CompetitionHost, ValidationVerdict
+from .validator import CompetitionHost, FileRegion, ValidationVerdict
 
 MAX_BODY_BYTES = 1 << 20
 MAX_CONNECTIONS = 64
@@ -87,17 +90,39 @@ def _http_date(second: int) -> str:
     return time.strftime("%a, %d %b %Y %H:%M:%S GMT", time.gmtime(second))
 
 
-def _send(sock: socket.socket, status: int, pieces, content_type: str, close: bool) -> None:
-    """Write an answer whose body is `pieces` joined: its head, then the
-    pieces, in one gather write (`sendmsg`), with more only for what the
-    socket did not take."""
+def _send(sock: socket.socket, status: int, body, content_type: str, close: bool) -> None:
+    """Write an answer whose body is bytes or a `FileRegion`.  Bytes go
+    out with the head in one gather write (`sendmsg`), with more only for
+    what the socket did not take.  A region goes out from its file with
+    `sendfile`, after the head; while the socket's buffer is full it
+    waits for room, and raises `TimeoutError` when none comes within the
+    socket's timeout."""
     head = (
         f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\nServer: flagless\r\n"
         f"Date: {_http_date(int(time.time()))}\r\n"
         + ("Connection: close\r\n" if close else "")
-        + f"Content-Type: {content_type}\r\nContent-Length: {sum(map(len, pieces))}\r\n\r\n"
-    )
-    buffers = [head.encode("ascii"), *pieces]
+        + f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n\r\n"
+    ).encode("ascii")
+    if isinstance(body, FileRegion):
+        # Not with MSG_MORE: a corked head held the whole body back, and a
+        # keep-alive GET /ledger of 442 KB over loopback on a 2-vCPU Linux
+        # machine took 0.8 ms instead of 0.16.
+        sock.sendall(head)
+        out, offset = sock.fileno(), 0
+        while offset < body.size:
+            try:
+                sent = os.sendfile(out, body.fd, offset, body.size - offset)
+            except BlockingIOError:  # only a socket with a timeout is nonblocking
+                poller = select.poll()
+                poller.register(out, select.POLLOUT)
+                if not poller.poll(sock.gettimeout() * 1000):
+                    raise TimeoutError("the client stopped reading") from None
+                continue
+            if not sent:
+                raise EOFError("the file is shorter than its region")
+            offset += sent
+        return
+    buffers = [head, body]
     while buffers:
         sent = sock.sendmsg(buffers)
         while buffers and sent >= len(buffers[0]):
@@ -132,10 +157,11 @@ class _Headers(dict):
 
 
 class _Handler(socketserver.StreamRequestHandler):
-    # An answer is one gather write, but a long ledger's last segment would
-    # still wait on the client's delayed ACK (~40 ms on keep-alive).
+    # An answer's last segment, a ledger's from `sendfile` included, would
+    # otherwise wait on the client's delayed ACK (~40 ms on keep-alive).
     disable_nagle_algorithm = True
-    # Socket timeout in seconds; a read that times out closes the connection.
+    # Socket timeout in seconds; a read, or a wait for room to send, that
+    # times out closes the connection.
     timeout = 30
     host: CompetitionHost  # set by make_server on the handler subclass
 
@@ -148,9 +174,9 @@ class _Handler(socketserver.StreamRequestHandler):
                         return
             except _Refused as exc:
                 status, error = exc.args
-                self._respond(status, [canonical_bytes({"error": error})], close=True)
+                self._respond(status, canonical_bytes({"error": error}), close=True)
         except TimeoutError:
-            pass  # closed without an answer
+            pass  # closed without an answer, or with one cut short
         except ConnectionError as exc:  # the client reset or closed mid-request
             log.debug("%s %s %s: %s", self.client_address[0], self.command, self.path, exc)
 
@@ -195,30 +221,31 @@ class _Handler(socketserver.StreamRequestHandler):
         return True
 
     def _respond(
-        self, status: int, pieces, content_type: str = "application/json", *, close=False
+        self, status: int, body, content_type: str = "application/json", *, close=False
     ) -> None:
         self.close_connection = self.close_connection or close
-        _send(self.request, status, pieces, content_type, self.close_connection)
+        _send(self.request, status, body, content_type, self.close_connection)
         log.debug("%s %s %s %d", self.client_address[0], self.command, self.path, status)
 
     def _respond_json(self, status: int, obj) -> None:
-        self._respond(status, [canonical_bytes(obj)])
+        self._respond(status, canonical_bytes(obj))
 
     def do_GET(self) -> None:
         # A GET body is never read, so a connection that sent one closes.
         chunked = self.headers.get("Transfer-Encoding") is not None
         close = chunked or self.headers.get("Content-Length") not in (None, "0")
-        pieces = self.host.read(self.path)
-        if pieces is None:
-            self._respond(404, [_NOT_FOUND], close=close)
+        body = self.host.read(self.path)
+        if body is None:
+            self._respond(404, _NOT_FOUND, close=close)
         elif self.path == "/ledger":
-            self._respond(200, pieces, "application/x-ndjson", close=close)
+            with body:
+                self._respond(200, body, "application/x-ndjson", close=close)
         else:
-            self._respond(200, pieces, close=close)
+            self._respond(200, body, close=close)
 
     def do_POST(self) -> None:
         if self.path != "/changesets":
-            self._respond(404, [_NOT_FOUND], close=True)
+            self._respond(404, _NOT_FOUND, close=True)
             return
         # RFC 9112 section 6.3: no Transfer-Encoding and exactly one
         # Content-Length of ASCII digits; anything else is unrecoverable
@@ -227,11 +254,11 @@ class _Handler(socketserver.StreamRequestHandler):
         value = lengths[0] if len(lengths) == 1 else ""
         chunked = self.headers.get("Transfer-Encoding") is not None
         if chunked or not (value.isascii() and value.isdigit()):
-            self._respond(400, [_BAD_LENGTH], close=True)
+            self._respond(400, _BAD_LENGTH, close=True)
             return
         length = int(value)
         if length > MAX_BODY_BYTES:
-            self._respond(413, [_TOO_LARGE], close=True)
+            self._respond(413, _TOO_LARGE, close=True)
             return
         if self._http11 and self.headers.get("Expect", "").lower() == "100-continue":
             self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
@@ -271,7 +298,7 @@ class _Server(socketserver.TCPServer):
             if live < MAX_CONNECTIONS:
                 self._live.add(request)
         if live >= MAX_CONNECTIONS:
-            _send(request, 503, [_BUSY], "application/json", True)
+            _send(request, 503, _BUSY, "application/json", True)
             log.debug("%s refused: %d connections live", client_address[0], MAX_CONNECTIONS)
             self.shutdown_request(request)
             return

@@ -17,8 +17,10 @@ from __future__ import annotations
 import enum
 import fcntl
 import os
+import tempfile
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 
 from . import ledger, sigproof
@@ -68,7 +70,7 @@ class ValidationVerdict:
 
 ACCEPT = ValidationVerdict.accept()
 
-_CLOSED = -1  # CompetitionHost._fd once close() has run
+_CLOSED = "the competition host is closed"
 _NOT_CANONICAL = "record is not in canonical form"
 
 
@@ -174,10 +176,59 @@ def validate_changeset(state: CompetitionState, changeset: Changeset) -> Validat
     return verdict
 
 
+def _write_at(fd: int, data: bytes, offset: int) -> None:
+    """Write all of `data` to the file `fd` at `offset`."""
+    view = memoryview(data)
+    while view:
+        written = os.pwrite(fd, view, offset)
+        view, offset = view[written:], offset + written
+
+
+def _read_prefix(fd: int, size: int) -> bytes:
+    """The first `size` bytes of the file `fd`."""
+    data = b""
+    while len(data) < size:
+        more = os.pread(fd, size - len(data), len(data))
+        if not more:
+            raise EOFError("the file is shorter than its acknowledged bytes")
+        data += more
+    return data
+
+
+class FileRegion:
+    """The first `size` bytes of a file, read through a descriptor of the
+    region's own (`os.dup`), so that it reads the same file, and the same
+    bytes, after the host that made it closes.  Close it, or use it as a
+    `with` block."""
+
+    __slots__ = ("fd", "size")
+
+    def __init__(self, fd: int, size: int):
+        self.fd, self.size = os.dup(fd), size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def read(self) -> bytes:
+        return _read_prefix(self.fd, self.size)
+
+    def close(self) -> None:
+        if self.fd >= 0:
+            os.close(self.fd)
+            self.fd = -1
+
+    def __enter__(self) -> "FileRegion":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 class CompetitionHost:
-    """Owns a ledger's canonical bytes and its folded state, and
-    serializes every append.  It keeps no parsed chain: `snapshot` parses
-    the bytes it holds.
+    """Owns one file that holds exactly the ledger's acknowledged bytes,
+    and the ledger's folded state, and serializes every append.  It keeps
+    no parsed chain and no copy of the ledger: `snapshot` and `read` read
+    the file.
 
     The host refuses any entry that breaks a rule of
     `competition.audit_entry`: the chain, genesis and organizer rules.
@@ -190,31 +241,36 @@ class CompetitionHost:
     ledger can hold solves that name no team or challenge; the scoreboard
     leaves them out, and the audit flags the entries that wrote them.
 
-    All reads and appends take one lock.  An append builds the next entry
-    on the state's head, serializing it once, folds it into the state and
-    adds its canonical line to the ledger the host holds.  The ledger is
-    held as a few immutable pieces: the bytes loaded, never copied, then
-    the appended lines, merged so that each appended piece is more than
-    twice the size of the next, which leaves O(log n) of them.
-    `read(route)` gives a body as immutable pieces, so a caller writes it
-    out without holding the lock and no read joins the ledger: the
-    ledger's pieces, or the head, scoreboard or challenge body as one
-    piece, built on its first read after the state it depends on moves and
-    then kept.  The head and scoreboard bodies depend on the head; the
-    challenge body only on the state's count of challenge writes, so team
-    entries leave it as it is.  An append given no timestamp takes the
-    clock's, or the head's when the clock is behind it.
+    A host made by `open` uses the ledger file itself and is its only
+    writer: it holds an exclusive lock on the file until `close`.  A host
+    made by `load` or from a chain uses an anonymous temporary file, which
+    leaves no name behind.  A host dropped without `close` releases its
+    file when it is collected.
 
-    A host made by `open` is the only writer of its ledger file: it holds
-    an exclusive lock on the file until `close`, and appends each entry as
-    one canonical line, fsynced before `apply` or `apply_organizer`
-    returns it.  An entry whose write fails joins neither the held bytes
-    nor the state, and is cut back out of the file; if that cut fails too,
-    the host closes the file and refuses every later append, as after
-    `close`.  Hosts made by `load` or from a chain live in memory.
+    All reads and appends take one lock.  An append builds the next entry
+    on the state's head, serializing it once, writes its canonical line
+    to the file right after the acknowledged bytes and fsyncs it, so the
+    line is on disk before `apply` or `apply_organizer` returns the entry,
+    and then folds it into the state.  An entry whose write fails joins
+    neither the acknowledged bytes nor the state, and is cut back out of
+    the file; if that cut fails too, the host refuses every later append,
+    as after `close`, and still serves the bytes it acknowledged.  An
+    append given no timestamp takes the clock's, or the head's when the
+    clock is behind it.
+
+    `read(route)` gives the body of `/ledger` as a `FileRegion`: the
+    acknowledged bytes at that instant, on a descriptor of its own, so a
+    caller sends them without holding the lock and never sends a byte
+    past them or from another file.  Any other body is one bytes object,
+    built on its first read after the state it depends on moves and then
+    kept: the head and scoreboard bodies depend on the head, the challenge
+    body only on the state's count of challenge writes, so team entries
+    leave it as it is.
     """
 
-    def __init__(self, chain: list[LedgerEntry], *, _data: bytes | None = None):
+    def __init__(
+        self, chain: list[LedgerEntry], *, _data: bytes | None = None, _fd: int | None = None
+    ):
         self._lock = threading.Lock()
         self._state = CompetitionState()
         for entry in chain:
@@ -222,17 +278,19 @@ class CompetitionHost:
             self._state.fold(entry)
         if self._state.head is None:
             raise ledger.ChainError(ledger.NO_GENESIS)
-        self._fd: int | None = None  # the ledger file's descriptor, if any
-        self._size = 0  # bytes of the file the held ledger accounts for
-        # dump_chain(chain) in pieces, the first of them as loaded
-        self._pieces = [ledger.dump_chain(chain) if _data is None else _data]
-        # route -> (the version of the state it was built at, its body as pieces)
-        self._bodies: dict[str, tuple[int, tuple[bytes, ...]]] = {}
+        data = ledger.dump_chain(chain) if _data is None else _data
+        self._fd = _anonymous_file(data) if _fd is None else _fd
+        self._size = len(data)  # the acknowledged bytes: the file's first `_size`
+        self._release = weakref.finalize(self, os.close, self._fd)
+        self._refusal: str | None = None  # why appends are refused, once they are
+        # route -> (the version of the state it was built at, its body)
+        self._bodies: dict[str, tuple[int, bytes]] = {}
 
     @classmethod
     def load(cls, data: bytes) -> "CompetitionHost":
-        """In-memory host of the NDJSON ledger `data`.  `load_chain` proves
-        every line canonical, so `data` is kept and served as it is."""
+        """Host of the NDJSON ledger `data` on an anonymous file.
+        `load_chain` proves every line canonical, so `data` is written and
+        served as it is."""
         return cls(ledger.load_chain(data), _data=data)
 
     @classmethod
@@ -240,7 +298,7 @@ class CompetitionHost:
         """Host the ledger file at `path` until `close` (or the end of a
         `with` block).  Raises `BlockingIOError` when another host holds
         the file, `ChainError` when it does not load or verify."""
-        fd = os.open(path, os.O_RDWR | os.O_APPEND)
+        fd = os.open(path, os.O_RDWR)
         try:
             try:
                 fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -248,25 +306,29 @@ class CompetitionHost:
                 raise BlockingIOError(exc.errno, "another process holds the ledger", path) from None
             with open(fd, "rb", closefd=False) as fh:
                 data = fh.read()
-            host = cls.load(data)
+            return cls(ledger.load_chain(data), _data=data, _fd=fd)
         except BaseException:
             os.close(fd)
             raise
-        host._fd, host._size = fd, len(data)
-        return host
 
     def close(self) -> None:
-        """Release the ledger file; appends after this raise ValueError."""
+        """Release the ledger file; appends, `snapshot` and reads of
+        `/ledger` after this raise ValueError."""
         with self._lock:
-            if self._fd not in (None, _CLOSED):
-                os.close(self._fd)
-            self._fd = _CLOSED
+            self._release()
+            self._refusal = _CLOSED
 
     def __enter__(self) -> "CompetitionHost":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    def _file(self) -> int:
+        """The file's descriptor, or ValueError once the host is closed."""
+        if not self._release.alive:
+            raise ValueError(_CLOSED)
+        return self._fd
 
     def _check(self, entry: LedgerEntry) -> None:
         """Raise `ChainError` at `entry`'s first `audit_entry` finding."""
@@ -277,35 +339,27 @@ class CompetitionHost:
         self, changeset: Changeset, timestamp: int | None, org_secret: bytes | None = None
     ) -> LedgerEntry:
         """Build the entry after the head, check it, write it to the file
-        if there is one, then fold it."""
-        if self._fd == _CLOSED:
-            raise ValueError("the competition host is closed")
+        after the acknowledged bytes, then fold it."""
+        if self._refusal is not None:
+            raise ValueError(self._refusal)
         head = self._state.head
         if timestamp is None:
             timestamp = max(int(time.time()), head.timestamp)
         entry = ledger.make_entry(head.index + 1, timestamp, head.hash, changeset, org_secret)
         self._check(entry)
         line = ledger.dump_entry(entry) + b"\n"
-        if self._fd is not None:
+        try:
+            _write_at(self._fd, line, self._size)
+            os.fsync(self._fd)
+        except BaseException:
             try:
-                written = 0
-                while written < len(line):
-                    written += os.write(self._fd, line[written:])
-                os.fsync(self._fd)
-            except BaseException:
-                try:
-                    os.ftruncate(self._fd, self._size)
-                except OSError:
-                    # The file may still end in this line, and the next
-                    # entry must not land behind it.
-                    fd, self._fd = self._fd, _CLOSED
-                    os.close(fd)
-                raise
-            self._size += len(line)
-        pieces = self._pieces
-        pieces.append(line)
-        while len(pieces) > 2 and len(pieces[-2]) <= 2 * len(pieces[-1]):  # never the first
-            pieces[-2:] = [pieces[-2] + pieces[-1]]
+                os.ftruncate(self._fd, self._size)
+            except OSError:
+                # The file may still hold this line after the acknowledged
+                # bytes, and a later line would only partly overwrite it.
+                self._refusal = "the host is closed: a failed line could not be cut from its file"
+            raise
+        self._size += len(line)
         self._state.fold(entry)
         return entry
 
@@ -332,21 +386,23 @@ class CompetitionHost:
 
     def snapshot(self) -> tuple[list[LedgerEntry], dict[str, bytes]]:
         """The chain and a copy of its files, taken at one instant.  The
-        chain is parsed from the held bytes, but for its last entry: the
-        state's head, which is the entry the last append returned.  Nothing
-        in the package calls it: the tests read it, and the benchmark's
-        traced run wraps it."""
+        chain is parsed from the file's acknowledged bytes, but for its
+        last entry: the state's head, which is the entry the last append
+        returned.  Nothing in the package calls it: the tests read it, and
+        the benchmark's traced run wraps it."""
         with self._lock:
-            data, head, files = b"".join(self._pieces), self._state.head, dict(self._state.files)
+            data = _read_prefix(self._file(), self._size)
+            head, files = self._state.head, dict(self._state.files)
         return ledger.load_chain(data)[:-1] + [head], files
 
-    def read(self, route: str) -> tuple[bytes, ...] | None:
-        """The body of `GET route` as immutable pieces, or None for a route
-        that is not served.  The pieces of `/ledger` join to the canonical
-        NDJSON ledger: for a file host, the file's bytes."""
+    def read(self, route: str) -> bytes | FileRegion | None:
+        """The body of `GET route`, or None for a route that is not
+        served.  The body of `/ledger` is a `FileRegion` of the file's
+        acknowledged bytes, the canonical NDJSON ledger, which the caller
+        closes; any other body is bytes."""
         if route == "/ledger":
             with self._lock:
-                return tuple(self._pieces)
+                return FileRegion(self._file(), self._size)
         if route not in _BODIES:
             return None
         version, build = _BODIES[route]
@@ -354,8 +410,15 @@ class CompetitionHost:
             now = version(self._state)
             kept = self._bodies.get(route)
             if kept is None or kept[0] != now:
-                kept = self._bodies[route] = (now, (build(self._state),))
+                kept = self._bodies[route] = (now, build(self._state))
             return kept[1]
+
+
+def _anonymous_file(data: bytes) -> int:
+    """A descriptor of a new temporary file, with no name, that holds `data`."""
+    with tempfile.TemporaryFile() as fh:
+        _write_at(fh.fileno(), data, 0)
+        return os.dup(fh.fileno())
 
 
 def _head_index(state: CompetitionState) -> int:

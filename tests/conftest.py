@@ -1,4 +1,6 @@
+import gc
 import importlib.util
+import os
 import random
 import shlex
 import shutil
@@ -14,6 +16,8 @@ from flagless import ed25519
 
 REPO = Path(__file__).resolve().parents[1]
 KERNELS = ["compiled", "pure"]
+# modules whose tests must close every descriptor they open
+FD_GUARDED = {"test_held_bytes.py", "test_ledger_file.py", "test_service.py"}
 
 
 @pytest.fixture(scope="session")
@@ -65,3 +69,23 @@ def backend(request, monkeypatch):
 @pytest.fixture
 def rng():
     return random.Random(0xF1A6)
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.fixture(autouse=True)
+def no_descriptor_leak(request):
+    """Fail a test of an `FD_GUARDED` module that ends with more open
+    descriptors than it began with.  Does nothing where there is no
+    /proc/self/fd to count."""
+    if request.path.name not in FD_GUARDED or not os.path.isdir("/proc/self/fd"):
+        yield
+        return
+    before = _open_fds()
+    yield
+    if _open_fds() > before:
+        gc.collect()  # a host dropped without close releases its file when collected
+        after = _open_fds()
+        assert after <= before, f"{after - before} file descriptor(s) left open"

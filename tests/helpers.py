@@ -23,7 +23,7 @@ from flagless.competition import (
 from flagless.ledger import ZERO_HASH, Changeset, FileChange, LedgerEntry, genesis
 from flagless.service import make_server
 from flagless.sigproof import KdfParams, keypair_from_seed
-from flagless.validator import CompetitionHost, ValidationVerdict
+from flagless.validator import CompetitionHost, FileRegion, ValidationVerdict
 
 
 def entry_hash(
@@ -48,9 +48,13 @@ def scoreboard_json(rows: list[ScoreboardRow]) -> bytes:
     return canonical_bytes([row.to_json_dict() for row in rows])
 
 
-def read_joined(host: CompetitionHost, route: str = "/ledger") -> bytes:
-    """`host.read(route)`, its pieces joined."""
-    return b"".join(host.read(route))
+def read_body(host: CompetitionHost, route: str = "/ledger") -> bytes:
+    """The bytes of `host.read(route)`: a `FileRegion`'s read and closed."""
+    body = host.read(route)
+    if isinstance(body, FileRegion):
+        with body:
+            return body.read()
+    return body
 
 
 class BackgroundService:
@@ -146,6 +150,19 @@ def simulate(
         assert not isinstance(result, ValidationVerdict), result
         sim.solves[(tid, cid)] = result.index
     return sim
+
+
+def padded_chain(rng: Random, org_seed: bytes, size: int, entries: int = 32) -> list[LedgerEntry]:
+    """A chain of at least `size` bytes, quick to build: genesis, then
+    `entries` organizer entries that each rewrite `meta/padding` with
+    random bytes, so a folded state keeps only the last of them."""
+    org = keypair_from_seed(org_seed)
+    chain = [genesis(org.public, canonical_bytes({"created_at": 0, "name": "padded"}), 0)]
+    for i in range(entries):
+        # base64 makes each line a third longer than its content
+        padding = FileChange(path="meta/padding", content=rng.randbytes(size * 3 // 4 // entries))
+        ledger.append(chain, Changeset((padding,), "organizer"), i + 1, org_secret=org_seed)
+    return chain
 
 
 def brute_force_scoreboard(sim: Sim) -> list[tuple[int, str, int, int, int | None]]:

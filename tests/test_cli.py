@@ -166,7 +166,7 @@ def test_service_url_gives_the_same_results_as_ledger(competition, tmp_path, cap
 
         audited = both(lambda t: ["audit"])
         assert audited["ledger"] == audited["service"] and audited["ledger"][0] == 0
-    assert ledger.read_ledger(str(served)) == host.snapshot()[0]
+        assert ledger.read_ledger(str(served)) == host.snapshot()[0]
 
 
 def test_a_solve_of_no_challenge_is_not_scored_and_is_flagged(competition, tmp_path, capsys):

@@ -39,7 +39,7 @@ from flagless.validator import (
     validate_changeset,
 )
 
-from helpers import read_joined, scoreboard_json, simulate
+from helpers import read_body, scoreboard_json, simulate
 
 # ------------------------------------------------------------------ oracle
 
@@ -352,7 +352,7 @@ def assert_fold_matches_oracle(sim, chain, secrets, rng):
                 hosted = False
             else:
                 rows = CompetitionState.from_chain(prefix).scoreboard()
-                assert read_joined(host, "/scoreboard") == scoreboard_json(rows), entry.index
+                assert read_body(host, "/scoreboard") == scoreboard_json(rows), entry.index
     # ... and count them once from a fresh fold
     assert CompetitionState.from_chain(chain).scoreboard() == expected
     report = audit_all(chain)
@@ -411,7 +411,7 @@ def test_host_refuses_exactly_what_the_audit_flags_by_its_rules(rng, forgeries):
                 load()
         else:
             # team entries are not validated again at load
-            assert read_joined(load()) == ledger.dump_chain(forge.chain)
+            assert read_body(load()) == ledger.dump_chain(forge.chain)
 
 
 def test_audit_stops_at_the_first_chain_finding_keeping_those_before(rng):

@@ -1,19 +1,22 @@
-"""Reads served from the bytes the host holds.
+"""Reads served from the host's file and the bodies it keeps.
 
-The host keeps its ledger as the canonical NDJSON it loaded and the line
-of each append, and builds its scoreboard, challenge and head bodies once
-per chain head; `CompetitionHost.read(route)` gives each of them, and is
-the one read path of both `serve` and the CLI's `--ledger` target.  These
-tests hold those bytes to fresh serializations after every kind of
-append, check that HTTP and a `--ledger` target read exactly
-`host.read(route)`, and check that concurrent readers only ever see
-whole, immutable snapshots.
+The host keeps its ledger only in its file, serves `/ledger` as a region
+of the file's acknowledged bytes, and builds its scoreboard, challenge
+and head bodies once per chain head; `CompetitionHost.read(route)` gives
+each of them, and is the one read path of both `serve` and the CLI's
+`--ledger` target.  These tests hold those bytes to fresh serializations
+after every kind of append, check that HTTP and a `--ledger` target read
+exactly `host.read(route)`, that the host holds no copy of the ledger,
+and that concurrent readers only ever see whole, growing ledgers.
 """
 
+import gc
 import http.client
 import json
+import os
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -29,7 +32,7 @@ from flagless.competition import (
 from flagless.sigproof import KdfParams
 from flagless.validator import CompetitionHost, ValidationVerdict
 
-from helpers import BackgroundService, read_joined, scoreboard_json, simulate
+from helpers import BackgroundService, padded_chain, read_body, scoreboard_json, simulate
 
 TIMEOUT_S = 10
 ROUTES = ("/ledger", "/scoreboard", "/challenges", "/healthz")
@@ -37,17 +40,21 @@ ROUTES = ("/ledger", "/scoreboard", "/challenges", "/healthz")
 
 @pytest.fixture
 def sim(rng):
-    return simulate(rng, n_challenges=2, n_teams=1, solve_prob=0.0)
+    sim = simulate(rng, n_challenges=2, n_teams=1, solve_prob=0.0)
+    with sim.host:
+        yield sim
 
 
 @pytest.fixture(params=["chain", "bytes", "file"])
 def hosted(request, sim, tmp_path):
-    """(host, ledger path or None): built from a chain in memory, from
-    ledger bytes in memory, or opened on a ledger file."""
+    """(host, ledger path or None): built from a chain or from ledger
+    bytes, on an anonymous file, or opened on a ledger file."""
     if request.param == "chain":
-        yield CompetitionHost(sim.chain()), None
+        with CompetitionHost(sim.chain()) as host:
+            yield host, None
     elif request.param == "bytes":
-        yield CompetitionHost.load(ledger.dump_chain(sim.chain())), None
+        with CompetitionHost.load(ledger.dump_chain(sim.chain())) as host:
+            yield host, None
     else:
         path = tmp_path / "ledger.ndjson"
         ledger.write_ledger(str(path), sim.chain())
@@ -67,10 +74,10 @@ def _check(host, path, conn) -> None:
     """The held and served bytes against fresh serializations, and each
     route's HTTP body, and a `--ledger` target's, against `host.read`."""
     for route in ROUTES:
-        assert _get(conn, route) == read_joined(host, route), route
+        assert _get(conn, route) == read_body(host, route), route
         if path is not None:
-            assert cli.LocalTarget(str(path))._get(route) == read_joined(host, route), route
-    held = read_joined(host)
+            assert cli.LocalTarget(str(path))._get(route) == read_body(host, route), route
+    held = read_body(host)
     chain = ledger.load_chain(held)
     assert held == ledger.dump_chain(chain)
     assert chain == host.snapshot()[0]
@@ -123,16 +130,18 @@ def test_held_bytes_match_a_fresh_serialization_after_every_append(
             host.apply_organizer(challenge_changeset(descriptor), sim.org_seed)
             _check(host, path, conn)
 
+            # a failed write is cut back out, on an anonymous file too,
+            # and the next line lands right after the acknowledged bytes
             late = build_submission(secret, descriptor, "flag{late}")[1]
-            if path is not None:
-                def fsync(fd):
-                    raise OSError(5, "simulated I/O error")
 
-                monkeypatch.setattr(validator.os, "fsync", fsync)
-                with pytest.raises(OSError, match="simulated"):
-                    host.apply(late)
-                monkeypatch.undo()
-                _check(host, path, conn)
+            def fsync(fd):
+                raise OSError(5, "simulated I/O error")
+
+            monkeypatch.setattr(validator.os, "fsync", fsync)
+            with pytest.raises(OSError, match="simulated"):
+                host.apply(late)
+            monkeypatch.undo()
+            _check(host, path, conn)
 
             assert not isinstance(host.apply(late), ValidationVerdict)
             _check(host, path, conn)
@@ -165,22 +174,67 @@ def test_the_challenge_list_is_kept_until_a_release(sim, rng):
         "late", "flag{late}", title="Late", points=50, kdf=KdfParams.test(), rng=rng
     )
     host.apply_organizer(challenge_changeset(descriptor), sim.org_seed)
-    assert [d["id"] for d in json.loads(read_joined(host, "/challenges"))] == [
+    assert [d["id"] for d in json.loads(read_body(host, "/challenges"))] == [
         "chal-0", "chal-1", "late"
     ]
 
 
-def test_the_ledger_is_held_in_few_pieces_and_the_loaded_bytes_uncopied(sim, rng):
-    data = ledger.dump_chain(sim.chain())
-    host = CompetitionHost.load(data)
-    for i in range(40):
-        assert not isinstance(host.apply(register_team(f"Piece {i}", rng=rng)[2]), ValidationVerdict)
-        pieces = host.read("/ledger")
-        assert pieces[0] is data
-        # each appended piece is more than twice the next, so few are held
-        assert all(len(a) > 2 * len(b) for a, b in zip(pieces[1:], pieces[2:]))
-    assert len(pieces) <= 5
-    assert b"".join(pieces) == ledger.dump_chain(host.snapshot()[0])
+def test_the_host_holds_no_copy_of_the_ledger(rng, tmp_path):
+    org_seed = rng.randbytes(32)
+    path = tmp_path / "ledger.ndjson"
+    ledger.write_ledger(str(path), padded_chain(rng, org_seed, 4 << 20))
+    size = path.stat().st_size
+    notes = [ledger.Changeset((ledger.FileChange(f"meta/note-{i}", b"hi"),), "organizer")
+             for i in range(3)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with CompetitionHost.open(str(path)) as host, BackgroundService(host) as svc:
+            for note in notes:
+                host.apply_organizer(note, org_seed)
+            conn = http.client.HTTPConnection(*svc.server.server_address[:2], timeout=TIMEOUT_S)
+            try:
+                for _ in range(2):
+                    assert _get(conn, "/ledger") == path.read_bytes()
+            finally:
+                conn.close()
+            gc.collect()
+            # the state keeps the last padding, a 32nd of the ledger
+            held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert size >= 4 << 20
+    assert held < size // 8, (held, size)
+
+
+def test_a_region_reads_its_own_file_after_the_host_closes(sim, tmp_path):
+    path = tmp_path / "ledger.ndjson"
+    ledger.write_ledger(str(path), sim.chain())
+    (tmp_path / "other").write_bytes(b"x" * path.stat().st_size)
+    host = CompetitionHost.open(str(path))
+    region, fd = host.read("/ledger"), host._fd
+    host.close()
+    for read in (lambda: host.read("/ledger"), host.snapshot):
+        with pytest.raises(ValueError, match="closed"):
+            read()
+    other = os.open(tmp_path / "other", os.O_RDONLY)  # takes the host's descriptor
+    try:
+        assert other == fd
+        with region:
+            assert region.read() == path.read_bytes()
+    finally:
+        os.close(other)
+
+
+def test_a_dropped_host_releases_its_file(sim):
+    host = CompetitionHost(sim.chain())
+    fd = host._fd
+    os.fstat(fd)
+    del host
+    gc.collect()
+    with pytest.raises(OSError):
+        os.fstat(fd)
 
 
 def test_concurrent_readers_see_whole_growing_ledgers(rng, tmp_path):

@@ -30,7 +30,7 @@ from flagless.ledger import Changeset, FileChange
 from flagless.sigproof import KdfParams, Proof, verify_proof
 from flagless.validator import CompetitionHost, ReasonCode
 
-from helpers import BackgroundService, read_joined, simulate
+from helpers import BackgroundService, read_body, simulate
 from test_ed25519 import _random_points, _ref_encode, _ref_point, _torsion_points
 
 IDENTITY = (1).to_bytes(32, "little")
@@ -110,7 +110,7 @@ def test_release_is_refused_and_writes_nothing(sim, rng, tmp_path, encoding):
     with CompetitionHost.open(str(path)) as host:
         with pytest.raises(ledger.ChainError, match="BAD_DESCRIPTOR"):
             host.apply_organizer(_release(encoding, rng), sim.org_seed)
-        assert read_joined(host) == before
+        assert read_body(host) == before
     assert path.read_bytes() == before
 
 
@@ -154,7 +154,7 @@ def test_registration_is_refused_over_http(sim, rng, encoding):
     doc = record.to_json_dict()
     doc["public_key"] = to_hex(encoding)
     changeset = Changeset((FileChange(team_path(record.id), canonical_bytes(doc)),), record.id)
-    before = read_joined(sim.host)
+    before = read_body(sim.host)
     with BackgroundService(sim.host) as svc:
         conn = http.client.HTTPConnection(*svc.server.server_address[:2], timeout=3)
         try:
@@ -164,7 +164,7 @@ def test_registration_is_refused_over_http(sim, rng, encoding):
         finally:
             conn.close()
     assert status == 422 and body["code"] == ReasonCode.MALFORMED_RECORD.name
-    assert read_joined(sim.host) == before
+    assert read_body(sim.host) == before
 
 
 @pytest.mark.parametrize("encoding", TORSION, ids=IDS)

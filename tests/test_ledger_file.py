@@ -30,14 +30,16 @@ from flagless.competition import (
 from flagless.sigproof import KdfParams
 from flagless.validator import CompetitionHost
 
-from helpers import read_joined, simulate
+from helpers import BackgroundService, read_body, simulate
 
 TIMEOUT_S = 10
 
 
 @pytest.fixture
 def sim(rng):
-    return simulate(rng, n_challenges=1, n_teams=1, solve_prob=0.0)
+    sim = simulate(rng, n_challenges=1, n_teams=1, solve_prob=0.0)
+    with sim.host:
+        yield sim
 
 
 @pytest.fixture
@@ -84,6 +86,17 @@ def _serve(ledger_path):
         proc.stderr.close()
 
 
+def _get(port, route) -> bytes:
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=TIMEOUT_S)
+    try:
+        conn.request("GET", route)
+        resp = conn.getresponse()
+        assert resp.status == 200
+        return resp.read()
+    finally:
+        conn.close()
+
+
 def _post(port, changeset) -> tuple[int, dict]:
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=TIMEOUT_S)
     try:
@@ -112,7 +125,7 @@ def test_acknowledged_entries_survive_sigkill(sim, path, rng):
     assert len(chain) == len(sim.chain()) + len(changesets)
     assert [(i, chain[i].hash.hex()) for i, _ in acks] == acks
     with CompetitionHost.open(str(path)) as host:  # the dead child's lock is gone
-        rows = json.loads(read_joined(host, "/scoreboard"))
+        rows = json.loads(read_body(host, "/scoreboard"))
         assert {r["team_id"]: r["solves"] for r in rows}[team_id] == 1
 
 
@@ -225,10 +238,10 @@ def test_organizer_entry_the_audit_flags_is_refused(
     assert [(f.index, f.code) for f in audit_all(forged).findings] == [(len(forged) - 1, code)]
     before = path.read_bytes()
     with CompetitionHost.open(str(path)) as host:
-        chain, held = host.snapshot()[0], read_joined(host)
+        chain, held = host.snapshot()[0], read_body(host)
         with pytest.raises(ledger.ChainError, match=code):
             host.apply_organizer(changeset, sim.org_seed)
-        assert host.snapshot()[0] == chain and read_joined(host) == held == path.read_bytes()
+        assert host.snapshot()[0] == chain and read_body(host) == held == path.read_bytes()
     assert path.read_bytes() == before
     # nor can `challenge add` write it
     org_key = _key_file(tmp_path / "organizer.key", TeamSecret("organizer", sim.org_seed))
@@ -277,7 +290,8 @@ def test_failed_rollback_refuses_later_appends(path, rng, monkeypatch):
     def fail(*args):
         raise OSError(5, "simulated I/O error")
 
-    with CompetitionHost.open(str(path)) as host:
+    with CompetitionHost.open(str(path)) as host, BackgroundService(host) as svc:
+        port = svc.server.server_address[1]
         chain, before = host.snapshot()[0], path.read_bytes()
         monkeypatch.setattr(validator.os, "fsync", fail)
         monkeypatch.setattr(validator.os, "ftruncate", fail)
@@ -290,16 +304,23 @@ def test_failed_rollback_refuses_later_appends(path, rng, monkeypatch):
         with pytest.raises(ValueError, match="closed"):
             host.apply(register_team("Next", rng=rng)[2])
         assert host.snapshot()[0] == chain and path.read_bytes() == stray
+        # only the acknowledged bytes are served, never the stray line
+        assert _get(port, "/ledger") == before and path.read_bytes() == stray
+        assert json.loads(_get(port, "/healthz"))["index"] == chain[-1].index
     with CompetitionHost.open(str(path)) as host:  # the file still loads
         assert host.snapshot()[0][: len(chain)] == chain
 
 
 def test_closed_host_refuses_appends(path, rng):
+    before = path.read_bytes()
     with CompetitionHost.open(str(path)) as host:
         pass
     with pytest.raises(ValueError, match="closed"):
         host.apply(register_team("Late", rng=rng)[2])
-    assert len(host.snapshot()[0]) == len(ledger.read_ledger(str(path)))
+    # the host released its file, so it reads no ledger either
+    with pytest.raises(ValueError, match="closed"):
+        host.snapshot()
+    assert path.read_bytes() == before
 
 
 def test_write_ledger_never_overwrites(sim, path):

@@ -2,7 +2,9 @@
 
 import hashlib
 import http.client
+import itertools
 import json
+import os
 import re
 import socket
 import struct
@@ -25,14 +27,16 @@ from flagless.ledger import Changeset, FileChange
 from flagless.service import _BAD_LENGTH, _Handler
 from flagless.validator import CompetitionHost
 
-from helpers import BackgroundService, append_ghost_solve, read_joined, simulate
+from helpers import BackgroundService, append_ghost_solve, padded_chain, read_body, simulate
 
 TIMEOUT_S = 3
 
 
 @pytest.fixture
 def sim(rng):
-    return simulate(rng, n_challenges=1, n_teams=1, solve_prob=0.0)
+    sim = simulate(rng, n_challenges=1, n_teams=1, solve_prob=0.0)
+    with sim.host:
+        yield sim
 
 
 @pytest.fixture
@@ -116,7 +120,7 @@ class TestWrites:
     @pytest.mark.parametrize("author", ["organizer", "x" * (512 << 10)], ids=["organizer", "512KiB"])
     def test_a_changeset_by_another_author_is_422(self, service, sim, rng, author):
         _, _, changeset = register_team("Web Crew", rng=rng)
-        before = read_joined(sim.host)
+        before = read_body(sim.host)
         status, body = _post(service, Changeset(changes=changeset.changes, author=author))
         assert status == 422 and json.loads(body)["code"] == "MALFORMED_RECORD"
         assert _request(service, "GET", "/ledger") == (200, before)
@@ -136,7 +140,7 @@ class TestWrites:
             else:
                 content += b" " * 700_000
         changeset = Changeset(changes=(FileChange(path=path, content=content),), author=team_id)
-        before = read_joined(sim.host)
+        before = read_body(sim.host)
         status, body = _post(service, changeset)
         assert status == 422 and json.loads(body) == {
             "code": "MALFORMED_RECORD",
@@ -488,7 +492,7 @@ class TestReads:
     def test_a_loaded_solve_of_no_challenge_leaves_the_scoreboard_served(self, rng, tmp_path):
         # the host checks no team entry at load, so a forged file can hold one
         sim = simulate(rng, n_challenges=2, n_teams=2, solve_prob=1.0)
-        honest = read_joined(sim.host, "/scoreboard")
+        honest = read_body(sim.host, "/scoreboard")
         chain = sim.chain()
         append_ghost_solve(chain, sorted(sim.teams)[0])
         path = tmp_path / "forged.ndjson"
@@ -502,3 +506,76 @@ class TestReads:
                     assert (resp.status, resp.read()) == (200, honest)
             finally:
                 conn.close()
+
+
+@pytest.fixture
+def padded(rng, tmp_path):
+    """(host, path) of a 2 MiB ledger file, served from the file."""
+    path = tmp_path / "padded.ndjson"
+    ledger.write_ledger(str(path), padded_chain(rng, rng.randbytes(32), 2 << 20))
+    with CompetitionHost.open(str(path)) as host:
+        yield host, path
+
+
+def _small_window(svc) -> socket.socket:
+    """A client socket whose receive buffer, and the server's send buffer
+    for it, are a few KiB, so the server's sends outrun what it reads."""
+    # an accepted socket takes the listening socket's buffer size
+    svc.server.socket.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 16384)
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)  # before connect
+    sock.settimeout(TIMEOUT_S)
+    sock.connect(svc.server.server_address[:2])
+    return sock
+
+
+class TestSlowReaders:
+    def test_a_slow_reader_gets_exactly_the_file(self, padded, monkeypatch):
+        host, path = padded
+        outcomes = []  # of each sendfile: bytes sent, or the exception
+        sendfile = os.sendfile
+
+        def recorded(*args):
+            try:
+                outcomes.append(sendfile(*args))
+            except BlockingIOError as exc:
+                outcomes.append(exc)
+                raise
+            return outcomes[-1]
+
+        monkeypatch.setattr(os, "sendfile", recorded)
+        with BackgroundService(host) as svc, _small_window(svc) as sock:
+            for _ in range(2):  # kept alive
+                sock.sendall(b"GET /ledger HTTP/1.1\r\nHost: x\r\n\r\n")
+                data = b""
+                while b"\r\n\r\n" not in data:
+                    data += sock.recv(4096)
+                head, _, body = data.partition(b"\r\n\r\n")
+                (length,) = re.findall(rb"\r\nContent-Length: (\d+)\r\n", head + b"\r\n")
+                for chunk in itertools.count():
+                    if len(body) >= int(length):
+                        break
+                    body += sock.recv(4096)
+                    if chunk % 64 == 0:
+                        time.sleep(0.002)
+                assert body == path.read_bytes()
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert sock.recv(4096).startswith(b"HTTP/1.1 200 ")
+        sent = [n for n in outcomes if isinstance(n, int)]
+        assert sum(sent) == 2 * path.stat().st_size
+        # the socket took the file in parts, and was full in between
+        assert len(sent) > 2 and any(isinstance(n, BlockingIOError) for n in outcomes)
+
+    def test_a_stalled_reader_is_closed_after_the_timeout(self, padded, monkeypatch):
+        host, _ = padded
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        with BackgroundService(host) as svc, _small_window(svc) as sock:
+            sock.sendall(b"GET /ledger HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert sock.recv(4096).startswith(b"HTTP/1.1 200 ")
+            start = time.monotonic()  # and read no more
+            deadline = start + TIMEOUT_S
+            while svc.server._live and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not svc.server._live
+            assert time.monotonic() - start >= 0.4
+            assert _request(svc, "GET", "/healthz")[0] == 200
