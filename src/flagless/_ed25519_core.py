@@ -43,7 +43,8 @@ pure functions of the key, so they change nothing but timing;
 from __future__ import annotations
 
 import functools
-import hashlib
+
+from .canonical import sha512 as _sha512
 
 P = 2**255 - 19
 # group order of the prime-order subgroup
@@ -59,10 +60,6 @@ if (B_X * B_X - _bx2) % P:
     B_X = B_X * SQRT_M1 % P
 if B_X & 1:
     B_X = P - B_X
-
-
-def _sha512(data: bytes) -> bytes:
-    return hashlib.sha512(data).digest()
 
 
 def _sha512_mod_l(data: bytes) -> int:

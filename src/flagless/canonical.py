@@ -9,6 +9,13 @@ replicas.
 :func:`parse_json` is the package's one JSON decoder: every byte string
 read from outside goes through it, so a decode raises only `ValueError`.
 
+This module is also the package's one SHA-2 import site: :func:`sha256`
+hashes ledger entries and :func:`sha512` is Ed25519's hash.  Both come from
+CPython's built-in SHA-2 modules rather than `hashlib`, because importing
+`hashlib` maps OpenSSL into the process (about 3.6 MiB of resident memory),
+and `serve`, `audit` and every verify path hash nothing else.  Only scrypt
+needs OpenSSL, and `sigproof.scrypt_kdf` imports `hashlib` on first use.
+
 The hex/base64 decoders are deliberately strict (lowercase hex only,
 canonical base64 only) so that a value round-trips to the exact byte string
 it was parsed from.
@@ -17,10 +24,17 @@ it was parsed from.
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 import re
 from typing import Any
+
+# CPython's own SHA-2, as `random` takes it: `hashlib` would load OpenSSL.
+# The module is `_sha2` from 3.12 on, `_sha256` and `_sha512` before.
+try:
+    from _sha2 import sha256 as _new_sha256, sha512 as _new_sha512
+except ImportError:
+    from _sha256 import sha256 as _new_sha256
+    from _sha512 import sha512 as _new_sha512
 
 _HEX_RE = re.compile(r"\A(?:[0-9a-f]{2})*\Z")
 
@@ -62,7 +76,11 @@ def is_int(value: Any) -> bool:
 
 
 def sha256(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
+    return _new_sha256(data).digest()
+
+
+def sha512(data: bytes) -> bytes:
+    return _new_sha512(data).digest()
 
 
 def to_hex(data: bytes) -> str:

@@ -23,8 +23,8 @@ the state holds; a forged chain can hold others, and the audit flags them.
 
 from __future__ import annotations
 
+import os
 import re
-import secrets
 import unicodedata
 from dataclasses import dataclass
 from json.encoder import encode_basestring
@@ -276,7 +276,7 @@ class ScoreboardRow(NamedTuple):
 
 def _rand_bytes(rng: Random | None, n: int) -> bytes:
     if rng is None:
-        return secrets.token_bytes(n)
+        return os.urandom(n)
     return rng.randbytes(n)
 
 

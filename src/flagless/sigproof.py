@@ -20,7 +20,6 @@ its key.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from . import ed25519
@@ -161,7 +160,11 @@ def scrypt_kdf(
     parallel_p: int,
     out_len: int,
 ) -> bytes:
-    """Raw scrypt (RFC 7914 parameter semantics), no length conventions."""
+    """Raw scrypt (RFC 7914 parameter semantics), no length conventions.
+
+    Imports `hashlib`, and with it OpenSSL, on first use."""
+    import hashlib  # on first use: `serve`, `audit` and verifies never load it
+
     return hashlib.scrypt(
         password,
         salt=salt,

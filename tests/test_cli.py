@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 from flagless import cli, ledger
+from flagless.canonical import canonical_bytes
+from flagless.competition import build_submission, register_team
 from flagless.validator import CompetitionHost
 
-from helpers import BackgroundService, append_ghost_solve
+from helpers import BackgroundService, append_ghost_solve, read_body, simulate
 
 FLAG = "flag{cli-test}"
 
@@ -290,13 +292,61 @@ def test_a_key_file_nested_too_deeply_is_one_error_line(competition, tmp_path, c
     assert Path(ledger_path).read_bytes() == before
 
 
-def test_importing_the_cli_loads_no_http_client_or_mail_parser():
-    # `serve` and the local commands start without them; --service-url
-    # loads urllib on first use (test_service_url_gives_the_same_results_as_ledger)
-    heavy = ("http.server", "http.client", "email.parser", "urllib.request", "ssl")
-    code = f"import flagless.cli, sys; print([m for m in {heavy!r} if m in sys.modules])"
+# Runs in a fresh interpreter: argv is the ledger file, a registration and a
+# solve as changeset JSON, then module names.  POSTs both and GETs every
+# route through `make_server` over raw sockets, prints the statuses and
+# which of the modules got loaded, then runs scrypt and prints whether
+# `hashlib` is loaded.
+_SERVE_PATH = r"""
+import socket, sys, threading
+import flagless.cli
+from flagless import sigproof
+from flagless.service import make_server
+from flagless.validator import CompetitionHost
+
+ledger, registration, solve = (open(path, "rb").read() for path in sys.argv[1:4])
+heavy = sys.argv[4:]
+with CompetitionHost.load(ledger) as host:
+    server = make_server(host, ("127.0.0.1", 0))
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+
+    def status(method, route, body=b""):
+        head = f"{method} {route} HTTP/1.0\r\nContent-Length: {len(body)}\r\n\r\n"
+        with socket.create_connection(server.server_address) as conn:
+            conn.sendall(head.encode() + body)
+            return int(conn.makefile("rb").read().split()[1])
+
+    statuses = [status("POST", "/changesets", body) for body in (registration, solve)]
+    statuses += [status("GET", r) for r in ("/healthz", "/scoreboard", "/challenges", "/ledger")]
+    server.shutdown()
+    server.server_close()
+print(statuses, [m for m in heavy if m in sys.modules])
+sigproof.scrypt_kdf(b"flag", b"salt", 2, 1, 1, 32)
+print("hashlib" in sys.modules)
+"""
+
+
+def test_the_serve_path_loads_no_openssl_http_client_or_mail_parser(tmp_path, rng):
+    # `serve` and the local commands start without them, and a host that
+    # answers POSTs and every GET route hashes without OpenSSL; only scrypt
+    # loads `hashlib`, and --service-url loads urllib on first use
+    # (test_service_url_gives_the_same_results_as_ledger)
+    heavy = (
+        "http.server", "http.client", "email.parser", "urllib.request", "ssl",
+        "_hashlib", "hashlib", "hmac", "secrets",
+    )
+    sim = simulate(rng, n_challenges=1, n_teams=0)
+    with sim.host:
+        (tmp_path / "ledger").write_bytes(read_body(sim.host))
+    (cid, descriptor), = sim.descriptors.items()
+    _, secret, registration = register_team("Alpha", rng=rng)
+    _, solve = build_submission(secret, descriptor, sim.flags[cid])
+    for name, changeset in (("registration", registration), ("solve", solve)):
+        (tmp_path / name).write_bytes(canonical_bytes(changeset.to_json_dict()))
+    files = [tmp_path / name for name in ("ledger", "registration", "solve")]
     package_root = Path(cli.__file__).parents[1]  # `-c` puts the cwd first on sys.path
     out = subprocess.run(
-        [sys.executable, "-c", code], cwd=package_root, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _SERVE_PATH, *files, *heavy],
+        cwd=package_root, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[201, 201, 200, 200, 200, 200] []", "True"]
