@@ -19,6 +19,11 @@ needs OpenSSL, and `sigproof.scrypt_kdf` imports `hashlib` on first use.
 The hex/base64 decoders are deliberately strict (lowercase hex only,
 canonical base64 only) so that a value round-trips to the exact byte string
 it was parsed from.
+
+:class:`Record` is the base of every immutable record the package parses
+or builds.  Each record is a plain slotted class with its own `__init__`,
+so creating the classes imports nothing; a generated-class decorator
+would load `inspect`, `ast` and `dis`, about 1 MiB of resident memory.
 """
 
 from __future__ import annotations
@@ -37,6 +42,45 @@ except ImportError:
     from _sha512 import sha512 as _new_sha512
 
 _HEX_RE = re.compile(r"\A(?:[0-9a-f]{2})*\Z")
+
+
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass names its fields in `__slots__` and sets each in its own
+    `__init__` with `object.__setattr__`; after that, assigning or deleting
+    an attribute raises `AttributeError`.  Two records are equal when they
+    are of the same class and their fields are equal, and equal records
+    hash alike.  A slot whose name starts with `_` is a private cache, not
+    a field: equality, the hash and the repr leave it out.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def canonical_dumps(obj: Any) -> str:

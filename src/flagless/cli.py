@@ -21,7 +21,6 @@ audit findings), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import getpass
 import os
 import sys
 import time
@@ -189,6 +188,8 @@ def _read_flag(args) -> str:
                 return fh.read()
         except OSError as exc:
             raise CliError(f"cannot read flag file: {exc}") from exc
+    import getpass  # on first use: `serve` and the other commands never load it
+
     return getpass.getpass("Flag: ")
 
 

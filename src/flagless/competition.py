@@ -26,13 +26,12 @@ from __future__ import annotations
 import os
 import re
 import unicodedata
-from dataclasses import dataclass
 from json.encoder import encode_basestring
 from random import Random
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .canonical import (
-    canonical_bytes, from_b64, from_hex, is_int, json_object, parse_json, to_b64, to_hex
+    Record, canonical_bytes, from_b64, from_hex, is_int, json_object, parse_json, to_b64, to_hex
 )
 from .ledger import (
     Changeset,
@@ -92,31 +91,43 @@ def submission_path(team_id: str, challenge_id: str) -> str:
     return f"{SUBMISSION_PREFIX}{team_id}/{challenge_id}.json"
 
 
-@dataclass(frozen=True, slots=True)
-class ChallengeDescriptor:
-    id: str
-    title: str
-    description: str
-    categories: tuple[str, ...]
-    points: int
-    salt: bytes
-    public_key: bytes
-    kdf: KdfParams
+class ChallengeDescriptor(Record):
+    __slots__ = (
+        "id", "title", "description", "categories", "points", "salt", "public_key", "kdf"
+    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "categories", tuple(self.categories))
-        if not valid_slug(self.id):
-            raise ValueError(f"challenge id is not a valid slug: {self.id!r}")
-        if not is_int(self.points) or self.points < 1:
+    def __init__(
+        self,
+        id: str,
+        title: str,
+        description: str,
+        categories: Iterable[str],
+        points: int,
+        salt: bytes,
+        public_key: bytes,
+        kdf: KdfParams,
+    ) -> None:
+        categories = tuple(categories)
+        if not valid_slug(id):
+            raise ValueError(f"challenge id is not a valid slug: {id!r}")
+        if not is_int(points) or points < 1:
             raise ValueError("points must be a positive integer")
-        if len(self.salt) != sigproof.SALT_LEN:
+        if len(salt) != sigproof.SALT_LEN:
             raise ValueError("salt must be 16 bytes")
-        if len(self.public_key) != 32 or decoded_key(bytes(self.public_key)) is None:
+        if len(public_key) != 32 or decoded_key(bytes(public_key)) is None:
             raise ValueError("public_key is not a valid point encoding")
-        if not isinstance(self.title, str) or not isinstance(self.description, str):
+        if not isinstance(title, str) or not isinstance(description, str):
             raise ValueError("title and description must be strings")
-        if not all(isinstance(c, str) for c in self.categories):
+        if not all(isinstance(c, str) for c in categories):
             raise ValueError("categories must be strings")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "title", title)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "categories", categories)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "salt", salt)
+        object.__setattr__(self, "public_key", public_key)
+        object.__setattr__(self, "kdf", kdf)
 
     def to_json_dict(self) -> dict:
         return {
@@ -151,21 +162,21 @@ class ChallengeDescriptor:
         return canonical_bytes(self.to_json_dict())
 
 
-@dataclass(frozen=True, slots=True)
-class TeamRecord:
-    id: str
-    name: str
-    public_key: bytes
+class TeamRecord(Record):
+    __slots__ = ("id", "name", "public_key")
 
-    def __post_init__(self) -> None:
-        if not valid_slug(self.id):
-            raise ValueError(f"team id is not a valid slug: {self.id!r}")
-        if not isinstance(self.name, str) or not (1 <= len(self.name) <= 64):
+    def __init__(self, id: str, name: str, public_key: bytes) -> None:
+        if not valid_slug(id):
+            raise ValueError(f"team id is not a valid slug: {id!r}")
+        if not isinstance(name, str) or not (1 <= len(name) <= 64):
             raise ValueError("team name must be 1-64 characters")
-        if not self.name.isprintable():
+        if not name.isprintable():
             raise ValueError("team name must be printable")
-        if len(self.public_key) != 32 or decoded_key(bytes(self.public_key)) is None:
+        if len(public_key) != 32 or decoded_key(bytes(public_key)) is None:
             raise ValueError("public_key is not a valid point encoding")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "public_key", public_key)
 
     def to_json_dict(self) -> dict:
         return {
@@ -185,12 +196,14 @@ class TeamRecord:
         return canonical_bytes(self.to_json_dict())
 
 
-@dataclass(frozen=True, slots=True)
-class TeamSecret:
+class TeamSecret(Record):
     """The team's signing seed; kept by the team, never in the ledger."""
 
-    team_id: str
-    seed: bytes
+    __slots__ = ("team_id", "seed")
+
+    def __init__(self, team_id: str, seed: bytes) -> None:
+        object.__setattr__(self, "team_id", team_id)
+        object.__setattr__(self, "seed", seed)
 
     def keypair(self) -> KeyPair:
         return sigproof.keypair_from_seed(self.seed)
@@ -211,15 +224,15 @@ class TeamSecret:
         return secret
 
 
-@dataclass(frozen=True, slots=True)
-class SubmissionRecord:
-    team_id: str
-    challenge_id: str
-    proof: Proof
+class SubmissionRecord(Record):
+    __slots__ = ("team_id", "challenge_id", "proof")
 
-    def __post_init__(self) -> None:
-        if not valid_slug(self.team_id) or not valid_slug(self.challenge_id):
+    def __init__(self, team_id: str, challenge_id: str, proof: Proof) -> None:
+        if not valid_slug(team_id) or not valid_slug(challenge_id):
             raise ValueError("submission ids must be valid slugs")
+        object.__setattr__(self, "team_id", team_id)
+        object.__setattr__(self, "challenge_id", challenge_id)
+        object.__setattr__(self, "proof", proof)
 
     def to_json_dict(self) -> dict:
         return {
@@ -243,8 +256,8 @@ class SubmissionRecord:
 
 class ScoreboardRow(NamedTuple):
     """One team's line of the scoreboard.  A named tuple rather than a
-    frozen dataclass: the host builds one per team after every append,
-    and a tuple is built in less than half the time."""
+    `Record`: the host builds one per team after every append, and a
+    tuple is built in less than half the time."""
 
     rank: int
     team_id: str
@@ -569,18 +582,24 @@ def scoreboard_bytes(rows: list[ScoreboardRow]) -> bytes:
     return f"[{body}]".encode("utf-8")
 
 
-@dataclass(frozen=True, slots=True)
-class AuditFinding:
-    index: int
-    code: str
-    message: str
+class AuditFinding(Record):
+    __slots__ = ("index", "code", "message")
+
+    def __init__(self, index: int, code: str, message: str) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "message", message)
 
 
-@dataclass(slots=True)
-class AuditReport:
-    findings: list[AuditFinding]
-    scoreboard: list[ScoreboardRow]
-    entries: int
+class AuditReport(Record):
+    __slots__ = ("findings", "scoreboard", "entries")
+
+    def __init__(
+        self, findings: list[AuditFinding], scoreboard: list[ScoreboardRow], entries: int
+    ) -> None:
+        object.__setattr__(self, "findings", findings)
+        object.__setattr__(self, "scoreboard", scoreboard)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def ok(self) -> bool:

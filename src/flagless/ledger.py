@@ -23,13 +23,13 @@ from __future__ import annotations
 import io
 import os
 import time
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import ed25519
 from ._ed25519_core import decoded_key
 from .canonical import (
-    canonical_bytes, from_b64, from_hex, is_int, json_object, parse_json, sha256, to_b64, to_hex
+    Record, canonical_bytes, from_b64, from_hex, is_int, json_object, parse_json, sha256,
+    to_b64, to_hex,
 )
 
 HASH_LEN = 32
@@ -60,31 +60,31 @@ def validate_path(path: str) -> str:
     return path
 
 
-@dataclass(frozen=True, slots=True)
-class FileChange:
-    path: str
-    content: bytes
+class FileChange(Record):
+    __slots__ = ("path", "content")
 
-    def __post_init__(self) -> None:
-        validate_path(self.path)
-        if not isinstance(self.content, bytes):
+    def __init__(self, path: str, content: bytes) -> None:
+        validate_path(path)
+        if not isinstance(content, bytes):
             raise ValueError("content must be bytes")
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "content", content)
 
 
-@dataclass(frozen=True, slots=True)
-class Changeset:
-    changes: tuple[FileChange, ...]
-    author: str
+class Changeset(Record):
+    __slots__ = ("changes", "author")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "changes", tuple(self.changes))
-        if not self.changes:
+    def __init__(self, changes: Iterable[FileChange], author: str) -> None:
+        changes = tuple(changes)
+        if not changes:
             raise ValueError("changeset must contain at least one change")
-        paths = [c.path for c in self.changes]
+        paths = [c.path for c in changes]
         if len(set(paths)) != len(paths):
             raise ValueError("changeset paths must be distinct")
-        if not isinstance(self.author, str):
+        if not isinstance(author, str):
             raise ValueError("author must be a string")
+        object.__setattr__(self, "changes", changes)
+        object.__setattr__(self, "author", author)
 
     def to_json_dict(self) -> dict:
         return {
@@ -109,27 +109,36 @@ class Changeset:
         return cls(changes=tuple(changes), author=obj["author"])
 
 
-@dataclass(frozen=True, slots=True)
-class LedgerEntry:
-    index: int
-    timestamp: int
-    prev_hash: bytes
-    changeset: Changeset
-    org_sig: bytes | None
-    hash: bytes
-    # `preimage()` once known.  Never passed in, and so never copied by
-    # `dataclasses.replace`: a changed entry serializes its own fields.
-    _preimage: bytes | None = field(default=None, init=False, repr=False, compare=False)
+class LedgerEntry(Record):
+    # `_preimage` is `preimage()` once known.  It is never passed in, so an
+    # entry built from another's fields with one of them changed serializes
+    # its own fields.
+    __slots__ = ("index", "timestamp", "prev_hash", "changeset", "org_sig", "hash", "_preimage")
 
-    def __post_init__(self) -> None:
-        if not is_int(self.index) or self.index < 0:
+    def __init__(
+        self,
+        index: int,
+        timestamp: int,
+        prev_hash: bytes,
+        changeset: Changeset,
+        org_sig: bytes | None,
+        hash: bytes,
+    ) -> None:
+        if not is_int(index) or index < 0:
             raise ValueError("index must be a non-negative integer")
-        if not is_int(self.timestamp) or self.timestamp < 0:
+        if not is_int(timestamp) or timestamp < 0:
             raise ValueError("timestamp must be non-negative UTC seconds")
-        if len(self.prev_hash) != HASH_LEN or len(self.hash) != HASH_LEN:
+        if len(prev_hash) != HASH_LEN or len(hash) != HASH_LEN:
             raise ValueError("hashes must be 32 bytes")
-        if self.org_sig is not None and len(self.org_sig) != 64:
+        if org_sig is not None and len(org_sig) != 64:
             raise ValueError("organizer signature must be 64 bytes")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "timestamp", timestamp)
+        object.__setattr__(self, "prev_hash", prev_hash)
+        object.__setattr__(self, "changeset", changeset)
+        object.__setattr__(self, "org_sig", org_sig)
+        object.__setattr__(self, "hash", hash)
+        object.__setattr__(self, "_preimage", None)
 
     def preimage(self) -> bytes:
         """The canonical JSON of every field but `hash`: the bytes `hash`
@@ -267,11 +276,13 @@ def append(
     return entry
 
 
-@dataclass(frozen=True, slots=True)
-class ChainVerdict:
-    ok: bool
-    index: int | None = None
-    reason: str | None = None
+class ChainVerdict(Record):
+    __slots__ = ("ok", "index", "reason")
+
+    def __init__(self, ok: bool, index: int | None = None, reason: str | None = None) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "reason", reason)
 
     def __bool__(self) -> bool:
         return self.ok

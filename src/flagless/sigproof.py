@@ -20,10 +20,8 @@ its key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import ed25519
-from .canonical import is_int, json_object
+from .canonical import Record, is_int, json_object
 
 SEED_LEN = 32
 SALT_LEN = 16
@@ -35,20 +33,19 @@ ASCII_WHITESPACE = " \t\r\n\v\f"
 _MAXMEM_CAP = 2**31 - 1
 
 
-@dataclass(frozen=True, slots=True)
-class KeyPair:
+class KeyPair(Record):
     """secret is the 32-byte signing seed; public the verification key."""
 
-    secret: bytes
-    public: bytes
+    __slots__ = ("secret", "public")
 
-    def __post_init__(self) -> None:
-        if len(self.secret) != SEED_LEN or len(self.public) != SEED_LEN:
+    def __init__(self, secret: bytes, public: bytes) -> None:
+        if len(secret) != SEED_LEN or len(public) != SEED_LEN:
             raise ValueError("keys must be exactly 32 bytes each")
+        object.__setattr__(self, "secret", secret)
+        object.__setattr__(self, "public", public)
 
 
-@dataclass(frozen=True, slots=True)
-class KdfParams:
+class KdfParams(Record):
     """scrypt cost parameters recorded alongside every challenge.
 
     They travel with the challenge descriptor so that verifiers never have
@@ -57,17 +54,18 @@ class KdfParams:
     parallelization factor; the record's out_len is always SEED_LEN.
     """
 
-    cost_n: int
-    block_r: int = 8
-    parallel_p: int = 1
+    __slots__ = ("cost_n", "block_r", "parallel_p")
 
-    def __post_init__(self) -> None:
-        if self.cost_n < 2 or self.cost_n & (self.cost_n - 1):
+    def __init__(self, cost_n: int, block_r: int = 8, parallel_p: int = 1) -> None:
+        if cost_n < 2 or cost_n & (cost_n - 1):
             raise ValueError("cost_n must be a power of two >= 2")
-        if self.block_r < 1 or self.parallel_p < 1:
+        if block_r < 1 or parallel_p < 1:
             raise ValueError("block_r and parallel_p must be >= 1")
-        if _scrypt_maxmem(self.cost_n, self.block_r, self.parallel_p) > _MAXMEM_CAP:
+        if _scrypt_maxmem(cost_n, block_r, parallel_p) > _MAXMEM_CAP:
             raise ValueError("cost parameters exceed the supported memory budget")
+        object.__setattr__(self, "cost_n", cost_n)
+        object.__setattr__(self, "block_r", block_r)
+        object.__setattr__(self, "parallel_p", parallel_p)
 
     def to_json_dict(self) -> dict:
         return {
@@ -105,21 +103,21 @@ class KdfParams:
 PROFILES = {"competition": KdfParams.competition, "test": KdfParams.test}
 
 
-@dataclass(frozen=True, slots=True)
-class Proof:
+class Proof(Record):
     """Nested proof of solving: outer_sig || inner_sig || challenge_id.
 
     The inner signature is the team key over the challenge identifier; the
     outer signature is the challenge key over the whole inner layer.
     """
 
-    outer_sig: bytes
-    inner_sig: bytes
-    challenge_id: bytes
+    __slots__ = ("outer_sig", "inner_sig", "challenge_id")
 
-    def __post_init__(self) -> None:
-        if len(self.outer_sig) != SIGNATURE_LEN or len(self.inner_sig) != SIGNATURE_LEN:
+    def __init__(self, outer_sig: bytes, inner_sig: bytes, challenge_id: bytes) -> None:
+        if len(outer_sig) != SIGNATURE_LEN or len(inner_sig) != SIGNATURE_LEN:
             raise ValueError("proof signatures must be exactly 64 bytes each")
+        object.__setattr__(self, "outer_sig", outer_sig)
+        object.__setattr__(self, "inner_sig", inner_sig)
+        object.__setattr__(self, "challenge_id", challenge_id)
 
     def serialize(self) -> bytes:
         return self.outer_sig + self.inner_sig + self.challenge_id

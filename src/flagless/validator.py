@@ -21,10 +21,9 @@ import tempfile
 import threading
 import time
 import weakref
-from dataclasses import dataclass
 
 from . import ledger, sigproof
-from .canonical import canonical_bytes, parse_json, to_hex
+from .canonical import Record, canonical_bytes, parse_json, to_hex
 from .competition import (
     CompetitionState,
     SubmissionRecord,
@@ -50,11 +49,13 @@ class ReasonCode(enum.Enum):
     MIXED_CONCERNS = "one changeset must carry exactly one action"
 
 
-@dataclass(frozen=True, slots=True)
-class ValidationVerdict:
-    accepted: bool
-    code: ReasonCode | None = None
-    message: str = ""
+class ValidationVerdict(Record):
+    __slots__ = ("accepted", "code", "message")
+
+    def __init__(self, accepted: bool, code: ReasonCode | None = None, message: str = "") -> None:
+        object.__setattr__(self, "accepted", accepted)
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "message", message)
 
     def __bool__(self) -> bool:
         return self.accepted

@@ -190,6 +190,14 @@ def append_ghost_solve(chain: list[LedgerEntry], team_id: str) -> None:
     ledger.append(chain, changeset, timestamp=chain[-1].timestamp + 1)
 
 
+def replace_entry(entry: LedgerEntry, **changes) -> LedgerEntry:
+    """A new entry with `entry`'s fields but those named in `changes`.  It
+    is built through `LedgerEntry`, so it keeps no preimage of `entry`'s
+    and serializes its own fields."""
+    fields = ("index", "timestamp", "prev_hash", "changeset", "org_sig", "hash")
+    return LedgerEntry(**{**{name: getattr(entry, name) for name in fields}, **changes})
+
+
 def rebuild_consistent(
     chain: list[LedgerEntry],
     index: int,

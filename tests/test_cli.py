@@ -328,12 +328,14 @@ print("hashlib" in sys.modules)
 
 def test_the_serve_path_loads_no_openssl_http_client_or_mail_parser(tmp_path, rng):
     # `serve` and the local commands start without them, and a host that
-    # answers POSTs and every GET route hashes without OpenSSL; only scrypt
-    # loads `hashlib`, and --service-url loads urllib on first use
-    # (test_service_url_gives_the_same_results_as_ledger)
+    # answers POSTs and every GET route hashes without OpenSSL and builds
+    # its records without `dataclasses`; only scrypt loads `hashlib`, only
+    # the flag prompt `getpass`, and --service-url loads urllib on first
+    # use (test_service_url_gives_the_same_results_as_ledger)
     heavy = (
         "http.server", "http.client", "email.parser", "urllib.request", "ssl",
         "_hashlib", "hashlib", "hmac", "secrets",
+        "dataclasses", "inspect", "ast", "dis", "getpass",
     )
     sim = simulate(rng, n_challenges=1, n_teams=0)
     with sim.host:

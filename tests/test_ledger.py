@@ -1,6 +1,5 @@
 """Chain integrity: hashing, linking, folding, canonical NDJSON, tampering."""
 
-import dataclasses
 import random
 
 import pytest
@@ -28,7 +27,7 @@ from flagless.ledger import (
 from flagless.sigproof import keypair_from_seed
 from flagless.validator import CompetitionHost
 
-from helpers import entry_hash, simulate
+from helpers import entry_hash, replace_entry, simulate
 
 
 def _org(rng):
@@ -175,15 +174,15 @@ class TestVerifyChain:
         for index, changes in ((team.index, {"changeset": bad_changeset}),
                                (release.index, {"timestamp": release.timestamp + 1})):
             forged = list(chain)
-            forged[index] = dataclasses.replace(chain[index], **changes)
+            forged[index] = replace_entry(chain[index], **changes)
             verdict = verify_chain(forged)
             assert not verdict and verdict.index == index and verdict.reason == "hash mismatch"
-        evil = dataclasses.replace(team, changeset=bad_changeset)
+        evil = replace_entry(team, changeset=bad_changeset)
         assert b'"ZXZpbA=="' in dump_entry(evil) and b'"ZXZpbA=="' not in dump_entry(team)
         # with the hash made good, the organizer signature still covers the old bytes
-        stamped = dataclasses.replace(release, timestamp=release.timestamp + 1)
+        stamped = replace_entry(release, timestamp=release.timestamp + 1)
         forged = list(chain)
-        forged[release.index] = dataclasses.replace(stamped, hash=sha256(stamped.preimage()))
+        forged[release.index] = replace_entry(stamped, hash=sha256(stamped.preimage()))
         assert verify_chain(forged).reason == "organizer signature invalid"
 
     def test_removed_entry_detected(self, rng):
