@@ -34,12 +34,7 @@ from .canonical import (
     Record, canonical_bytes, from_b64, from_hex, is_int, json_object, parse_json, to_b64, to_hex
 )
 from .ledger import (
-    Changeset,
-    FileChange,
-    LedgerEntry,
-    NO_GENESIS,
-    link_fault,
-    organizer_key,
+    NO_GENESIS, ChainError, Changeset, FileChange, LedgerEntry, link_fault, organizer_key
 )
 from . import sigproof
 from ._ed25519_core import decoded_key
@@ -471,7 +466,7 @@ class CompetitionState:
 
     def fold(self, entry: LedgerEntry) -> None:
         if entry.index == 0:
-            self.organizer_key = organizer_key([entry])
+            self.organizer_key = organizer_key(entry)
         for change in entry.changeset.changes:
             self._write(change.path, change.content, entry.index)
         self.head = entry
@@ -631,7 +626,7 @@ def audit_entry(state: CompetitionState, entry: LedgerEntry) -> list[AuditFindin
     no rule here: `validator.validate_changeset` is theirs.
     """
     head = state.head
-    org_key = organizer_key([entry]) if head is None else state.organizer_key
+    org_key = organizer_key(entry) if head is None else state.organizer_key
     reason = link_fault(head, entry, org_key)
     if reason is not None:
         return [AuditFinding(0 if head is None else head.index + 1, "CHAIN", reason)]
@@ -664,39 +659,47 @@ def audit_entry(state: CompetitionState, entry: LedgerEntry) -> list[AuditFindin
     return findings
 
 
-def audit_all(chain: list[LedgerEntry]) -> AuditReport:
+def audit_all(chain: Iterable[LedgerEntry]) -> AuditReport:
     """Re-derive everything from public data alone.
 
-    One pass: each entry gets `audit_entry` (the chain, genesis and
-    organizer rules), a team entry also `validate_changeset` (which
-    re-verifies its proof), and then it is folded; the pass stops at a
-    CHAIN finding, keeping the findings before it.  Then the scoreboard,
-    which counts the solves that name a team and a challenge the chain
-    holds; if any other solve exists, the first (`unresolved`) is a
-    SCOREBOARD finding at the last entry.  An empty chain, which no host
-    would open, is one CHAIN finding at index 0.  Requires no secrets: any
-    holder of the ledger file gets the same report.  This is the check for
-    a ledger file from an untrusted source: a host loading one checks only
-    the rules of `audit_entry`, not the team entries.
+    One pass over `chain`, any iterable of entries (`ledger.entries`, say):
+    each entry gets `audit_entry` (the chain, genesis and organizer rules),
+    a team entry also `validate_changeset` (which re-verifies its proof),
+    and then it is folded.  A CHAIN finding ends the checks, and so does a
+    `ChainError` from `chain`: a CHAIN finding at the line that does not
+    parse.  Then the scoreboard, which counts the solves that name a team
+    and a challenge the chain holds; the first other solve (`unresolved`)
+    is a SCOREBOARD finding at the last entry.  An empty chain is one
+    CHAIN finding at index 0.  Requires no secrets: any holder of the
+    ledger file gets the same report.  This is the check for a ledger from
+    an untrusted source, whose team entries a loading host does not check.
     """
     from .validator import validate_changeset  # local import breaks the cycle
 
-    if not chain:
-        return AuditReport([AuditFinding(0, "CHAIN", NO_GENESIS)], scoreboard=[], entries=0)
     findings: list[AuditFinding] = []
     state = CompetitionState()
-    for entry in chain:
-        step = audit_entry(state, entry)
-        findings += step
-        if step and step[0].code == "CHAIN":
-            return AuditReport(findings=findings, scoreboard=[], entries=len(chain))
-        if entry.index > 0 and entry.org_sig is None:
-            verdict = validate_changeset(state, entry.changeset)
-            if not verdict:
-                findings.append(AuditFinding(entry.index, verdict.code.name, verdict.message))
-        state.fold(entry)
+    count, entries = 0, iter(chain)
+    try:
+        for entry in entries:
+            count += 1
+            findings += audit_entry(state, entry)
+            if findings and findings[-1].code == "CHAIN":
+                for _ in entries:  # nothing after it can be checked, only counted
+                    count += 1
+                break
+            if entry.index > 0 and entry.org_sig is None:
+                verdict = validate_changeset(state, entry.changeset)
+                if not verdict:
+                    findings.append(AuditFinding(entry.index, verdict.code.name, verdict.message))
+            state.fold(entry)
+    except ChainError as exc:
+        findings.append(AuditFinding(count, "CHAIN", str(exc)))
+    if not count and not findings:
+        findings.append(AuditFinding(0, "CHAIN", NO_GENESIS))
+    if findings and findings[-1].code == "CHAIN":
+        return AuditReport(findings=findings, scoreboard=[], entries=count)
 
     reason = state.unresolved()
     if reason is not None:
-        findings.append(AuditFinding(len(chain) - 1, "SCOREBOARD", reason))
-    return AuditReport(findings=findings, scoreboard=state.scoreboard(), entries=len(chain))
+        findings.append(AuditFinding(count - 1, "SCOREBOARD", reason))
+    return AuditReport(findings=findings, scoreboard=state.scoreboard(), entries=count)

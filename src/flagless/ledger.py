@@ -13,9 +13,9 @@ be replayed (`replay(chain[: i + 1])` is the files after entry i),
 committed entries can never be silently rewritten, and a copied ledger
 file is a complete audit-capable replica.
 
-A ledger file is written whole only once, when `write_ledger` creates it.
-From then on the `CompetitionHost` that holds the file (see `validator`)
-is its one writer and appends each entry as one fsynced line.
+A ledger file is written whole only once, when `write_ledger` creates it;
+then the `CompetitionHost` holding it (see `validator`) appends each entry
+as one fsynced line.  Readers fold each entry as `entries` reads its line.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import io
 import os
 import time
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import ed25519
 from ._ed25519_core import decoded_key
@@ -291,12 +291,10 @@ class ChainVerdict(Record):
 _OK = ChainVerdict(ok=True)
 
 
-def organizer_key(chain: list[LedgerEntry]) -> bytes | None:
-    """Organizer verification key as published by genesis, if any and if
-    `decoded_key` accepts it."""
-    if not chain:
-        return None
-    for change in chain[0].changeset.changes:
+def organizer_key(entry: LedgerEntry) -> bytes | None:
+    """Organizer verification key as the genesis `entry` published it, if
+    it did and if `decoded_key` accepts it."""
+    for change in entry.changeset.changes:
         if change.path == ORGANIZER_KEY_PATH:
             try:
                 key = from_hex(change.content.decode("ascii"))
@@ -340,7 +338,7 @@ def verify_chain(chain: list[LedgerEntry]) -> ChainVerdict:
 
     Returns OK or the first offending index with a reason; never raises.
     """
-    org_key = organizer_key(chain)
+    org_key = organizer_key(chain[0]) if chain else None
     head: LedgerEntry | None = None
     for i, entry in enumerate(chain):
         reason = link_fault(head, entry, org_key)
@@ -367,18 +365,16 @@ def dump_chain(chain: Iterable[LedgerEntry]) -> bytes:
     return b"".join(dump_entry(e) + b"\n" for e in chain)
 
 
-def load_chain(data: bytes) -> list[LedgerEntry]:
-    """Parse an NDJSON ledger, insisting on canonical lines.
-
-    Every line must re-serialize to exactly the bytes it was parsed from
-    and end in a newline; anything else (re-encoded hex case, shuffled
-    keys, duplicate keys, stray whitespace, a last line cut short) is
-    rejected so that no two distinct byte streams parse to the same chain.
-    That one serialization of each line is the preimage its entry keeps,
-    so checking the chain serializes nothing again.
-    """
-    chain: list[LedgerEntry] = []
-    for lineno, line in enumerate(io.BytesIO(data)):  # holds no second copy of `data`
+def entries(lines: Iterable[bytes]) -> Iterator[LedgerEntry]:
+    """Parse an NDJSON ledger lazily from `lines` (a binary file, say),
+    insisting on canonical lines.  Every line must re-serialize to exactly
+    the bytes it was parsed from and end in a newline; anything else
+    (re-encoded hex case, shuffled keys, duplicate keys, stray whitespace,
+    a last line cut short) raises `ChainError` when it is read, so that no
+    two distinct byte streams parse to the same chain.  That one
+    serialization of each line is the preimage its entry keeps, so
+    checking the chain serializes nothing again."""
+    for lineno, line in enumerate(lines):
         if not line.endswith(b"\n"):
             raise ChainError(f"ledger line {lineno}: cut short, no final newline")
         line = line[:-1]
@@ -388,8 +384,13 @@ def load_chain(data: bytes) -> list[LedgerEntry]:
             raise ChainError(f"ledger line {lineno}: {exc}") from exc
         if dump_entry(entry) != line:
             raise ChainError(f"ledger line {lineno}: not in canonical form")
-        chain.append(entry)
-    return chain
+        yield entry
+
+
+def load_chain(data: bytes) -> list[LedgerEntry]:
+    """The list form of `entries`, kept for `CompetitionHost.snapshot`, the
+    tests and the benchmark until ROADMAP item 1 or 4 retires it."""
+    return list(entries(io.BytesIO(data)))  # holds no second copy of `data`
 
 
 def write_ledger(path: str, chain: list[LedgerEntry]) -> None:
@@ -404,4 +405,4 @@ def write_ledger(path: str, chain: list[LedgerEntry]) -> None:
 
 def read_ledger(path: str) -> list[LedgerEntry]:
     with open(path, "rb") as fh:
-        return load_chain(fh.read())
+        return list(entries(fh))

@@ -21,6 +21,7 @@ import tempfile
 import threading
 import time
 import weakref
+from typing import Iterable
 
 from . import ledger, sigproof
 from .canonical import Record, canonical_bytes, parse_json, to_hex
@@ -228,8 +229,9 @@ class FileRegion:
 class CompetitionHost:
     """Owns one file that holds exactly the ledger's acknowledged bytes,
     and the ledger's folded state, and serializes every append.  It keeps
-    no parsed chain and no copy of the ledger: `snapshot` and `read` read
-    the file.
+    no parsed chain and no copy of the ledger: it loads by folding each
+    entry as `ledger.entries` reads its line from the file, and `snapshot`
+    and `read` read the file.
 
     The host refuses any entry that breaks a rule of
     `competition.audit_entry`: the chain, genesis and organizer rules.
@@ -269,20 +271,22 @@ class CompetitionHost:
     leave it as it is.
     """
 
-    def __init__(
-        self, chain: list[LedgerEntry], *, _data: bytes | None = None, _fd: int | None = None
-    ):
+    def __init__(self, chain: Iterable[LedgerEntry] = (), *, _fd: int | None = None):
+        self._fd = _anonymous_file(ledger.dump_chain(chain)) if _fd is None else _fd
+        self._release = weakref.finalize(self, os.close, self._fd)
         self._lock = threading.Lock()
         self._state = CompetitionState()
-        for entry in chain:
-            self._check(entry)
-            self._state.fold(entry)
-        if self._state.head is None:
-            raise ledger.ChainError(ledger.NO_GENESIS)
-        data = ledger.dump_chain(chain) if _data is None else _data
-        self._fd = _anonymous_file(data) if _fd is None else _fd
-        self._size = len(data)  # the acknowledged bytes: the file's first `_size`
-        self._release = weakref.finalize(self, os.close, self._fd)
+        try:
+            with open(self._fd, "rb", closefd=False) as fh:
+                for entry in ledger.entries(fh):
+                    self._check(entry)
+                    self._state.fold(entry)
+                self._size = fh.tell()  # the acknowledged bytes: the file's first `_size`
+            if self._state.head is None:
+                raise ledger.ChainError(ledger.NO_GENESIS)
+        except BaseException:
+            self._release()
+            raise
         self._refusal: str | None = None  # why appends are refused, once they are
         # route -> (the version of the state it was built at, its body)
         self._bodies: dict[str, tuple[int, bytes]] = {}
@@ -290,27 +294,25 @@ class CompetitionHost:
     @classmethod
     def load(cls, data: bytes) -> "CompetitionHost":
         """Host of the NDJSON ledger `data` on an anonymous file.
-        `load_chain` proves every line canonical, so `data` is written and
-        served as it is."""
-        return cls(ledger.load_chain(data), _data=data)
+        `ledger.entries` proves every line canonical, so `data` is served
+        as it is."""
+        return cls(_fd=_anonymous_file(data))
 
     @classmethod
     def open(cls, path: str) -> "CompetitionHost":
         """Host the ledger file at `path` until `close` (or the end of a
-        `with` block).  Raises `BlockingIOError` when another host holds
-        the file, `ChainError` when it does not load or verify."""
+        `with` block), never holding its bytes.  Raises `BlockingIOError`
+        when another host holds the file, `ChainError` when it does not load."""
         fd = os.open(path, os.O_RDWR)
         try:
             try:
                 fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
             except BlockingIOError as exc:
                 raise BlockingIOError(exc.errno, "another process holds the ledger", path) from None
-            with open(fd, "rb", closefd=False) as fh:
-                data = fh.read()
-            return cls(ledger.load_chain(data), _data=data, _fd=fd)
         except BaseException:
             os.close(fd)
             raise
+        return cls(_fd=fd)
 
     def close(self) -> None:
         """Release the ledger file; appends, `snapshot` and reads of

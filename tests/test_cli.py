@@ -122,6 +122,71 @@ def test_audit_fails_after_one_flipped_byte(competition, capsys, where):
     assert code != 0
 
 
+def _trailing_space(lines: list[bytes]) -> tuple[int, str]:
+    lines[5] = lines[5][:-1] + b" \n"
+    return 5, "not in canonical form"
+
+
+def _cut_short(lines: list[bytes]) -> tuple[int, str]:
+    lines[-1] = lines[-1][:-1]
+    return len(lines) - 1, "cut short, no final newline"
+
+
+@pytest.mark.parametrize("damage", [_trailing_space, _cut_short])
+def test_audit_reports_the_entries_before_a_line_that_does_not_parse(
+    competition, tmp_path, capsys, damage
+):
+    ledger_path, team_id = competition
+    chain = ledger.read_ledger(ledger_path)
+    for team in (team_id, "nobody", "nobody-else"):
+        append_ghost_solve(chain, team)  # entries 4, 5 and 6
+    lines = ledger.dump_chain(chain).splitlines(keepends=True)
+    k, reason = damage(lines)
+    damaged = tmp_path / "damaged.ndjson"
+    damaged.write_bytes(b"".join(lines))
+    findings = [
+        {"code": "UNKNOWN_CHALLENGE", "index": 4, "message": "challenge 'ghost'"},
+        {"code": "UNKNOWN_TEAM", "index": 5, "message": "team 'nobody'"},
+    ][: k - 4] + [{"code": "CHAIN", "index": k, "message": f"ledger line {k}: {reason}"}]
+
+    code, out = _run(capsys, "--json", "audit", "--ledger", damaged)
+    assert code == 1
+    assert json.loads(out) == {"entries": k, "findings": findings, "ok": False, "scoreboard": []}
+    code, out = _run(capsys, "audit", "--ledger", damaged)
+    assert code == 1
+    assert out.splitlines() == [
+        *(f"entry {f['index']}: {f['code']}: {f['message']}" for f in findings),
+        f"audited {k} entries: {len(findings)} finding(s)",
+    ]
+
+
+def test_no_reader_builds_the_ledger_as_a_list(tmp_path, rng, capsys, monkeypatch):
+    """The host and the read commands fold each entry as they read its
+    line: with `load_chain`, the list form, refused, each gives the same
+    output."""
+    path = tmp_path / "ledger.ndjson"
+    path.write_bytes(ledger.dump_chain(simulate(rng, n_challenges=2, n_teams=3).chain()))
+
+    def outputs():
+        hosts = (lambda: CompetitionHost.open(str(path)),
+                 lambda: CompetitionHost.load(path.read_bytes()))
+        for make in hosts:
+            with make() as host:
+                yield [read_body(host, route) for route in ("/healthz", "/scoreboard",
+                                                            "/challenges", "/ledger")]
+        for argv in (["audit"], ["score", "--out", tmp_path / "s.json"], ["challenges"]):
+            yield _run(capsys, "--json", *argv, "--ledger", path)
+
+    expected = list(outputs())
+    assert [code for code, _ in expected[2:]] == [0, 0, 0]
+
+    def refuse(data):
+        raise AssertionError("the ledger was built as a list")
+
+    monkeypatch.setattr(ledger, "load_chain", refuse)
+    assert list(outputs()) == expected
+
+
 def test_service_url_gives_the_same_results_as_ledger(competition, tmp_path, capsys):
     ledger_path, _ = competition
     served = tmp_path / "served.ndjson"

@@ -88,7 +88,7 @@ class TestGenesis:
         assert entry.index == 0
         assert entry.prev_hash == ZERO_HASH
         assert verify_chain([entry])
-        assert organizer_key([entry]) == org.public
+        assert organizer_key(entry) == org.public
 
     def test_timestamp_changes_hash(self, rng):
         org = _org(rng)
@@ -338,6 +338,20 @@ class TestCanonicalNdjson:
             load_chain(raw[:-1])
         with pytest.raises(ChainError, match="ledger line 3: cut short"):
             load_chain(raw + b"{")
+        # `entries` reads lazily: each entry comes out as soon as its line
+        # is read, so the entries before the cut line come out before the error
+        pulled = []
+
+        def lines():
+            for line in raw[:-1].splitlines(keepends=True):
+                pulled.append(line)
+                yield line
+
+        reader = ledger.entries(lines())
+        for i in range(2):
+            assert next(reader) == chain[i] and len(pulled) == i + 1
+        with pytest.raises(ChainError, match="ledger line 2: cut short"):
+            next(reader)
 
     def test_deeply_nested_line_rejected(self):
         with pytest.raises(ChainError):
