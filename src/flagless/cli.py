@@ -95,14 +95,13 @@ class LocalTarget(_Target):
     def __init__(self, ledger_path: str):
         self.path = ledger_path
 
-    def ledger_bytes(self) -> bytes:
+    def ledger_file(self) -> io.BufferedReader:
         # the raw file, not a host's: `audit` reports a forged file that
         # a host would refuse to load
-        with open(self.path, "rb") as fh:
-            return fh.read()
+        return open(self.path, "rb")
 
     def _get(self, route: str) -> bytes:
-        with CompetitionHost.load(self.ledger_bytes()) as host:
+        with CompetitionHost.view(self.path) as host:
             body = host.read(route)
         if isinstance(body, FileRegion):
             with body:
@@ -130,8 +129,8 @@ class RemoteTarget(_Target):
         except urllib.error.URLError as exc:
             raise CliError(f"cannot reach service: {exc.reason}") from exc
 
-    def ledger_bytes(self) -> bytes:
-        return self._get("/ledger")
+    def ledger_file(self) -> io.BytesIO:
+        return io.BytesIO(self._get("/ledger"))
 
     def _post(self, changeset) -> tuple[int, bytes]:
         import urllib.request
@@ -319,7 +318,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    report = audit_all(ledger.entries(io.BytesIO(_target(args).ledger_bytes())))
+    with _target(args).ledger_file() as fh:
+        report = audit_all(ledger.entries(fh))
     if args.json:
         print(canonical_dumps(report.to_json_dict()))
     else:

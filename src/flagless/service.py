@@ -36,8 +36,8 @@ request starts no thread for each.  A connection that stays silent for
 `_Handler.timeout` seconds, mid-request (say, a body shorter than its
 Content-Length) or between keep-alive requests, is closed without an
 answer, so a stalled client cannot pin a worker; one whose client takes
-no byte of an answer for that long is closed with the answer cut short.
-One that the client resets is closed and logged at debug level only.
+no byte of an answer for that long is closed with the answer cut short,
+and one that the client resets is closed.
 The host serializes appends and reads, so every read sees the state
 between two appends.  `GET /ledger` is the acknowledged prefix of the
 host's file (for `serve`, the ledger file): its bytes up to the last
@@ -52,13 +52,21 @@ an answer and the entry is not kept.  A 503 is safe to retry: its
 request was not read.  An unanswered POST may still have been appended,
 so its retry can get 422 `DUPLICATE_SUBMISSION` or `DUPLICATE_TEAM`;
 `GET /ledger` tells whether the entry is there.
+
+Each connection reads into one buffer of the bytes `recv` gave that no
+request has used.  A head is found in it by one search for its blank
+line and split into lines once; while it is incomplete, each line is
+checked as it arrives, so a bad line is refused without waiting for the
+rest, and a line that arrives in parts grows in place.  A POST
+body comes from the same buffer, and what is left begins the next
+request.  Status lines come from one fixed table, so `serve` loads
+neither `http` nor, since it keeps no log, `logging`.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
-import logging
 import os
 import re
 import select
@@ -66,7 +74,6 @@ import socket
 import socketserver
 import threading
 import time
-from http import HTTPStatus
 
 from .canonical import canonical_bytes, parse_json, to_hex
 from .ledger import Changeset
@@ -76,13 +83,30 @@ MAX_BODY_BYTES = 1 << 20
 MAX_CONNECTIONS = 64
 _MAX_LINE = 1 << 16  # bytes in a request or header line, CRLF included
 _MAX_FIELDS = 100
-_FIELD_NAME = re.compile(rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")  # RFC 9110 token
+_RECV = 1 << 16  # bytes asked of one `recv`
+# A header field line without its LF: a name (an RFC 9110 token), a colon,
+# and a value ending in CR
+_FIELD = re.compile(r"([!#$%&'*+\-.^_`|~0-9A-Za-z]+):(.*)\r")
 _NOT_FOUND = canonical_bytes({"error": "not found"})
 _BAD_LENGTH = canonical_bytes({"error": "missing or invalid Content-Length"})
 _TOO_LARGE = canonical_bytes({"error": "body exceeds 1 MiB"})
 _BUSY = canonical_bytes({"error": "too many connections"})
-
-log = logging.getLogger(__name__)
+# The reason phrase of every status `serve` sends, as CPython 3.10-3.12
+# spell them (3.13 renamed 413 and 422), so no answer's bytes depend on
+# the interpreter
+_REASONS = {
+    100: "Continue",
+    200: "OK",
+    201: "Created",
+    400: "Bad Request",
+    404: "Not Found",
+    413: "Request Entity Too Large",
+    422: "Unprocessable Entity",
+    431: "Request Header Fields Too Large",
+    501: "Not Implemented",
+    503: "Service Unavailable",
+    505: "HTTP Version Not Supported",
+}
 
 
 @functools.lru_cache(maxsize=1)
@@ -98,7 +122,7 @@ def _send(sock: socket.socket, status: int, body, content_type: str, close: bool
     waits for room, and raises `TimeoutError` when none comes within the
     socket's timeout."""
     head = (
-        f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\nServer: flagless\r\n"
+        f"HTTP/1.1 {status} {_REASONS[status]}\r\nServer: flagless\r\n"
         f"Date: {_http_date(int(time.time()))}\r\n"
         + ("Connection: close\r\n" if close else "")
         + f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n\r\n"
@@ -150,20 +174,31 @@ class _Headers(dict):
     `email.message.Message` reads: by any case, `get` giving the first."""
 
     def get(self, name: str, default=None):
-        return self.get_all(name, [default])[0]
+        values = dict.get(self, name.lower())
+        return default if values is None else values[0]
 
     def get_all(self, name: str, default=None):
-        return super().get(name.lower(), default)
+        return dict.get(self, name.lower(), default)
+
+    def add(self, name: str, value: str) -> None:
+        self.setdefault(name.lower(), []).append(value.strip(" \t\r"))
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    # An answer's last segment, a ledger's from `sendfile` included, would
-    # otherwise wait on the client's delayed ACK (~40 ms on keep-alive).
-    disable_nagle_algorithm = True
+class _Handler(socketserver.BaseRequestHandler):
+    """The requests of one connection, parsed from `_buffer`: the bytes
+    `recv` gave that no request has used yet."""
+
     # Socket timeout in seconds; a read, or a wait for room to send, that
     # times out closes the connection.
     timeout = 30
     host: CompetitionHost  # set by make_server on the handler subclass
+
+    def setup(self) -> None:
+        self.request.settimeout(self.timeout)
+        # An answer's last segment, a ledger's from `sendfile` included, would
+        # otherwise wait on the client's delayed ACK (~40 ms on keep-alive).
+        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
+        self._buffer = b""
 
     def handle(self) -> None:
         try:
@@ -175,25 +210,70 @@ class _Handler(socketserver.StreamRequestHandler):
             except _Refused as exc:
                 status, error = exc.args
                 self._respond(status, canonical_bytes({"error": error}), close=True)
-        except TimeoutError:
+        except (TimeoutError, ConnectionError):
             pass  # closed without an answer, or with one cut short
-        except ConnectionError as exc:  # the client reset or closed mid-request
-            log.debug("%s %s %s: %s", self.client_address[0], self.command, self.path, exc)
-
-    def _line(self) -> bytes:
-        line = self.rfile.readline(_MAX_LINE + 1)
-        if len(line) > _MAX_LINE:
-            raise _Refused(431, "line exceeds 64 KiB")
-        return line
 
     def _read_head(self) -> bool:
-        """Parse a request line and its header fields into `command`, `path`,
-        `headers` and `close_connection`; False at the end of the stream."""
+        """Parse a request head into `command`, `path`, `headers` and
+        `close_connection`; False at the end of the stream before its first
+        byte.  Until the blank line arrives, each line is checked as it
+        completes, so a bad one is refused without waiting for the rest."""
         self.close_connection, self.command, self.path = True, "-", "-"
-        line = self._line()
-        if not line:
-            return False
-        parts = line[:-2].split(b" ") if line.endswith(b"\r\n") else []
+        self.headers, self._fields = _Headers(), 0
+        # checked becomes 1 once checked lines are cut from data, all but
+        # the LF that ends the last of them
+        data, checked = self._buffer, 0
+        while (end := data.find(b"\n\r\n")) < 0:
+            complete = data.rfind(b"\n") + 1
+            if complete > checked:
+                self._check(data[checked : complete - 1].split(b"\n"))
+                data, checked = data[complete - 1 :], 1
+            # an unended line grows in place, so a segment costs a copy of
+            # itself, not of the line
+            pending = bytearray(data)
+            while True:
+                if len(pending) - checked > _MAX_LINE:
+                    raise _Refused(431, "line exceeds 64 KiB")
+                chunk = self.request.recv(_RECV)
+                if not chunk:
+                    if not pending:
+                        return False
+                    line = "request" if self.command == "-" else "header"
+                    raise _Refused(400, f"malformed {line} line")
+                pending += chunk
+                if b"\n" in chunk:
+                    break
+            data = bytes(pending)
+        if end >= checked:  # else every line of the head is checked
+            self._check(data[checked:end].split(b"\n"))
+        self._buffer = data[end + 3 :]
+        connection = self.headers.get_all("Connection")
+        if connection is None:
+            self.close_connection = not self._http11
+        else:
+            tokens = {token.strip(" \t") for token in ",".join(connection).lower().split(",")}
+            self.close_connection = "close" in tokens if self._http11 else "keep-alive" not in tokens
+        return True
+
+    def _check(self, lines: list[bytes]) -> None:
+        """Check complete head lines, each without its LF, in arrival order:
+        the request line, then header fields into `headers`."""
+        for line in lines:
+            if len(line) >= _MAX_LINE:  # with its LF, over the limit
+                raise _Refused(431, "line exceeds 64 KiB")
+            if self.command == "-":
+                self._request_line(line)
+                continue
+            field = _FIELD.fullmatch(line.decode("latin-1"))
+            if field is None:
+                raise _Refused(400, "malformed header line")
+            if self._fields == _MAX_FIELDS:
+                raise _Refused(431, "more than 100 header fields")
+            self._fields += 1
+            self.headers.add(*field.groups())
+
+    def _request_line(self, line: bytes) -> None:
+        parts = line[:-1].split(b" ") if line.endswith(b"\r") else []
         if len(parts) != 3 or not parts[1] or not parts[2].startswith(b"HTTP/"):
             raise _Refused(400, "malformed request line")
         method, target, version = parts
@@ -202,30 +282,26 @@ class _Handler(socketserver.StreamRequestHandler):
         if method not in (b"GET", b"POST"):
             raise _Refused(501, "method not implemented")
         self.command, self.path = method.decode("ascii"), target.decode("latin-1")
-        self.headers = _Headers()
-        for _ in range(_MAX_FIELDS + 1):
-            line = self._line()
-            if line == b"\r\n":
-                break
-            name, colon, value = line.partition(b":")
-            if not (colon and line.endswith(b"\r\n") and _FIELD_NAME.fullmatch(name)):
-                raise _Refused(400, "malformed header line")
-            value = value.strip(b" \t\r\n").decode("latin-1")
-            self.headers.setdefault(name.decode("ascii").lower(), []).append(value)
-        else:
-            raise _Refused(431, "more than 100 header fields")
-        connection = ",".join(self.headers.get_all("Connection", [])).lower()
-        tokens = {token.strip(" \t") for token in connection.split(",")}
         self._http11 = version == b"HTTP/1.1"
-        self.close_connection = "close" in tokens if self._http11 else "keep-alive" not in tokens
-        return True
+
+    def _read_body(self, length: int) -> bytes:
+        """The next `length` bytes, from the buffer and then the socket;
+        fewer if the stream ends first."""
+        data = self._buffer
+        if len(data) < length:
+            chunks, size = [data], len(data)
+            while size < length and (chunk := self.request.recv(length - size)):
+                chunks.append(chunk)
+                size += len(chunk)
+            data = b"".join(chunks)
+        body, self._buffer = data[:length], data[length:]
+        return body
 
     def _respond(
         self, status: int, body, content_type: str = "application/json", *, close=False
     ) -> None:
         self.close_connection = self.close_connection or close
         _send(self.request, status, body, content_type, self.close_connection)
-        log.debug("%s %s %s %d", self.client_address[0], self.command, self.path, status)
 
     def _respond_json(self, status: int, obj) -> None:
         self._respond(status, canonical_bytes(obj))
@@ -261,8 +337,8 @@ class _Handler(socketserver.StreamRequestHandler):
             self._respond(413, _TOO_LARGE, close=True)
             return
         if self._http11 and self.headers.get("Expect", "").lower() == "100-continue":
-            self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
-        body = self.rfile.read(length)
+            self.request.sendall(f"HTTP/1.1 100 {_REASONS[100]}\r\n\r\n".encode("ascii"))
+        body = self._read_body(length)
         try:
             changeset = Changeset.from_json_dict(parse_json(body))
         except ValueError as exc:
@@ -299,7 +375,6 @@ class _Server(socketserver.TCPServer):
                 self._live.add(request)
         if live >= MAX_CONNECTIONS:
             _send(request, 503, _BUSY, "application/json", True)
-            log.debug("%s refused: %d connections live", client_address[0], MAX_CONNECTIONS)
             self.shutdown_request(request)
             return
         if live >= len(self._workers):

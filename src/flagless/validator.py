@@ -246,9 +246,10 @@ class CompetitionHost:
 
     A host made by `open` uses the ledger file itself and is its only
     writer: it holds an exclusive lock on the file until `close`.  A host
-    made by `load` or from a chain uses an anonymous temporary file, which
-    leaves no name behind.  A host dropped without `close` releases its
-    file when it is collected.
+    made by `view` reads the file itself without the lock and refuses
+    every append.  A host made from a chain uses an anonymous temporary
+    file, which leaves no name behind.  A host dropped without
+    `close` releases its file when it is collected.
 
     All reads and appends take one lock.  An append builds the next entry
     on the state's head, serializing it once, writes its canonical line
@@ -292,13 +293,6 @@ class CompetitionHost:
         self._bodies: dict[str, tuple[int, bytes]] = {}
 
     @classmethod
-    def load(cls, data: bytes) -> "CompetitionHost":
-        """Host of the NDJSON ledger `data` on an anonymous file.
-        `ledger.entries` proves every line canonical, so `data` is served
-        as it is."""
-        return cls(_fd=_anonymous_file(data))
-
-    @classmethod
     def open(cls, path: str) -> "CompetitionHost":
         """Host the ledger file at `path` until `close` (or the end of a
         `with` block), never holding its bytes.  Raises `BlockingIOError`
@@ -313,6 +307,15 @@ class CompetitionHost:
             os.close(fd)
             raise
         return cls(_fd=fd)
+
+    @classmethod
+    def view(cls, path: str) -> "CompetitionHost":
+        """Host the ledger file at `path` for reads, on a read-only
+        descriptor of the file: it takes no lock, so it loads while
+        another host holds the file, and it refuses every append."""
+        host = cls(_fd=os.open(path, os.O_RDONLY))
+        host._refusal = "the host is read-only"
+        return host
 
     def close(self) -> None:
         """Release the ledger file; appends, `snapshot` and reads of

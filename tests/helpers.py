@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 import threading
 from dataclasses import dataclass, field
 from random import Random
@@ -46,6 +48,16 @@ def scoreboard_json(rows: list[ScoreboardRow]) -> bytes:
     """`canonical_bytes` of the rows' `to_json_dict`s: the reference
     `scoreboard_bytes`, which formats them directly, is held to."""
     return canonical_bytes([row.to_json_dict() for row in rows])
+
+
+def load_host(data: bytes) -> CompetitionHost:
+    """A host of the NDJSON ledger `data`, opened on a file whose name is
+    gone once the host holds it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ledger.ndjson")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return CompetitionHost.open(path)
 
 
 def read_body(host: CompetitionHost, route: str = "/ledger") -> bytes:

@@ -3,6 +3,7 @@ and through a running service."""
 
 import contextlib
 import http.server
+import io
 import json
 import subprocess
 import sys
@@ -11,12 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from flagless import cli, ledger
+from flagless import cli, ledger, validator
 from flagless.canonical import canonical_bytes
 from flagless.competition import build_submission, register_team
 from flagless.validator import CompetitionHost
 
-from helpers import BackgroundService, append_ghost_solve, read_body, simulate
+from helpers import BackgroundService, append_ghost_solve, load_host, read_body, simulate
 
 FLAG = "flag{cli-test}"
 
@@ -96,6 +97,29 @@ def test_a_released_challenge_is_not_released_again(competition, capsys):
     assert Path(ledger_path).read_bytes() == before
 
 
+def test_local_reads_use_the_file_itself(competition, tmp_path, capsys, monkeypatch):
+    # `score`, `challenges` and `audit` on --ledger fold the file as they
+    # read it: no copy of its bytes, in memory or in an anonymous file, and
+    # no writer's lock
+    ledger_path, _ = competition
+    commands = [["score", "--out", tmp_path / "board.json"], ["challenges"], ["audit"]]
+    before = [_run(capsys, "--json", *argv, "--ledger", ledger_path) for argv in commands]
+    entries = ledger.entries
+
+    def from_a_file(lines):
+        assert isinstance(lines, io.BufferedReader), type(lines)
+        return entries(lines)
+
+    def copied(data):
+        raise AssertionError("the ledger was copied")
+
+    monkeypatch.setattr(ledger, "entries", from_a_file)
+    monkeypatch.setattr(validator, "_anonymous_file", copied)
+    with CompetitionHost.open(ledger_path):  # a writer holds the file
+        after = [_run(capsys, "--json", *argv, "--ledger", ledger_path) for argv in commands]
+    assert after == before and all(code == 0 for code, _ in after)
+
+
 def test_audit_fails_on_a_ledger_with_no_genesis(tmp_path, capsys):
     empty = tmp_path / "empty.ndjson"
     empty.write_bytes(b"")
@@ -169,7 +193,7 @@ def test_no_reader_builds_the_ledger_as_a_list(tmp_path, rng, capsys, monkeypatc
 
     def outputs():
         hosts = (lambda: CompetitionHost.open(str(path)),
-                 lambda: CompetitionHost.load(path.read_bytes()))
+                 lambda: load_host(path.read_bytes()))
         for make in hosts:
             with make() as host:
                 yield [read_body(host, route) for route in ("/healthz", "/scoreboard",
@@ -369,9 +393,9 @@ from flagless import sigproof
 from flagless.service import make_server
 from flagless.validator import CompetitionHost
 
-ledger, registration, solve = (open(path, "rb").read() for path in sys.argv[1:4])
+registration, solve = (open(path, "rb").read() for path in sys.argv[2:4])
 heavy = sys.argv[4:]
-with CompetitionHost.load(ledger) as host:
+with CompetitionHost.open(sys.argv[1]) as host:
     server = make_server(host, ("127.0.0.1", 0))
     threading.Thread(target=server.serve_forever, daemon=True).start()
 
@@ -393,14 +417,16 @@ print("hashlib" in sys.modules)
 
 def test_the_serve_path_loads_no_openssl_http_client_or_mail_parser(tmp_path, rng):
     # `serve` and the local commands start without them, and a host that
-    # answers POSTs and every GET route hashes without OpenSSL and builds
-    # its records without `dataclasses`; only scrypt loads `hashlib`, only
-    # the flag prompt `getpass`, and --service-url loads urllib on first
-    # use (test_service_url_gives_the_same_results_as_ledger)
+    # answers POSTs and every GET route hashes without OpenSSL, builds its
+    # records without `dataclasses`, logs nothing and spells its status
+    # lines without `http`; only scrypt loads `hashlib`, only the flag
+    # prompt `getpass`, and --service-url loads urllib on first use
+    # (test_service_url_gives_the_same_results_as_ledger)
     heavy = (
         "http.server", "http.client", "email.parser", "urllib.request", "ssl",
         "_hashlib", "hashlib", "hmac", "secrets",
         "dataclasses", "inspect", "ast", "dis", "getpass",
+        "logging", "traceback", "tokenize", "http",
     )
     sim = simulate(rng, n_challenges=1, n_teams=0)
     with sim.host:

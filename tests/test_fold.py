@@ -39,7 +39,7 @@ from flagless.validator import (
     validate_changeset,
 )
 
-from helpers import read_body, scoreboard_json, simulate
+from helpers import load_host, read_body, scoreboard_json, simulate
 
 # ------------------------------------------------------------------ oracle
 
@@ -404,7 +404,7 @@ def test_host_refuses_exactly_what_the_audit_flags_by_its_rules(rng, forgeries):
         forgery(forge, rng)
     flagged = [f for f in audit_all(forge.chain).findings if f.code in HOST_RULES]
     for load in (lambda: CompetitionHost(forge.chain),
-                 lambda: CompetitionHost.load(ledger.dump_chain(forge.chain))):
+                 lambda: load_host(ledger.dump_chain(forge.chain))):
         if flagged:
             first = f"entry {flagged[0].index}: {flagged[0].code}:"
             with pytest.raises(ledger.ChainError, match=first):

@@ -32,7 +32,14 @@ from flagless.competition import (
 from flagless.sigproof import KdfParams
 from flagless.validator import CompetitionHost, ValidationVerdict
 
-from helpers import BackgroundService, padded_chain, read_body, scoreboard_json, simulate
+from helpers import (
+    BackgroundService,
+    load_host,
+    padded_chain,
+    read_body,
+    scoreboard_json,
+    simulate,
+)
 
 TIMEOUT_S = 10
 ROUTES = ("/ledger", "/scoreboard", "/challenges", "/healthz")
@@ -53,7 +60,7 @@ def hosted(request, sim, tmp_path):
         with CompetitionHost(sim.chain()) as host:
             yield host, None
     elif request.param == "bytes":
-        with CompetitionHost.load(ledger.dump_chain(sim.chain())) as host:
+        with load_host(ledger.dump_chain(sim.chain())) as host:
             yield host, None
     else:
         path = tmp_path / "ledger.ndjson"

@@ -25,9 +25,8 @@ from flagless.ledger import (
     verify_chain,
 )
 from flagless.sigproof import keypair_from_seed
-from flagless.validator import CompetitionHost
 
-from helpers import entry_hash, replace_entry, simulate
+from helpers import entry_hash, load_host, replace_entry, simulate
 
 
 def _org(rng):
@@ -392,7 +391,7 @@ class TestCanonicalNdjson:
         calls = []
         dumps = canonical.canonical_dumps
         monkeypatch.setattr(canonical, "canonical_dumps", lambda obj: calls.append(1) or dumps(obj))
-        host = CompetitionHost.load(data)
+        host = load_host(data)
         assert len(calls) == data.count(b"\n") + 2
         calls.clear()
         assert host.apply(changeset).index == data.count(b"\n")
@@ -401,7 +400,7 @@ class TestCanonicalNdjson:
     def test_single_bit_mutations_detected_sample(self, rng):
         chain, _ = _chain(rng, n_extra=6)
         raw = dump_chain(chain)
-        CompetitionHost.load(raw)
+        load_host(raw)
         mutation_rng = random.Random(99)
         for _ in range(60):
             pos = mutation_rng.randrange(len(raw))
@@ -414,4 +413,4 @@ class TestCanonicalNdjson:
                 continue  # detected at parse time
             assert not verify_chain(loaded), f"undetected flip at byte {pos} bit {bit}"
             with pytest.raises(ChainError):
-                CompetitionHost.load(bytes(mutated))
+                load_host(bytes(mutated))

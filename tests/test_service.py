@@ -1,7 +1,9 @@
 """HTTP contract of the service: status codes, bodies, hostile requests."""
 
+import ast
 import hashlib
 import http.client
+import io
 import itertools
 import json
 import os
@@ -10,9 +12,12 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import flagless.service
 from flagless import ledger
 from flagless.canonical import canonical_bytes
 from flagless.competition import (
@@ -24,7 +29,7 @@ from flagless.competition import (
     team_path,
 )
 from flagless.ledger import Changeset, FileChange
-from flagless.service import _BAD_LENGTH, _Handler
+from flagless.service import _BAD_LENGTH, _REASONS, _Handler
 from flagless.validator import CompetitionHost
 
 from helpers import BackgroundService, append_ghost_solve, padded_chain, read_body, simulate
@@ -314,6 +319,154 @@ class TestMalformedRequests:
         assert status == 404
 
 
+class TestFraming:
+    """Where a request ends, whatever segments its bytes arrive in.  A
+    POST whose body shares its head's segment is in
+    `test_wire_bytes_are_pinned`, and a 101st field that comes before any
+    blank line in `test_unservable_head_is_a_json_answer_that_closes`."""
+
+    def _trickle(self, svc, parts) -> bytes:
+        """Send each part as its own segment, then read until EOF."""
+        with socket.create_connection(svc.server.server_address[:2], timeout=TIMEOUT_S) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
+            for part in parts:
+                sock.sendall(part)
+                time.sleep(0.002)
+            data = b""
+            while chunk := sock.recv(65536):
+                data += chunk
+            return data
+
+    def test_a_head_sent_one_byte_per_segment(self, service, sim):
+        head = b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        data = self._trickle(service, [head[i : i + 1] for i in range(len(head))])
+        assert data.startswith(b"HTTP/1.1 200 ") and data.count(b"HTTP/1.1 ") == 1
+        assert data.endswith(b"\r\n\r\n" + read_body(sim.host, "/healthz"))
+
+    def test_pipelined_requests_are_answered_in_order(self, service, sim):
+        data = _until_eof(
+            service,
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+            b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n"
+            b"GET /challenges HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        )
+        reader = io.BytesIO(data)
+        answers = [_answer(reader) for _ in range(3)]
+        assert reader.read() == b""
+        assert [answer.split(b" ", 2)[1] for answer in answers] == [b"200", b"404", b"200"]
+        assert answers[0].endswith(b"\r\n\r\n" + read_body(sim.host, "/healthz"))
+        assert answers[2].endswith(b"\r\n\r\n" + read_body(sim.host, "/challenges"))
+
+    def test_a_body_split_across_three_segments(self, service, rng):
+        body = canonical_bytes(register_team("Trickle", rng=rng)[2].to_json_dict())
+        head = b"POST /changesets HTTP/1.1\r\nConnection: close\r\nContent-Length: %d\r\n\r\n"
+        third = len(body) // 3
+        data = self._trickle(
+            service, [head % len(body), body[:third], body[third : 2 * third], body[2 * third :]]
+        )
+        assert data.startswith(b"HTTP/1.1 201 ") and data.count(b"HTTP/1.1 ") == 1
+
+    @pytest.mark.parametrize(
+        "line,status",
+        [
+            (b"X-A: " + b"b" * ((1 << 16) - 7) + b"\r\n", 200),
+            (b"X-A: " + b"b" * ((1 << 16) - 6) + b"\r\n", 431),
+            (b"X-A: " + b"b" * ((1 << 16) - 4), 431),  # refused before its LF comes
+        ],
+        ids=["64-kib", "64-kib-and-1", "64-kib-and-1-unended"],
+    )
+    def test_a_line_of_64_kib_with_its_crlf_is_the_longest(self, service, line, status):
+        assert len(line) == (1 << 16) + (status == 431)
+        # a refused head ends at its long line, so no unread byte resets the close
+        end = b"\r\n" if status == 200 else b""
+        data = _until_eof(service, b"GET /healthz HTTP/1.0\r\n" + line + end)
+        assert data.startswith(b"HTTP/1.1 %d " % status) and data.count(b"HTTP/1.1 ") == 1
+
+    def test_a_long_request_line_after_a_pipelined_request_is_431(self, service):
+        # the second head is in the buffer whole, or its line outgrows it
+        second = b"GET /" + b"a" * (1 << 16) + b" HTTP/1.1\r\n\r\n"
+        data = _until_eof(service, b"GET /healthz HTTP/1.1\r\n\r\n" + second)
+        assert [answer[:3] for answer in data.split(b"HTTP/1.1 ")[1:]] == [b"200", b"431"]
+
+    @pytest.mark.parametrize(
+        "parts",
+        [[b"\n\r\n"], [b"GET /healthz HTTP/1.1\r\n\n\r\n"], [b"GET /healthz HTTP/1.1\r\n", b"\n\r\n"]],
+        ids=["no-request-line", "whole", "in-two-segments"],
+    )
+    def test_a_bare_lf_line_before_the_blank_line_is_400(self, service, parts):
+        data = self._trickle(service, parts)
+        assert data.startswith(b"HTTP/1.1 400 ") and data.count(b"HTTP/1.1 ") == 1
+
+    @pytest.mark.parametrize(
+        "head,line",
+        [
+            (b"GET /hea", b"request"),
+            (b"GET /healthz HTTP/1.1\r\n", b"header"),
+            (b"GET /healthz HTTP/1.1\r\nHost: x", b"header"),
+        ],
+    )
+    def test_a_head_cut_short_by_the_end_of_the_stream_is_400(self, service, head, line):
+        with socket.create_connection(service.server.server_address[:2], timeout=TIMEOUT_S) as sock:
+            sock.sendall(head)
+            sock.shutdown(socket.SHUT_WR)
+            data = b""
+            while chunk := sock.recv(65536):
+                data += chunk
+        assert data.startswith(b"HTTP/1.1 400 ") and data.count(b"HTTP/1.1 ") == 1
+        assert data.endswith(b'{"error":"malformed %s line"}' % line)
+
+    @pytest.mark.parametrize("fields,status", [(100, 200), (101, 431)])
+    def test_a_whole_head_of_100_header_fields_is_the_largest(self, service, fields, status):
+        data = _until_eof(
+            service, b"GET /healthz HTTP/1.0\r\n" + b"X-A: b\r\n" * fields + b"\r\n"
+        )
+        assert data.startswith(b"HTTP/1.1 %d " % status) and data.count(b"HTTP/1.1 ") == 1
+
+
+class _Segments:
+    """A connection whose `recv` gives each of `parts` in turn, then EOF.
+    Under `tracemalloc`, `allocated` adds up, between one `recv` and the
+    next, how far the reader's memory rose above what it held at the
+    first: about the bytes it copied meanwhile."""
+
+    def __init__(self, parts: list[bytes]):
+        self._parts = iter(parts)
+        self._held, self.allocated = tracemalloc.get_traced_memory()[0], 0
+
+    def recv(self, size: int) -> bytes:
+        current, peak = tracemalloc.get_traced_memory()
+        self.allocated += peak - self._held
+        tracemalloc.reset_peak()
+        self._held = current
+        return next(self._parts, b"")
+
+
+def _allocated_reading(head: bytes) -> int:
+    """`_Segments.allocated` for reading `head` sent a byte per segment."""
+    parts = [bytes([byte]) for byte in head]  # one-byte `bytes` are shared
+    handler = _Handler.__new__(_Handler)
+    tracemalloc.start()
+    try:
+        handler.request, handler._buffer = _Segments(parts), b""
+        assert handler._read_head()
+        allocated = handler.request.allocated
+    finally:
+        tracemalloc.stop()
+    assert handler._buffer == b""
+    return allocated
+
+
+def test_a_long_line_sent_a_byte_per_segment_costs_what_short_lines_do():
+    # copying the unended line again for each segment it grows by would
+    # copy about 2 GB for this 60 KiB line, and cost time to match, but
+    # a sixtieth of that for the same bytes as 60 lines of 1 KiB
+    line = b"X-A: " + b"b" * (60 * 1024) + b"\r\n"
+    short = b"X-A: " + b"b" * (1024 - 7) + b"\r\n"
+    long_bytes = _allocated_reading(b"GET / HTTP/1.1\r\n" + line + b"\r\n")
+    short_bytes = _allocated_reading(b"GET / HTTP/1.1\r\n" + short * 60 + b"\r\n")
+    assert long_bytes < 2 * short_bytes, (long_bytes, short_bytes)
+
+
 class TestConnectionCap:
     def test_overflow_is_503_and_a_freed_slot_serves_again(self, sim, monkeypatch):
         monkeypatch.setattr("flagless.service.MAX_CONNECTIONS", 4)
@@ -475,6 +628,50 @@ def test_wire_bytes_are_pinned(rng, monkeypatch):
     ] * 4 + [b"404", b"400", b"404", b"200", b"200", b"501"]
     masked = re.sub(rb"\r\nDate: [^\r]*\r\n", b"\r\nDate: -\r\n", b"".join(answers))
     assert hashlib.sha256(masked).hexdigest() == WIRE_DIGEST
+
+
+def test_every_status_sent_has_one_reason_phrase():
+    # the statuses the module names: what `_Refused`, `_respond`,
+    # `_respond_json` and `_send` are given, what `answer` returns, and
+    # the `100 Continue` line
+    tree = ast.parse(Path(flagless.service.__file__).read_text(encoding="utf-8"))
+    sent = set()
+    for node in ast.walk(tree):
+        status = None
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = getattr(node.func, "id", None) or node.func.attr
+            position = {"_Refused": 0, "_respond": 0, "_respond_json": 0, "_send": 1}.get(name)
+            if position is not None and len(node.args) > position:
+                status = node.args[position]
+        elif isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple):
+            status = node.value.elts[0]
+        elif isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "_REASONS":
+            status = node.slice
+        if isinstance(status, ast.Constant):
+            sent.add(status.value)
+    (table,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_REASONS"
+    ]
+    keys = [key.value for key in table.keys]
+    assert sorted(keys) == sorted(set(keys)) == sorted(sent)
+    assert sent == {100, 200, 201, 400, 404, 413, 422, 431, 501, 503, 505}
+    # spelled as CPython 3.10-3.12 do; 3.13 renamed these two
+    assert _REASONS[413] == "Request Entity Too Large"
+    assert _REASONS[422] == "Unprocessable Entity"
+
+
+def test_413_and_422_status_lines_are_pinned(service, sim):
+    data = _raw(
+        service, b"POST /changesets HTTP/1.1\r\nHost: x\r\nContent-Length: 1048577\r\n\r\n"
+    )
+    assert data.startswith(b"HTTP/1.1 413 Request Entity Too Large\r\n")
+    body = canonical_bytes(sim.chain()[-1].changeset.to_json_dict())  # a registration again
+    data = _until_eof(
+        service,
+        b"POST /changesets HTTP/1.0\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body),
+    )
+    assert data.startswith(b"HTTP/1.1 422 Unprocessable Entity\r\n")
 
 
 class TestReads:

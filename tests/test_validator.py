@@ -26,7 +26,7 @@ from flagless.validator import (
     validate_changeset,
 )
 
-from helpers import simulate
+from helpers import load_host, simulate
 
 
 def _single(path: str, content: bytes, author: str = "x") -> Changeset:
@@ -328,7 +328,7 @@ class TestHostRules:
 
     def test_host_rejects_a_ledger_with_no_genesis(self):
         with pytest.raises(ledger.ChainError, match="genesis"):
-            CompetitionHost.load(b"")
+            load_host(b"")
         with pytest.raises(ledger.ChainError, match="genesis"):
             CompetitionHost([])
 
