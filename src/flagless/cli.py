@@ -135,10 +135,9 @@ class RemoteTarget(_Target):
     def _post(self, changeset) -> tuple[int, bytes]:
         import urllib.request
 
-        body = canonical_bytes(changeset.to_json_dict())
         request = urllib.request.Request(
             self.base_url + "/changesets",
-            data=body,
+            data=changeset.serialize(),
             method="POST",
             headers={"Content-Type": "application/json"},
         )
@@ -205,10 +204,7 @@ def cmd_init(args) -> int:
     keys = sigproof.keypair_from_seed(seed)
     meta = canonical_bytes({"created_at": int(time.time()), "name": args.name})
     entry = ledger.genesis(keys.public, meta, int(time.time()))
-    _write_private_file(
-        key_path,
-        canonical_bytes(TeamSecret(team_id="organizer", seed=seed).to_json_dict()),
-    )
+    _write_private_file(key_path, TeamSecret(team_id="organizer", seed=seed).serialize())
     ledger.write_ledger(ledger_path, [entry])
     if args.json:
         print(canonical_dumps({"ledger": ledger_path, "organizer_key": key_path}))
@@ -244,7 +240,7 @@ def cmd_challenge_add(args) -> int:
 
 def cmd_team_register(args) -> int:
     record, secret, changeset = register_team(args.name)
-    _write_private_file(args.secret_out, canonical_bytes(secret.to_json_dict()))
+    _write_private_file(args.secret_out, secret.serialize())
     try:
         result = _target(args).submit(changeset)
     except (BlockingIOError, FileNotFoundError, _Refused):  # held or missing file, or refused

@@ -31,7 +31,7 @@ from random import Random
 from typing import Iterable, NamedTuple
 
 from .canonical import (
-    Record, canonical_bytes, from_b64, from_hex, is_int, json_object, parse_json, to_b64, to_hex
+    HEX, Record, from_b64, from_hex, is_int, json_object, listed, parse_json, to_b64, to_hex
 )
 from .ledger import (
     NO_GENESIS, ChainError, Changeset, FileChange, LedgerEntry, link_fault, organizer_key
@@ -86,10 +86,23 @@ def submission_path(team_id: str, challenge_id: str) -> str:
     return f"{SUBMISSION_PREFIX}{team_id}/{challenge_id}.json"
 
 
-class ChallengeDescriptor(Record):
-    __slots__ = (
-        "id", "title", "description", "categories", "points", "salt", "public_key", "kdf"
-    )
+def _check_point(public_key: bytes) -> None:
+    if len(public_key) != 32 or decoded_key(bytes(public_key)) is None:
+        raise ValueError("public_key is not a valid point encoding")
+
+
+class ChallengeDescriptor(Record, what="challenge descriptor"):
+    _json = {
+        "id": None,
+        "title": None,
+        "description": None,
+        "categories": listed(None, "categories must be a list"),
+        "points": None,
+        "salt": HEX,
+        "public_key": HEX,
+        "kdf": (KdfParams.to_json_dict, KdfParams.from_json_dict),
+    }
+    __slots__ = tuple(_json)
 
     def __init__(
         self,
@@ -109,56 +122,17 @@ class ChallengeDescriptor(Record):
             raise ValueError("points must be a positive integer")
         if len(salt) != sigproof.SALT_LEN:
             raise ValueError("salt must be 16 bytes")
-        if len(public_key) != 32 or decoded_key(bytes(public_key)) is None:
-            raise ValueError("public_key is not a valid point encoding")
+        _check_point(public_key)
         if not isinstance(title, str) or not isinstance(description, str):
             raise ValueError("title and description must be strings")
         if not all(isinstance(c, str) for c in categories):
             raise ValueError("categories must be strings")
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "title", title)
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "categories", categories)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "salt", salt)
-        object.__setattr__(self, "public_key", public_key)
-        object.__setattr__(self, "kdf", kdf)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "categories": list(self.categories),
-            "description": self.description,
-            "id": self.id,
-            "kdf": self.kdf.to_json_dict(),
-            "points": self.points,
-            "public_key": to_hex(self.public_key),
-            "salt": to_hex(self.salt),
-            "title": self.title,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "ChallengeDescriptor":
-        keys = {"categories", "description", "id", "kdf", "points", "public_key", "salt", "title"}
-        json_object(obj, keys, "challenge descriptor")
-        if not isinstance(obj["categories"], list):
-            raise ValueError("categories must be a list")
-        return cls(
-            id=obj["id"],
-            title=obj["title"],
-            description=obj["description"],
-            categories=tuple(obj["categories"]),
-            points=obj["points"],
-            salt=from_hex(obj["salt"]),
-            public_key=from_hex(obj["public_key"]),
-            kdf=KdfParams.from_json_dict(obj["kdf"]),
-        )
-
-    def serialize(self) -> bytes:
-        return canonical_bytes(self.to_json_dict())
+        Record.__init__(self, id, title, description, categories, points, salt, public_key, kdf)
 
 
-class TeamRecord(Record):
-    __slots__ = ("id", "name", "public_key")
+class TeamRecord(Record, what="team record"):
+    _json = {"id": None, "name": None, "public_key": HEX}
+    __slots__ = tuple(_json)
 
     def __init__(self, id: str, name: str, public_key: bytes) -> None:
         if not valid_slug(id):
@@ -167,28 +141,8 @@ class TeamRecord(Record):
             raise ValueError("team name must be 1-64 characters")
         if not name.isprintable():
             raise ValueError("team name must be printable")
-        if len(public_key) != 32 or decoded_key(bytes(public_key)) is None:
-            raise ValueError("public_key is not a valid point encoding")
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "public_key", public_key)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "name": self.name,
-            "public_key": to_hex(self.public_key),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "TeamRecord":
-        json_object(obj, {"id", "name", "public_key"}, "team record")
-        return cls(
-            id=obj["id"], name=obj["name"], public_key=from_hex(obj["public_key"])
-        )
-
-    def serialize(self) -> bytes:
-        return canonical_bytes(self.to_json_dict())
+        _check_point(public_key)
+        Record.__init__(self, id, name, public_key)
 
 
 class TeamSecret(Record):
@@ -197,8 +151,7 @@ class TeamSecret(Record):
     __slots__ = ("team_id", "seed")
 
     def __init__(self, team_id: str, seed: bytes) -> None:
-        object.__setattr__(self, "team_id", team_id)
-        object.__setattr__(self, "seed", seed)
+        Record.__init__(self, team_id, seed)
 
     def keypair(self) -> KeyPair:
         return sigproof.keypair_from_seed(self.seed)
@@ -219,34 +172,18 @@ class TeamSecret(Record):
         return secret
 
 
-class SubmissionRecord(Record):
-    __slots__ = ("team_id", "challenge_id", "proof")
+# A proof is held in JSON as the base64 of its binary form.
+_PROOF = (lambda proof: to_b64(proof.serialize()), lambda text: Proof.parse(from_b64(text)))
+
+
+class SubmissionRecord(Record, what="submission record"):
+    _json = {"team_id": None, "challenge_id": None, "proof": _PROOF}
+    __slots__ = tuple(_json)
 
     def __init__(self, team_id: str, challenge_id: str, proof: Proof) -> None:
         if not valid_slug(team_id) or not valid_slug(challenge_id):
             raise ValueError("submission ids must be valid slugs")
-        object.__setattr__(self, "team_id", team_id)
-        object.__setattr__(self, "challenge_id", challenge_id)
-        object.__setattr__(self, "proof", proof)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "challenge_id": self.challenge_id,
-            "proof": to_b64(self.proof.serialize()),
-            "team_id": self.team_id,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "SubmissionRecord":
-        json_object(obj, {"challenge_id", "proof", "team_id"}, "submission record")
-        return cls(
-            team_id=obj["team_id"],
-            challenge_id=obj["challenge_id"],
-            proof=Proof.parse(from_b64(obj["proof"])),
-        )
-
-    def serialize(self) -> bytes:
-        return canonical_bytes(self.to_json_dict())
+        Record.__init__(self, team_id, challenge_id, proof)
 
 
 class ScoreboardRow(NamedTuple):
@@ -261,18 +198,11 @@ class ScoreboardRow(NamedTuple):
     last_solve_index: int | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "last_solve_index": self.last_solve_index,
-            "points": self.points,
-            "rank": self.rank,
-            "solves": self.solves,
-            "team_id": self.team_id,
-        }
+        return self._asdict()
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ScoreboardRow":
-        keys = {"last_solve_index", "points", "rank", "solves", "team_id"}
-        json_object(obj, keys, "scoreboard row")
+        json_object(obj, set(cls._fields), "scoreboard row")
         if not all(is_int(obj[k]) for k in ("points", "rank", "solves")):
             raise ValueError("rank, points and solves must be integers")
         if obj["last_solve_index"] is not None and not is_int(obj["last_solve_index"]):
@@ -577,13 +507,12 @@ def scoreboard_bytes(rows: list[ScoreboardRow]) -> bytes:
     return f"[{body}]".encode("utf-8")
 
 
-class AuditFinding(Record):
-    __slots__ = ("index", "code", "message")
+class AuditFinding(Record, what="audit finding"):
+    _json = dict.fromkeys(("index", "code", "message"))
+    __slots__ = tuple(_json)
 
     def __init__(self, index: int, code: str, message: str) -> None:
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "message", message)
+        Record.__init__(self, index, code, message)
 
 
 class AuditReport(Record):
@@ -592,9 +521,7 @@ class AuditReport(Record):
     def __init__(
         self, findings: list[AuditFinding], scoreboard: list[ScoreboardRow], entries: int
     ) -> None:
-        object.__setattr__(self, "findings", findings)
-        object.__setattr__(self, "scoreboard", scoreboard)
-        object.__setattr__(self, "entries", entries)
+        Record.__init__(self, findings, scoreboard, entries)
 
     @property
     def ok(self) -> bool:
@@ -603,10 +530,7 @@ class AuditReport(Record):
     def to_json_dict(self) -> dict:
         return {
             "entries": self.entries,
-            "findings": [
-                {"code": f.code, "index": f.index, "message": f.message}
-                for f in self.findings
-            ],
+            "findings": [finding.to_json_dict() for finding in self.findings],
             "ok": self.ok,
             "scoreboard": [row.to_json_dict() for row in self.scoreboard],
         }

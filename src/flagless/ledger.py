@@ -28,8 +28,7 @@ from typing import Iterable, Iterator
 from . import ed25519
 from ._ed25519_core import decoded_key
 from .canonical import (
-    Record, canonical_bytes, from_b64, from_hex, is_int, json_object, parse_json, sha256,
-    to_b64, to_hex,
+    B64, HEX, Record, canonical_bytes, from_hex, is_int, listed, parse_json, sha256, to_hex
 )
 
 HASH_LEN = 32
@@ -60,19 +59,26 @@ def validate_path(path: str) -> str:
     return path
 
 
-class FileChange(Record):
-    __slots__ = ("path", "content")
+class FileChange(Record, what="file change record"):
+    _json = {"path": None, "content": B64}
+    __slots__ = tuple(_json)
 
     def __init__(self, path: str, content: bytes) -> None:
         validate_path(path)
         if not isinstance(content, bytes):
             raise ValueError("content must be bytes")
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "content", content)
+        Record.__init__(self, path, content)
 
 
-class Changeset(Record):
-    __slots__ = ("changes", "author")
+class Changeset(Record, what="changeset record"):
+    _json = {
+        "changes": listed(
+            (FileChange.to_json_dict, FileChange.from_json_dict),
+            "changeset changes must be a list",
+        ),
+        "author": None,
+    }
+    __slots__ = tuple(_json)
 
     def __init__(self, changes: Iterable[FileChange], author: str) -> None:
         changes = tuple(changes)
@@ -83,37 +89,29 @@ class Changeset(Record):
             raise ValueError("changeset paths must be distinct")
         if not isinstance(author, str):
             raise ValueError("author must be a string")
-        object.__setattr__(self, "changes", changes)
-        object.__setattr__(self, "author", author)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "author": self.author,
-            "changes": [
-                {"content": to_b64(c.content), "path": c.path} for c in self.changes
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "Changeset":
-        json_object(obj, {"author", "changes"}, "changeset record")
-        raw_changes = obj["changes"]
-        if not isinstance(raw_changes, list):
-            raise ValueError("changeset changes must be a list")
-        changes = []
-        for entry in raw_changes:
-            json_object(entry, {"content", "path"}, "file change record")
-            changes.append(
-                FileChange(path=entry["path"], content=from_b64(entry["content"]))
-            )
-        return cls(changes=tuple(changes), author=obj["author"])
+        Record.__init__(self, changes, author)
 
 
-class LedgerEntry(Record):
+# An entry the organizer did not sign has `org_sig` null.
+_ORG_SIG = (
+    lambda sig: None if sig is None else to_hex(sig),
+    lambda text: None if text is None else from_hex(text),
+)
+
+
+class LedgerEntry(Record, what="ledger entry record"):
+    _json = {
+        "index": None,
+        "timestamp": None,
+        "prev_hash": HEX,
+        "changeset": (Changeset.to_json_dict, Changeset.from_json_dict),
+        "org_sig": _ORG_SIG,
+        "hash": HEX,
+    }
     # `_preimage` is `preimage()` once known.  It is never passed in, so an
     # entry built from another's fields with one of them changed serializes
     # its own fields.
-    __slots__ = ("index", "timestamp", "prev_hash", "changeset", "org_sig", "hash", "_preimage")
+    __slots__ = (*_json, "_preimage")
 
     def __init__(
         self,
@@ -132,13 +130,7 @@ class LedgerEntry(Record):
             raise ValueError("hashes must be 32 bytes")
         if org_sig is not None and len(org_sig) != 64:
             raise ValueError("organizer signature must be 64 bytes")
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "timestamp", timestamp)
-        object.__setattr__(self, "prev_hash", prev_hash)
-        object.__setattr__(self, "changeset", changeset)
-        object.__setattr__(self, "org_sig", org_sig)
-        object.__setattr__(self, "hash", hash)
-        object.__setattr__(self, "_preimage", None)
+        Record.__init__(self, index, timestamp, prev_hash, changeset, org_sig, hash, None)
 
     def preimage(self) -> bytes:
         """The canonical JSON of every field but `hash`: the bytes `hash`
@@ -151,20 +143,6 @@ class LedgerEntry(Record):
             )
             object.__setattr__(self, "_preimage", canonical_bytes(fields))
         return self._preimage
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "LedgerEntry":
-        keys = {"changeset", "hash", "index", "org_sig", "prev_hash", "timestamp"}
-        json_object(obj, keys, "ledger entry record")
-        org_sig = obj["org_sig"]
-        return cls(
-            index=obj["index"],
-            timestamp=obj["timestamp"],
-            prev_hash=from_hex(obj["prev_hash"]),
-            changeset=Changeset.from_json_dict(obj["changeset"]),
-            org_sig=from_hex(org_sig) if org_sig is not None else None,
-            hash=from_hex(obj["hash"]),
-        )
 
 
 def _fields(
@@ -280,9 +258,7 @@ class ChainVerdict(Record):
     __slots__ = ("ok", "index", "reason")
 
     def __init__(self, ok: bool, index: int | None = None, reason: str | None = None) -> None:
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "reason", reason)
+        Record.__init__(self, ok, index, reason)
 
     def __bool__(self) -> bool:
         return self.ok

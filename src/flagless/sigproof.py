@@ -41,11 +41,10 @@ class KeyPair(Record):
     def __init__(self, secret: bytes, public: bytes) -> None:
         if len(secret) != SEED_LEN or len(public) != SEED_LEN:
             raise ValueError("keys must be exactly 32 bytes each")
-        object.__setattr__(self, "secret", secret)
-        object.__setattr__(self, "public", public)
+        Record.__init__(self, secret, public)
 
 
-class KdfParams(Record):
+class KdfParams(Record, what="KDF parameter record"):
     """scrypt cost parameters recorded alongside every challenge.
 
     They travel with the challenge descriptor so that verifiers never have
@@ -54,7 +53,9 @@ class KdfParams(Record):
     parallelization factor; the record's out_len is always SEED_LEN.
     """
 
+    _json = dict.fromkeys(("cost_n", "block_r", "parallel_p", "out_len"))
     __slots__ = ("cost_n", "block_r", "parallel_p")
+    out_len = SEED_LEN
 
     def __init__(self, cost_n: int, block_r: int = 8, parallel_p: int = 1) -> None:
         if cost_n < 2 or cost_n & (cost_n - 1):
@@ -63,30 +64,16 @@ class KdfParams(Record):
             raise ValueError("block_r and parallel_p must be >= 1")
         if _scrypt_maxmem(cost_n, block_r, parallel_p) > _MAXMEM_CAP:
             raise ValueError("cost parameters exceed the supported memory budget")
-        object.__setattr__(self, "cost_n", cost_n)
-        object.__setattr__(self, "block_r", block_r)
-        object.__setattr__(self, "parallel_p", parallel_p)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "cost_n": self.cost_n,
-            "block_r": self.block_r,
-            "parallel_p": self.parallel_p,
-            "out_len": SEED_LEN,
-        }
+        Record.__init__(self, cost_n, block_r, parallel_p)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "KdfParams":
-        json_object(obj, {"cost_n", "block_r", "parallel_p", "out_len"}, "KDF parameter record")
+        json_object(obj, cls._json.keys(), cls._what)
         if not all(is_int(v) for v in obj.values()):
             raise ValueError("KDF parameters must be integers")
         if obj["out_len"] != SEED_LEN:
             raise ValueError(f"out_len must be {SEED_LEN}")
-        return cls(
-            cost_n=obj["cost_n"],
-            block_r=obj["block_r"],
-            parallel_p=obj["parallel_p"],
-        )
+        return cls(obj["cost_n"], obj["block_r"], obj["parallel_p"])
 
     @classmethod
     def competition(cls) -> "KdfParams":
@@ -115,9 +102,7 @@ class Proof(Record):
     def __init__(self, outer_sig: bytes, inner_sig: bytes, challenge_id: bytes) -> None:
         if len(outer_sig) != SIGNATURE_LEN or len(inner_sig) != SIGNATURE_LEN:
             raise ValueError("proof signatures must be exactly 64 bytes each")
-        object.__setattr__(self, "outer_sig", outer_sig)
-        object.__setattr__(self, "inner_sig", inner_sig)
-        object.__setattr__(self, "challenge_id", challenge_id)
+        Record.__init__(self, outer_sig, inner_sig, challenge_id)
 
     def serialize(self) -> bytes:
         return self.outer_sig + self.inner_sig + self.challenge_id

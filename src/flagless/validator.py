@@ -54,9 +54,7 @@ class ValidationVerdict(Record):
     __slots__ = ("accepted", "code", "message")
 
     def __init__(self, accepted: bool, code: ReasonCode | None = None, message: str = "") -> None:
-        object.__setattr__(self, "accepted", accepted)
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "message", message)
+        Record.__init__(self, accepted, code, message)
 
     def __bool__(self) -> bool:
         return self.accepted

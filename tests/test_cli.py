@@ -315,7 +315,9 @@ def _stub_service(answers):
     """The URL of a service that gives each request a fixed answer."""
     handler = type("Stub", (_StubHandler,), {"answers": answers})
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+    )
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_address[1]}"
@@ -397,7 +399,8 @@ registration, solve = (open(path, "rb").read() for path in sys.argv[2:4])
 heavy = sys.argv[4:]
 with CompetitionHost.open(sys.argv[1]) as host:
     server = make_server(host, ("127.0.0.1", 0))
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    poll = {"poll_interval": 0.02}
+    threading.Thread(target=server.serve_forever, kwargs=poll, daemon=True).start()
 
     def status(method, route, body=b""):
         head = f"{method} {route} HTTP/1.0\r\nContent-Length: {len(body)}\r\n\r\n"

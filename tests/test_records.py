@@ -7,7 +7,7 @@ import inspect
 
 import pytest
 
-from flagless.canonical import Record
+from flagless.canonical import Record, canonical_bytes, parse_json
 from flagless.competition import (
     AuditFinding,
     AuditReport,
@@ -153,3 +153,14 @@ def test_a_kept_preimage_is_no_field():
     assert repr(serialized) == repr(fresh) and "_preimage" not in repr(serialized)
     with pytest.raises(AttributeError):
         serialized._preimage = None
+
+
+@pytest.mark.parametrize(
+    "cls", [cls for cls in SAMPLES if "_json" in vars(cls)], ids=lambda cls: cls.__name__
+)
+def test_a_json_record_round_trips_through_its_table(cls):
+    for fields in SAMPLES[cls]:
+        record = cls(**fields)
+        assert cls.from_json_dict(record.to_json_dict()) == record
+        assert record.serialize() == canonical_bytes(record.to_json_dict())
+        assert cls.from_json_dict(parse_json(record.serialize())) == record
