@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import io
 import os
+import signal
 import sys
 import time
 
@@ -60,7 +61,14 @@ class _Target:
     """The player commands' reads and submissions, built on two hooks:
     `_get(route)`, the body of `GET route`, and `_post(changeset)`, the
     status and body of `POST /changesets`.  A body that is not JSON of the
-    shape its command expects, or nests too deeply to parse, is a `CliError`."""
+    shape its command expects, or nests too deeply to parse, is a `CliError`.
+    Submissions go inside a `with` block, which reads may share."""
+
+    def __enter__(self) -> "_Target":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
 
     def challenges(self) -> list[ChallengeDescriptor]:
         return self._listing("/challenges", ChallengeDescriptor.from_json_dict)
@@ -92,8 +100,21 @@ class _Target:
 
 
 class LocalTarget(_Target):
+    """The ledger file at `path`.  A read outside a `with` block views the
+    file without its lock; the block holds the file in one host, which its
+    reads and submissions share, so the file is loaded once."""
+
     def __init__(self, ledger_path: str):
         self.path = ledger_path
+        self._held: CompetitionHost | None = None
+
+    def __enter__(self) -> "LocalTarget":
+        self._held = CompetitionHost.open(self.path)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._held.close()
+        self._held = None
 
     def ledger_file(self) -> io.BufferedReader:
         # the raw file, not a host's: `audit` reports a forged file that
@@ -101,16 +122,18 @@ class LocalTarget(_Target):
         return open(self.path, "rb")
 
     def _get(self, route: str) -> bytes:
-        with CompetitionHost.view(self.path) as host:
-            body = host.read(route)
+        if self._held is not None:
+            body = self._held.read(route)
+        else:
+            with CompetitionHost.view(self.path) as host:
+                body = host.read(route)
         if isinstance(body, FileRegion):
             with body:
                 return body.read()
         return body
 
     def _post(self, changeset) -> tuple[int, bytes]:
-        with CompetitionHost.open(self.path) as host:
-            status, payload = service.answer(host, changeset)
+        status, payload = service.answer(self._held, changeset)
         return status, canonical_bytes(payload)
 
 
@@ -242,7 +265,8 @@ def cmd_team_register(args) -> int:
     record, secret, changeset = register_team(args.name)
     _write_private_file(args.secret_out, secret.serialize())
     try:
-        result = _target(args).submit(changeset)
+        with _target(args) as target:
+            result = target.submit(changeset)
     except (BlockingIOError, FileNotFoundError, _Refused):  # held or missing file, or refused
         os.unlink(args.secret_out)
         raise
@@ -275,17 +299,19 @@ def cmd_challenges(args) -> int:
 
 def cmd_submit(args) -> int:
     secret = _read_secret(args.secret)
-    target = _target(args)
-    descriptors = {d.id: d for d in target.challenges()}
-    if args.challenge not in descriptors:
-        raise CliError(f"unknown challenge {args.challenge!r}")
     flag = _read_flag(args)
-    try:
-        _, changeset = build_submission(secret, descriptors[args.challenge], flag)
-    except competition.FlagMismatch:
-        print("flag mismatch: not submitting", file=sys.stderr)
-        return 1
-    result = target.submit(changeset)
+    # the flag first, so no prompt holds a local file; the file is then
+    # held from its read to its append, as `serve` holds it all its life
+    with _target(args) as target:
+        descriptors = {d.id: d for d in target.challenges()}
+        if args.challenge not in descriptors:
+            raise CliError(f"unknown challenge {args.challenge!r}")
+        try:
+            _, changeset = build_submission(secret, descriptors[args.challenge], flag)
+        except competition.FlagMismatch:
+            print("flag mismatch: not submitting", file=sys.stderr)
+            return 1
+        result = target.submit(changeset)
     if args.json:
         print(canonical_dumps(result))
     elif result["outcome"] == "ACCEPT":
@@ -330,11 +356,15 @@ def cmd_serve(args) -> int:
     bind_host, _, port = args.listen.rpartition(":")
     with CompetitionHost.open(args.ledger) as host:
         server = service.make_server(host, (bind_host or "127.0.0.1", int(port)))
+        # SIGINT and SIGTERM let each connection end after its current
+        # answer, not raise in the middle of one: this thread serves too.
+        # One ignored at start (a background job's SIGINT) stays ignored.
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            if signal.getsignal(signum) is not signal.SIG_IGN:
+                signal.signal(signum, lambda *_: server.shutdown())
         print(f"serving on http://{server.server_address[0]}:{server.server_address[1]}")
         try:
             server.serve_forever()
-        except KeyboardInterrupt:
-            pass
         finally:
             server.server_close()
     return 0

@@ -30,14 +30,20 @@ persists unless the request's Connection header has a `close` token, and
 an HTTP/1.0 one closes unless it has a `keep-alive` token.  At most
 `MAX_CONNECTIONS` connections are live at once; one more is answered 503
 with `Connection: close` and closed.  Connections are served by reused
-worker threads, and a worker starts only when the live connections
-outnumber the workers, so a client that opens a connection for each
-request starts no thread for each.  A connection that stays silent for
-`_Handler.timeout` seconds, mid-request (say, a body shorter than its
-Content-Length) or between keep-alive requests, is closed without an
-answer, so a stalled client cannot pin a worker; one whose client takes
-no byte of an answer for that long is closed with the answer cut short,
-and one that the client resets is closed.
+threads, the one running `serve_forever` among them: each waits in
+`accept` on the listening socket and serves the connection it takes,
+after starting one more thread only if no other is idle.  So a client
+that opens a connection for each request starts no thread for each, and
+the threads number at most `MAX_CONNECTIONS` + 1, the `serve_forever`
+thread included.  `shutdown` shuts the listening socket, which wakes
+every thread in `accept` at once, and ends each live connection after
+its current answer; `flagless serve` calls it on SIGINT and on SIGTERM,
+and exits 0 once its connections have ended.  A connection that stays
+silent for `_Handler.timeout` seconds, mid-request (say, a body shorter
+than its Content-Length) or between keep-alive requests, is closed
+without an answer, so a stalled client cannot pin a thread; one whose
+client takes no byte of an answer for that long is closed with the
+answer cut short, and one that the client resets is closed.
 The host serializes appends and reads, so every read sees the state
 between two appends.  `GET /ledger` is the acknowledged prefix of the
 host's file (for `serve`, the ledger file): its bytes up to the last
@@ -65,13 +71,12 @@ neither `http` nor, since it keeps no log, `logging`.
 
 from __future__ import annotations
 
-import collections
 import functools
 import os
 import re
 import select
 import socket
-import socketserver
+import sys
 import threading
 import time
 
@@ -184,7 +189,7 @@ class _Headers(dict):
         self.setdefault(name.lower(), []).append(value.strip(" \t\r"))
 
 
-class _Handler(socketserver.BaseRequestHandler):
+class _Handler:
     """The requests of one connection, parsed from `_buffer`: the bytes
     `recv` gave that no request has used yet."""
 
@@ -193,11 +198,12 @@ class _Handler(socketserver.BaseRequestHandler):
     timeout = 30
     host: CompetitionHost  # set by make_server on the handler subclass
 
-    def setup(self) -> None:
-        self.request.settimeout(self.timeout)
+    def __init__(self, request: socket.socket):
+        self.request = request
+        request.settimeout(self.timeout)
         # An answer's last segment, a ledger's from `sendfile` included, would
         # otherwise wait on the client's delayed ACK (~40 ms on keep-alive).
-        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
+        request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
         self._buffer = b""
 
     def handle(self) -> None:
@@ -347,77 +353,118 @@ class _Handler(socketserver.BaseRequestHandler):
         self._respond_json(*answer(self.host, changeset))
 
 
-class _Server(socketserver.TCPServer):
-    """Connections served by reused daemon worker threads, at most
+class _Server:
+    """Connections served by reused daemon threads, at most
     `MAX_CONNECTIONS` of them live at once.
 
-    An accepted connection waits in `_queue` for an idle worker, and a
-    worker starts only when the live connections outnumber the workers.
-    `server_close` ends every worker: each live connection reads the end
-    of its stream after its current answer, and each worker then takes a
-    stop mark (`None`) from the queue.
+    Every thread, the one in `serve_forever` among them, waits in `accept`
+    on the listening socket, and the thread that takes a connection serves
+    it.  A thread that takes one while no other is idle (waiting in
+    `accept`, on its way back there, or answering 503) first starts a
+    worker, which counts as idle from its start; so a lone connection never
+    starts a second thread, and the threads number at most
+    `MAX_CONNECTIONS` + 1.  A connection for which no worker can start is
+    closed unanswered and the error printed.  `shutdown` shuts the
+    listening socket, which on Linux wakes every `accept` at once, and the
+    read side of each live connection, so each ends after its current
+    answer; `server_close` then joins the workers.
     """
 
-    allow_reuse_address = True
-
     def __init__(self, address: tuple[str, int], handler: type[_Handler]):
-        super().__init__(address, handler)
+        self.socket = socket.create_server(address)
+        self.server_address = self.socket.getsockname()
+        self._handler = handler
         self._lock = threading.Lock()
         self._live: set[socket.socket] = set()  # accepted and not yet closed
+        self._idle = 0  # threads not serving a live connection
         self._workers: list[threading.Thread] = []
-        self._queue = collections.deque()  # (request, address), or None to stop
-        self._queued = threading.Semaphore(0)  # counts `_queue`
+        self._shut = False
 
-    def process_request(self, request, client_address) -> None:
+    def serve_forever(self) -> None:
+        """Accept and serve connections, on this thread and the workers
+        it starts, until `shutdown`; return once this thread's own
+        connection has ended."""
         with self._lock:
-            live = len(self._live)  # before this one
-            if live < MAX_CONNECTIONS:
-                self._live.add(request)
-        if live >= MAX_CONNECTIONS:
-            _send(request, 503, _BUSY, "application/json", True)
-            self.shutdown_request(request)
-            return
-        if live >= len(self._workers):
-            worker = threading.Thread(target=self._work, daemon=True)
-            try:
-                worker.start()
-            except BaseException:  # no worker for it, so none will free its slot
-                with self._lock:
-                    self._live.discard(request)
-                raise
-            self._workers.append(worker)
-        self._queue.append((request, client_address))
-        self._queued.release()
+            self._idle += 1
+        self._serve()
 
-    def _work(self) -> None:
+    def _serve(self) -> None:
         while True:
-            self._queued.acquire()
-            item = self._queue.popleft()
-            if item is None:
-                return
-            request, client_address = item
             try:
-                self.finish_request(request, client_address)
+                request, _ = self.socket.accept()
+            except OSError:
+                if self._shut:
+                    return
+                continue
+            with self._lock:
+                busy = len(self._live) >= MAX_CONNECTIONS
+                if not busy:
+                    self._idle -= 1
+                    self._live.add(request)
+                    spare = self._idle == 0
+                    self._idle += spare  # the worker is idle from its start
+            if busy:
+                try:
+                    _send(request, 503, _BUSY, "application/json", True)
+                except OSError:  # the client has gone
+                    pass
+                _close(request)
+                continue
+            if self._shut:  # added after `shutdown` took its copy of `_live`
+                _shut_reads(request)
+            try:
+                if spare:
+                    self._start_worker()
+                self._handler(request).handle()
             except Exception:
-                self.handle_error(request, client_address)
+                sys.excepthook(*sys.exc_info())
             finally:
                 with self._lock:
+                    self._idle += 1
                     self._live.discard(request)  # before the socket closes
-                self.shutdown_request(request)
+                _close(request)
+
+    def _start_worker(self) -> None:
+        worker = threading.Thread(target=self._serve, daemon=True)
+        try:
+            worker.start()
+        except BaseException:  # it will never be idle
+            with self._lock:
+                self._idle -= 1
+            raise
+        self._workers.append(worker)
+
+    def shutdown(self) -> None:
+        """Stop accepting, and end each live connection after its current
+        answer.  It takes no lock, so a signal handler may call it."""
+        self._shut = True
+        try:
+            self.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:  # not listening any more
+            pass
+        for request in tuple(self._live):
+            _shut_reads(request)
 
     def server_close(self) -> None:
-        super().server_close()
-        with self._lock:
-            for request in self._live:
-                try:
-                    request.shutdown(socket.SHUT_RD)
-                except OSError:  # the peer has gone
-                    pass
-        for _ in self._workers:
-            self._queue.append(None)
-            self._queued.release()
+        self.shutdown()
+        self.socket.close()
         for worker in self._workers:
             worker.join()
+
+
+def _shut_reads(request: socket.socket) -> None:
+    try:
+        request.shutdown(socket.SHUT_RD)
+    except OSError:  # the peer has gone, or the socket is closed
+        pass
+
+
+def _close(request: socket.socket) -> None:
+    try:
+        request.shutdown(socket.SHUT_WR)
+    except OSError:
+        pass
+    request.close()
 
 
 def make_server(host: CompetitionHost, address: tuple[str, int]) -> _Server:

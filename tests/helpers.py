@@ -75,9 +75,7 @@ class BackgroundService:
 
     def __init__(self, host: CompetitionHost, address: tuple[str, int] = ("127.0.0.1", 0)):
         self.server = make_server(host, address)
-        self._thread = threading.Thread(
-            target=self.server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
-        )
+        self._thread = threading.Thread(target=self.server.serve_forever, daemon=True)
 
     @property
     def url(self) -> str:

@@ -120,6 +120,29 @@ def test_local_reads_use_the_file_itself(competition, tmp_path, capsys, monkeypa
     assert after == before and all(code == 0 for code, _ in after)
 
 
+def test_a_local_submit_loads_the_ledger_once(competition, tmp_path, capsys, monkeypatch):
+    # the host that lists the challenges also appends the solve
+    ledger_path, _ = competition
+    code, _ = _run(
+        capsys, "team", "register", "--name", "Beta", "--secret-out", tmp_path / "beta.key",
+        "--ledger", ledger_path,
+    )
+    assert code == 0
+    entries, calls = ledger.entries, []
+
+    def counted(lines):
+        calls.append(lines)
+        return entries(lines)
+
+    monkeypatch.setattr(ledger, "entries", counted)
+    code, out = _run(
+        capsys, "--json", "submit", "--challenge", "warmup", "--secret", tmp_path / "beta.key",
+        "--flag", FLAG, "--ledger", ledger_path,
+    )
+    assert code == 0 and json.loads(out)["outcome"] == "ACCEPT"
+    assert len(calls) == 1
+
+
 def test_audit_fails_on_a_ledger_with_no_genesis(tmp_path, capsys):
     empty = tmp_path / "empty.ndjson"
     empty.write_bytes(b"")
@@ -399,8 +422,7 @@ registration, solve = (open(path, "rb").read() for path in sys.argv[2:4])
 heavy = sys.argv[4:]
 with CompetitionHost.open(sys.argv[1]) as host:
     server = make_server(host, ("127.0.0.1", 0))
-    poll = {"poll_interval": 0.02}
-    threading.Thread(target=server.serve_forever, kwargs=poll, daemon=True).start()
+    threading.Thread(target=server.serve_forever, daemon=True).start()
 
     def status(method, route, body=b""):
         head = f"{method} {route} HTTP/1.0\r\nContent-Length: {len(body)}\r\n\r\n"
@@ -429,7 +451,7 @@ def test_the_serve_path_loads_no_openssl_http_client_or_mail_parser(tmp_path, rn
         "http.server", "http.client", "email.parser", "urllib.request", "ssl",
         "_hashlib", "hashlib", "hmac", "secrets",
         "dataclasses", "inspect", "ast", "dis", "getpass",
-        "logging", "traceback", "tokenize", "http",
+        "logging", "traceback", "tokenize", "http", "socketserver",
     )
     sim = simulate(rng, n_challenges=1, n_teams=0)
     with sim.host:

@@ -13,6 +13,7 @@ import random
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -151,6 +152,29 @@ def test_serve_exits_promptly_on_sigint_with_a_connection_idle(sim, path):
             assert proc.wait(timeout=TIMEOUT_S) == 0
         finally:
             conn.close()
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+def test_serve_stops_on_a_signal_while_its_main_thread_serves(path, rng, signum):
+    # the first connection goes to the one thread waiting to accept, the
+    # main one, which then waits to read the connection's next request
+    with _serve(path) as (proc, port):
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=TIMEOUT_S)
+        try:
+            registration = register_team("Signalled", rng=rng)[2]
+            conn.request("POST", "/changesets", canonical_bytes(registration.to_json_dict()))
+            resp = conn.getresponse()
+            assert resp.status == 201 and resp.read()
+            conn.request("GET", "/ledger")
+            acknowledged = conn.getresponse().read()
+            start = time.monotonic()
+            proc.send_signal(signum)
+            assert proc.wait(timeout=TIMEOUT_S) == 0
+            assert time.monotonic() - start < 2  # not the 30 s read timeout
+            assert proc.stderr.read() == b""
+        finally:
+            conn.close()
+    assert path.read_bytes() == acknowledged
 
 
 def test_writers_refused_while_serve_holds_the_ledger(sim, path, tmp_path, capsys):

@@ -10,6 +10,7 @@ import os
 import re
 import socket
 import struct
+import sys
 import threading
 import time
 import tracemalloc
@@ -493,6 +494,36 @@ class TestConnectionCap:
 
 
 class TestWorkers:
+    def test_shutdown_wakes_serve_forever_at_once(self, sim):
+        server = flagless.service.make_server(sim.host, ("127.0.0.1", 0))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            time.sleep(0.05)  # in `accept` by now
+            start = time.monotonic()
+            server.shutdown()
+            thread.join(timeout=TIMEOUT_S)
+            assert not thread.is_alive() and time.monotonic() - start < 0.25
+        finally:
+            server.server_close()
+
+    def test_threads_number_at_most_one_more_than_the_connection_cap(self, sim, monkeypatch):
+        monkeypatch.setattr("flagless.service.MAX_CONNECTIONS", 4)
+        with BackgroundService(sim.host) as svc:
+            address = svc.server.server_address[:2]
+            held = [socket.create_connection(address, timeout=TIMEOUT_S) for _ in range(4)]
+            try:
+                for sock in held:  # each is served by a thread of its own
+                    sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                    assert sock.recv(65536).startswith(b"HTTP/1.1 200 ")
+                for _ in range(3):  # the spare thread refuses, and stays the spare
+                    assert _until_eof(svc, b"").startswith(b"HTTP/1.1 503 ")
+                # four threads serving and one spare: serve_forever's and four workers
+                assert len(svc.server._workers) == 4
+            finally:
+                for sock in held:
+                    sock.close()
+
     def test_fresh_connections_one_at_a_time_share_one_worker(self, sim):
         with BackgroundService(sim.host) as svc:
             before = set(threading.enumerate())
@@ -547,6 +578,36 @@ class TestWorkers:
             assert refused and not svc.server._live
             assert _request(svc, "GET", "/healthz")[0] == 200
         assert "can't start new thread" in capsys.readouterr().err
+
+    def test_racing_clients_leave_every_thread_idle_and_within_the_bound(self, sim, monkeypatch):
+        # more clients than cores and the cap, switching threads often: a
+        # lost update of the idle count or the live set shows once all is quiet
+        monkeypatch.setattr("flagless.service.MAX_CONNECTIONS", 3)
+        interval, statuses = sys.getswitchinterval(), []
+
+        def client(svc):
+            for _ in range(15):
+                data = _until_eof(svc, b"GET /healthz HTTP/1.0\r\n\r\n")
+                statuses.append(int(data.split()[1]))
+
+        sys.setswitchinterval(1e-5)
+        try:
+            with BackgroundService(sim.host) as svc:
+                clients = [threading.Thread(target=client, args=(svc,)) for _ in range(8)]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(timeout=10 * TIMEOUT_S)
+                assert not any(thread.is_alive() for thread in clients)
+                deadline = time.monotonic() + TIMEOUT_S
+                while svc.server._live and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                server = svc.server
+                assert not server._live and len(server._workers) <= 3
+                assert server._idle == len(server._workers) + 1  # serve_forever's too
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(statuses) == 120 and set(statuses) <= {200, 503} and 200 in statuses
 
     def test_a_connection_reset_mid_body_leaves_its_worker_serving(self, service, capsys):
         for _ in range(5):
