@@ -4,17 +4,19 @@ Points are (X, Y, Z, T) extended coordinates with x = X/Z, y = Y/Z,
 x*y = T/Z; every addend of a multiply is kept in affine Niels form,
 (y+x, y-x, 2d*x*y), which saves the multiplications the a=-1 addition
 formula would spend on them (the tables are built with the projective
-form, (Y+X, Y-X, 2Z, 2d*T)).  The formulas are complete on the curve, so
+form, (Y+X, Y-X, 2Z, 2d*T)).  A table entry packs the three fields into
+one int, (y+x) | (y-x) << 256 | 2d*x*y << 512: 128 bytes, where a tuple
+of three ints takes about 250.  The formulas are complete on the curve, so
 every input point (identity and low-order points included) takes the
 same path.  Always available; the compiled kernel replaces it when the
 extension built.
 
 One table of odd multiples of the base point B is built once at import,
-with one batch inversion, and only its final tuples are kept:
+with one batch inversion, and only its packed entries are kept:
 
     _ODD_B[q][j]          = (2j + 1) * 2^(32q) * B      for q < 8, j < 64
 
-(512 entries, about 130 KB).  Both multiplies split each scalar k into
+(512 entries, about 70 KB).  Both multiplies split each scalar k into
 eight 32-bit pieces, k = sum of k_q * 2^(32q), and add up every k_q times
 2^(32q) times its point in one Straus loop over width-w NAF digits
 (`_joint`): w = 8 for each piece of a multiple of B, over `_ODD_B[q]`.
@@ -30,10 +32,11 @@ All sixteen pieces share one chain of about 34 doublings instead of the
 ~253 an unsplit scalar needs (Lim and Lee, "More Flexible Exponentiation
 with Precomputation", CRYPTO 1994), and only the last doubling before an
 addition computes T.  Every addend is affine, so a verify spends about 85
-mixed additions (31 for s, 54 for h) and builds no table.  The rows of
+mixed additions (31 for s, 54 for h), inline in `_joint`, which unpacks
+each addend as it recodes its digit, and builds no table.  The rows of
 -A cost 232 doublings, 24 additions and one batch inversion;
 `_neg_tables` memoizes them per key in a 1024-entry LRU cache (about
-8 KB a key, 8.5 MB when full), so a competition's few hundred keys each
+4.8 KB a key, 4.9 MB when full), so a competition's few hundred keys each
 pay that once per process.  See Bernstein, Duif, Lange, Schwabe and Yang,
 "High-speed high-security signatures" (CHES 2011) for the NAF loop.
 Python integers are not constant-time, so neither is this kernel.
@@ -93,33 +96,6 @@ def _add(pt, niels):
     return e * f % P, g * h % P, f * g % P, e * h % P
 
 
-def _madd(pt, niels):
-    """Extended point plus a point in affine Niels form (Z = 1).
-
-    As in `_double`, the three input products are only folded once with
-    2^255 = 19 (mod P); a negated addend makes some of them negative, and
-    the fold keeps each below 2^261 in magnitude.  The outputs are reduced.
-    """
-    x, y, z, t = pt
-    yp, ym, t2d = niels
-    a = (y - x) * ym
-    a = (a & _MASK) + 19 * (a >> 255)
-    b = (y + x) * yp
-    b = (b & _MASK) + 19 * (b >> 255)
-    c = t * t2d
-    c = (c & _MASK) + 19 * (c >> 255)
-    e = b - a
-    f = z + z - c
-    g = z + z + c
-    h = b + a
-    return e * f % P, g * h % P, f * g % P, e * h % P
-
-
-def _neg(niels):
-    """The negated affine Niels point: swap y+x and y-x, negate 2d*x*y."""
-    return niels[1], niels[0], -niels[2]
-
-
 def _niels(pt):
     x, y, z, t = pt
     return (y + x) % P, (y - x) % P, 2 * z % P, t * _D2 % P
@@ -135,7 +111,8 @@ def _odd_multiples(pt, count: int) -> list:
 
 
 def _affine_niels(points) -> list:
-    """Affine Niels form of each extended point, sharing one inversion."""
+    """Affine Niels form of each extended point, sharing one inversion,
+    each packed into one int: (y+x) | (y-x) << 256 | 2d*x*y << 512."""
     prefix = []
     acc = 1
     for pt in points:
@@ -149,7 +126,7 @@ def _affine_niels(points) -> list:
         inv = inv * z % P
         x = x * zinv % P
         y = y * zinv % P
-        out[i] = ((y + x) % P, (y - x) % P, x * y % P * _D2 % P)
+        out[i] = (y + x) % P | ((y - x) % P) << 256 | (x * y % P * _D2 % P) << 512
     return out
 
 
@@ -185,14 +162,14 @@ def _encode(pt) -> bytes:
 
 def _joint(terms) -> bytes:
     """Encoded sum of k * Q over the (k, w, row) in `terms`, for k >= 0 and
-    row[j] = (2j + 1) * Q in affine Niels form for every j < 2^(w-2).
+    row[j] = (2j + 1) * Q in packed affine Niels form for every j < 2^(w-2).
 
     Each k is written in width-w NAF: odd digits d with |d| < 2^(w-1), at
     least w positions apart.  Every addend goes into a bucket by its bit
     position, so the terms share one chain of doublings, as long as the
-    longest k, with no sort.
+    longest k, that visits only the positions holding an addend.
     """
-    buckets = {}  # bit position -> affine Niels addends
+    buckets = {}  # bit position -> affine Niels addends, unpacked
     for k, w, row in terms:
         full = 1 << w
         i = 0
@@ -203,20 +180,44 @@ def _joint(terms) -> bytes:
             d = k & (full - 1)
             if d >= full >> 1:
                 d -= full
-            addend = row[d >> 1] if d > 0 else _neg(row[-d >> 1])
+            # each field is below P < 2^255, so _MASK takes one whole; the
+            # negated point swaps y+x and y-x and negates 2d*x*y
+            if d > 0:
+                packed = row[d >> 1]
+                addend = (packed & _MASK, packed >> 256 & _MASK, packed >> 512)
+            else:
+                packed = row[-d >> 1]
+                addend = (packed >> 256 & _MASK, packed & _MASK, -(packed >> 512))
             buckets.setdefault(i, []).append(addend)
             k = (k - d) >> w
             i += w
-    pt = (0, 1, 1, 0)
+    x, y, z, t = 0, 1, 1, 0
     above = max(buckets, default=0)
-    for i in range(above, -1, -1):
-        addends = buckets.get(i)
-        if addends:
-            if above > i:
-                pt = _double(pt, above - i)
-                above = i
-            for addend in addends:
-                pt = _madd(pt, addend)
+    for i in sorted(buckets, reverse=True):
+        if above > i:
+            x, y, z, t = _double((x, y, z, t), above - i)
+            above = i
+        # mixed addition of an affine Niels addend (Z = 1).  As in
+        # `_double`, the three input products are only folded once with
+        # 2^255 = 19 (mod P); a negated addend makes some of them
+        # negative, and the fold keeps each below 2^261 in magnitude.
+        for yp, ym, t2d in buckets[i]:
+            a = (y - x) * ym
+            a = (a & _MASK) + 19 * (a >> 255)
+            b = (y + x) * yp
+            b = (b & _MASK) + 19 * (b >> 255)
+            c = t * t2d
+            c = (c & _MASK) + 19 * (c >> 255)
+            e = b - a
+            h = b + a
+            f = z + z
+            g = f + c
+            f -= c
+            x = e * f % P
+            y = g * h % P
+            z = f * g % P
+            t = e * h % P
+    pt = (x, y, z, t)
     if above:
         pt = _double(pt, above)
     return _encode(pt)

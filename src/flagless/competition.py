@@ -349,10 +349,12 @@ class CompetitionState:
     `audit_entry` checks an entry against the state before it is folded.
 
     Holds the head (the last entry folded) and the organizer key genesis
-    published, every file (a path's latest write wins, as in `ledger.replay`),
-    teams and challenges by id, a count of the writes to challenge paths,
-    the ledger index of the first submission of each (team, challenge)
-    pair, and running per-team totals.  There is no
+    published, the set of paths written, the latest content of each team
+    and challenge path (a path's latest write wins, as in `ledger.replay`)
+    by id, a count of the writes to challenge paths, the ledger index of
+    the first submission of each (team, challenge) pair, and running
+    per-team totals.  It keeps no other content: a submission's bytes, and
+    those of `meta/` and any other path, stay in the ledger.  There is no
     index by public key: `team_with_key` scans the teams.  Records are
     decoded on first lookup.  The totals are counted on a scoreboard read
     and kept up to date as solves are folded; any write to a team or
@@ -365,7 +367,7 @@ class CompetitionState:
     def __init__(self) -> None:
         self.head: LedgerEntry | None = None
         self.organizer_key: bytes | None = None
-        self.files: dict[str, bytes] = {}
+        self._paths: set[str] = set()
         self._teams = _Records(TeamRecord.from_json_dict)
         self._challenges = _Records(ChallengeDescriptor.from_json_dict)
         self.challenge_writes = 0  # `challenges()` changes only with it
@@ -392,7 +394,7 @@ class CompetitionState:
         return state
 
     def __contains__(self, path: str) -> bool:
-        return path in self.files
+        return path in self._paths
 
     def fold(self, entry: LedgerEntry) -> None:
         if entry.index == 0:
@@ -402,7 +404,7 @@ class CompetitionState:
         self.head = entry
 
     def _write(self, path: str, content: bytes, index: int | None) -> None:
-        self.files[path] = content
+        self._paths.add(path)
         if _SUBMISSION_PATH_RE.match(path):
             if index is not None and path not in self._solves:
                 self._solves[path] = index

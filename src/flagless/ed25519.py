@@ -2,22 +2,23 @@
 
 The compiled kernel is used when it is built (`python setup.py
 build_ext --inplace` compiles `_ed25519_ckernel.c` next to this module),
-the pure-Python one otherwise; `BACKEND` names the one in use.  There is
-no switch: both kernels give the same bytes and verdicts.
+the pure-Python one otherwise, and only then imported; `BACKEND` names
+the one in use.  There is no switch: both kernels give the same bytes
+and verdicts.
 """
 
 from __future__ import annotations
 
 from . import _ed25519_core as _core
-from . import _ed25519_pykernel as _kernel
 
-BACKEND = "pure"
 try:
     from . import _ed25519_ckernel as _kernel
 
     BACKEND = "compiled"
-except ImportError:
-    pass
+except ImportError:  # the pure kernel builds its base-point table at import
+    from . import _ed25519_pykernel as _kernel
+
+    BACKEND = "pure"
 
 
 def public_key(seed: bytes) -> bytes:

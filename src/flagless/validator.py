@@ -389,15 +389,18 @@ class CompetitionHost:
             return self._append(changeset, timestamp, org_secret)
 
     def snapshot(self) -> tuple[list[LedgerEntry], dict[str, bytes]]:
-        """The chain and a copy of its files, taken at one instant.  The
-        chain is parsed from the file's acknowledged bytes, but for its
-        last entry: the state's head, which is the entry the last append
-        returned.  Nothing in the package calls it: the tests read it, and
-        the benchmark's traced run wraps it."""
+        """The chain and its files (a path's latest write wins, as in
+        `ledger.replay`), taken at one instant.  The chain is parsed from
+        the file's acknowledged bytes, but for its last entry: the state's
+        head, which is the entry the last append returned; the files are
+        read from the parsed chain, since the state keeps no submission's
+        bytes.  Nothing in the package calls it: the tests read it, and the
+        benchmark's traced run wraps it."""
         with self._lock:
             data = _read_prefix(self._file(), self._size)
-            head, files = self._state.head, dict(self._state.files)
-        return ledger.load_chain(data)[:-1] + [head], files
+            head = self._state.head
+        chain = ledger.load_chain(data)[:-1] + [head]
+        return chain, {c.path: c.content for entry in chain for c in entry.changeset.changes}
 
     def read(self, route: str) -> bytes | FileRegion | None:
         """The body of `GET route`, or None for a route that is not

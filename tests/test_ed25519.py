@@ -171,6 +171,12 @@ def _ref_affine_niels(p):
     return (y + x) % P, (y - x) % P, x * y % P * _REF_D2 % P
 
 
+def _unpacked(entry: int):
+    """The three fields of a packed table entry, y+x | y-x << 256 | 2dxy << 512."""
+    field = (1 << 256) - 1
+    return entry & field, entry >> 256 & field, entry >> 512
+
+
 def _ref_mul(p, k: int):
     acc = _REF_IDENTITY
     for i in range(k.bit_length() - 1, -1, -1):
@@ -337,7 +343,18 @@ class TestAgainstReferenceKernel:
             a_neg = _ref_point((core.P - ax) % core.P, ay)
             for q, row in enumerate(tables):
                 for j, entry in enumerate(row):
-                    assert entry == _ref_affine_niels(_ref_mul(a_neg, (2 * j + 1) << (32 * q)))
+                    assert _unpacked(entry) == _ref_affine_niels(
+                        _ref_mul(a_neg, (2 * j + 1) << (32 * q))
+                    )
+
+    def test_pure_key_tables_pack_each_entry_into_one_int(self):
+        def size(obj):
+            return sys.getsizeof(obj) + sum(map(size, obj) if isinstance(obj, tuple) else ())
+
+        ((ax, ay),) = _random_points(random.Random(19), 1)
+        tables = pykernel._neg_tables(ax, ay)
+        assert all(type(entry) is int for row in tables for entry in row)
+        assert size(tables) <= 5000
 
     def test_joint_multiply_edge_points_and_scalars(self, kernel):
         torsion = _torsion_points()
@@ -448,3 +465,28 @@ def test_a_built_kernel_is_the_one_used(compiled_kernel, tmp_path):
     )
     shutil.copy(compiled_kernel.__file__, package)
     assert _backend_report(tmp_path) == "compiled built\n"
+
+
+# prints the kernel in use, then whether the pure one was imported
+_PURE_IMPORTED = """
+import sys
+import flagless.cli, flagless.service
+from flagless import ed25519
+print(ed25519.BACKEND, "flagless._ed25519_pykernel" in sys.modules)
+"""
+
+
+def test_a_built_kernel_leaves_the_pure_one_unimported(compiled_kernel, tmp_path):
+    package = tmp_path / "flagless"
+    shutil.copytree(
+        Path(flagless.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__", "*.so")
+    )
+    shutil.copy(compiled_kernel.__file__, package)
+    out = subprocess.run(
+        [sys.executable, "-c", _PURE_IMPORTED],
+        cwd=tmp_path,  # `-c` puts the cwd first on sys.path
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "compiled False\n"

@@ -6,8 +6,9 @@ and head bodies once per chain head; `CompetitionHost.read(route)` gives
 each of them, and is the one read path of both `serve` and the CLI's
 `--ledger` target.  These tests hold those bytes to fresh serializations
 after every kind of append, check that HTTP and a `--ledger` target read
-exactly `host.read(route)`, that the host holds no copy of the ledger,
-and that concurrent readers only ever see whole, growing ledgers.
+exactly `host.read(route)`, that the host holds no copy of the ledger
+and its state no submission's bytes, and that concurrent readers only
+ever see whole, growing ledgers.
 """
 
 import gc
@@ -154,6 +155,59 @@ def test_held_bytes_match_a_fresh_serialization_after_every_append(
             _check(host, path, conn)
         finally:
             conn.close()
+
+
+def test_the_snapshot_files_are_the_replay_of_its_chain_after_every_append(
+    hosted, sim, rng, monkeypatch
+):
+    # the steps of the test above, without HTTP: the state keeps no
+    # submission's bytes, and `snapshot` reads the files from the chain
+    host, _ = hosted
+    (team_id,) = sim.teams
+
+    def check():
+        chain, files = host.snapshot()
+        assert files == ledger.replay(chain)
+
+    check()
+    _, secret, changeset = register_team("Coherent", rng=rng)
+    assert not isinstance(host.apply(changeset), ValidationVerdict)
+    check()
+    for name in ("Second", "Third"):
+        assert not isinstance(host.apply(register_team(name, rng=rng)[2]), ValidationVerdict)
+    check()
+    solve = build_submission(sim.secrets[team_id], sim.descriptors["chal-0"], sim.flags["chal-0"])[1]
+    assert not isinstance(host.apply(solve), ValidationVerdict)
+    check()
+    assert not host.apply(solve)
+    check()
+    descriptor = new_challenge(
+        "late", "flag{late}", title="Late", points=50, kdf=KdfParams.test(), rng=rng
+    )
+    host.apply_organizer(challenge_changeset(descriptor), sim.org_seed)
+    check()
+    late = build_submission(secret, descriptor, "flag{late}")[1]
+
+    def fsync(fd):
+        raise OSError(5, "simulated I/O error")
+
+    monkeypatch.setattr(validator.os, "fsync", fsync)
+    with pytest.raises(OSError, match="simulated"):
+        host.apply(late)
+    monkeypatch.undo()
+    check()
+    assert not isinstance(host.apply(late), ValidationVerdict)
+    check()
+
+
+def test_the_state_drops_a_solves_bytes_once_it_is_not_the_head(sim, rng):
+    (team_id,) = sim.teams
+    solve = build_submission(sim.secrets[team_id], sim.descriptors["chal-0"], sim.flags["chal-0"])[1]
+    content = solve.changes[0].content
+    before = sys.getrefcount(content)
+    assert not isinstance(sim.host.apply(solve), ValidationVerdict)
+    assert not isinstance(sim.host.apply(register_team("After", rng=rng)[2]), ValidationVerdict)
+    assert sys.getrefcount(content) == before
 
 
 @pytest.mark.parametrize("route", ["/", "/scoreboard/", "/Ledger", "/healthz?x=1", "/changesets"])

@@ -228,6 +228,26 @@ class TestPathRules:
     def test_bad_paths(self, state, path):
         assert validate_changeset(state, _single(path, b"{}")).code is ReasonCode.BAD_PATH
 
+    def test_a_loaded_host_refuses_a_rewrite_of_every_path_written(self, sim):
+        # the state keeps the paths written, not their bytes; a team entry
+        # that writes a free-form path loads, as team entries are not
+        # validated again at load
+        chain = sim.chain()
+        ledger.append(chain, _single("loot/free-points.json", b"{}"), chain[-1].timestamp + 1)
+        team_id, cid = next(iter(sim.solves))
+        expected = {
+            "meta/competition.json": ReasonCode.IMMUTABLE_PATH,
+            team_path(team_id): ReasonCode.DUPLICATE_TEAM,
+            challenge_path(cid): ReasonCode.IMMUTABLE_PATH,
+            submission_path(team_id, cid): ReasonCode.DUPLICATE_SUBMISSION,
+            "loot/free-points.json": ReasonCode.IMMUTABLE_PATH,
+        }
+        with load_host(ledger.dump_chain(chain)) as host:
+            for path, code in expected.items():
+                verdict = host.apply(_single(path, b"{}", author=team_id))
+                assert isinstance(verdict, ValidationVerdict) and verdict.code is code, path
+            assert host.snapshot()[0] == chain
+
     def test_mixed_concerns(self, state, rng):
         _, _, reg_a = register_team("Alpha Crew", rng=rng)
         _, _, reg_b = register_team("Beta Crew", rng=rng)
