@@ -41,7 +41,6 @@ typedef struct { /* x = X/Z, y = Y/Z, x*y = T/Z */
 static fe FE_ZERO;
 static fe FE_D2;
 static ge GE_B;
-static PyObject *P_INT;      /* the field prime, a Python int */
 static PyObject *LOW255_INT; /* 2^255 - 1 */
 
 static inline void fe_carry(fe *h)
@@ -259,28 +258,15 @@ static int fe_from_int(fe *h, PyObject *n)
     return 0;
 }
 
-/* (a * b) % p as a new reference, or NULL. */
-static PyObject *mul_mod_p(PyObject *a, PyObject *b)
-{
-    PyObject *t = PyNumber_Multiply(a, b);
-    if (t == NULL)
-        return NULL;
-    PyObject *r = PyNumber_Remainder(t, P_INT);
-    Py_DECREF(t);
-    return r;
-}
-
-/* The extended point (x, y, 1, x*y % p) of the affine ints x and y. */
+/* The extended point (x, y, 1, x*y) of the affine ints x and y. */
 static int ge_from_affine(ge *r, PyObject *x, PyObject *y)
 {
-    PyObject *t = mul_mod_p(x, y);
-    if (t == NULL)
+    if (fe_from_int(&r->X, x) || fe_from_int(&r->Y, y))
         return -1;
-    int err = fe_from_int(&r->X, x) || fe_from_int(&r->Y, y) || fe_from_int(&r->T, t);
-    Py_DECREF(t);
+    fe_mul(&r->T, &r->X, &r->Y);
     memset(&r->Z, 0, sizeof r->Z);
     r->Z.v[0] = 1;
-    return err ? -1 : 0;
+    return 0;
 }
 
 static PyObject *encoded(const ge *p)
@@ -322,18 +308,10 @@ static PyObject *scalarmult_sub(PyObject *module, PyObject *args, PyObject *kwar
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOO:scalarmult_sub", kwlist,
                                      &s, &h, &ax, &ay))
         return NULL;
-    /* nx = (p - ax) % p */
-    PyObject *t = PyNumber_Subtract(P_INT, ax);
-    if (t == NULL)
+    if (ge_from_affine(&a_neg, ax, ay) || scalar_bytes(sb, s) || scalar_bytes(hb, h))
         return NULL;
-    PyObject *nx = PyNumber_Remainder(t, P_INT);
-    Py_DECREF(t);
-    if (nx == NULL)
-        return NULL;
-    int err = ge_from_affine(&a_neg, nx, ay);
-    Py_DECREF(nx);
-    if (err || scalar_bytes(sb, s) || scalar_bytes(hb, h))
-        return NULL;
+    fe_sub(&a_neg.X, &FE_ZERO, &a_neg.X); /* -A = (-x, y, 1, -x*y) */
+    fe_sub(&a_neg.T, &FE_ZERO, &a_neg.T);
     ge_scalarmult(&r1, &GE_B, sb);
     ge_scalarmult(&r2, &a_neg, hb);
     ge_add(&r1, &r1, &r2);
@@ -362,34 +340,29 @@ static int load_constants(void)
     PyObject *core = PyImport_ImportModule("flagless._ed25519_core");
     if (core == NULL)
         return -1;
-    PyObject *bx = NULL, *by = NULL, *d = NULL, *two = NULL, *d2 = NULL;
+    PyObject *bx = NULL, *by = NULL, *d = NULL;
     int err = -1;
     if ((bx = PyObject_GetAttrString(core, "B_X")) == NULL
         || (by = PyObject_GetAttrString(core, "B_Y")) == NULL
         || (d = PyObject_GetAttrString(core, "D")) == NULL
-        || (P_INT = PyObject_GetAttrString(core, "P")) == NULL
         || (LOW255_INT = PyLong_FromString(
                 "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff", NULL, 16)) == NULL
-        || (two = PyLong_FromLong(2)) == NULL
-        || (d2 = mul_mod_p(two, d)) == NULL
-        || fe_from_int(&FE_D2, d2)
+        || fe_from_int(&FE_D2, d)
         || ge_from_affine(&GE_B, bx, by))
         goto done;
+    fe_add(&FE_D2, &FE_D2, &FE_D2);
     err = 0;
 done:
     Py_DECREF(core);
     Py_XDECREF(bx);
     Py_XDECREF(by);
     Py_XDECREF(d);
-    Py_XDECREF(two);
-    Py_XDECREF(d2);
     return err;
 }
 
 PyMODINIT_FUNC PyInit__ed25519_ckernel(void)
 {
-    if (P_INT == NULL && load_constants()) {
-        Py_CLEAR(P_INT);
+    if (LOW255_INT == NULL && load_constants()) {
         Py_CLEAR(LOW255_INT);
         return NULL;
     }

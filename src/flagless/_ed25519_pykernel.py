@@ -12,33 +12,34 @@ same path.  Always available; the compiled kernel replaces it when the
 extension built.
 
 One table of odd multiples of the base point B is built once at import,
-with one batch inversion, and only its packed entries are kept:
+with one batch inversion, and only its packed entries are kept, in one
+flat tuple of eight rows:
 
-    _ODD_B[q][j]          = (2j + 1) * 2^(32q) * B      for q < 8, j < 64
+    _ODD_B[64q + j]         = (2j + 1) * 2^(32q) * B      for q < 8, j < 64
 
-(512 entries, about 70 KB).  Both multiplies split each scalar k into
-eight 32-bit pieces, k = sum of k_q * 2^(32q), and add up every k_q times
-2^(32q) times its point in one Straus loop over width-w NAF digits
-(`_joint`): w = 8 for each piece of a multiple of B, over `_ODD_B[q]`.
-`scalarmult_base` reduces k mod L and spends about 31 doublings and 31
-mixed additions.  `scalarmult_sub` computes s*B - h*A from the eight
-pieces of s mod L and the eight of h, with w = 4 for each h_q over the
-per-key rows
-
-    _neg_tables(A)[q][j]  = (2j + 1) * 2^(32q) * -A     for q < 8, j < 4
-
-(the top piece of h keeps every bit above 2^224, so any h >= 0 is exact).
-All sixteen pieces share one chain of about 34 doublings instead of the
-~253 an unsplit scalar needs (Lim and Lee, "More Flexible Exponentiation
+(512 entries, about 70 KB).  Both multiplies recode each scalar once, in
+width-w NAF, and add every digit d at bit i as d * 2^(32q) * Q, q =
+min(i >> 5, 7), at position i - 32q of one Straus loop (`_joint`): so
+all the rows share one chain of about 31 doublings instead of the ~253
+an unrecoded scalar needs (Lim and Lee, "More Flexible Exponentiation
 with Precomputation", CRYPTO 1994), and only the last doubling before an
-addition computes T.  Every addend is affine, so a verify spends about 85
-mixed additions (31 for s, 54 for h), inline in `_joint`, which unpacks
-each addend as it recodes its digit, and builds no table.  The rows of
--A cost 232 doublings, 24 additions and one batch inversion;
-`_neg_tables` memoizes them per key in a 1024-entry LRU cache (about
-4.8 KB a key, 4.9 MB when full), so a competition's few hundred keys each
-pay that once per process.  See Bernstein, Duif, Lange, Schwabe and Yang,
-"High-speed high-security signatures" (CHES 2011) for the NAF loop.
+addition computes T.  Row 7 takes every bit from 2^224 up, so any k >= 0
+is exact.  `scalarmult_base` reduces k mod L and recodes it with w = 8
+over `_ODD_B`: about 30 doublings and 28.5 mixed additions.
+`scalarmult_sub` computes s*B - h*A from s mod L with w = 8 and h with
+w = 4 over the per-key rows
+
+    _neg_tables(A)[4q + j]  = (2j + 1) * 2^(32q) * -A     for q < 8, j < 4
+
+Every addend is affine, so a verify spends about 31 doublings and 79
+mixed additions (28.5 for s, 51 for h; means over 2,000 random s, h < L),
+inline in `_joint`, which unpacks each addend as it recodes its digit,
+and builds no table.  The rows of -A cost 232 doublings, 24 additions and
+one batch inversion; `_neg_tables` memoizes them per key in a 1024-entry
+LRU cache (4.4 KB a key, 4.5 MB when full), so a competition's few
+hundred keys each pay that once per process.  See Bernstein, Duif,
+Lange, Schwabe and Yang, "High-speed high-security signatures" (CHES
+2011) for the NAF loop.
 Python integers are not constant-time, so neither is this kernel.
 """
 
@@ -51,7 +52,6 @@ from ._ed25519_core import B_X, B_Y, D, L, P
 _D2 = (2 * D) % P
 _B = (B_X, B_Y, 1, B_X * B_Y % P)
 _MASK = (1 << 255) - 1
-_PIECE = (1 << 32) - 1
 
 
 def _double(pt, n: int):
@@ -131,14 +131,13 @@ def _affine_niels(points) -> list:
 
 
 def _odd_rows(pt, count: int) -> tuple:
-    """Affine Niels rows `[q][j]` = (2j + 1) * 2^(32q) * pt, q < 8,
-    j < count, sharing one inversion."""
+    """Flat affine Niels table: entry `count * q + j` = (2j + 1) * 2^(32q)
+    * pt, q < 8, j < count, sharing one inversion."""
     points = _odd_multiples(pt, count)
     for _ in range(7):
         pt = _double(pt, 32)
         points += _odd_multiples(pt, count)
-    table = _affine_niels(points)
-    return tuple(tuple(table[i : i + count]) for i in range(0, 8 * count, count))
+    return tuple(_affine_niels(points))
 
 
 _ODD_B = _odd_rows(_B, 64)
@@ -146,8 +145,8 @@ _ODD_B = _odd_rows(_B, 64)
 
 @functools.lru_cache(maxsize=1024)
 def _neg_tables(ax: int, ay: int) -> tuple:
-    """Affine Niels rows for the affine point A = (ax, ay):
-    `_neg_tables(ax, ay)[q][j]` = (2j + 1) * 2^(32q) * -A, q < 8, j < 4."""
+    """Flat affine Niels table for the affine point A = (ax, ay):
+    `_neg_tables(ax, ay)[4q + j]` = (2j + 1) * 2^(32q) * -A, q < 8, j < 4."""
     nx = (P - ax) % P
     return _odd_rows((nx, ay, 1, nx * ay % P), 4)
 
@@ -161,16 +160,19 @@ def _encode(pt) -> bytes:
 
 
 def _joint(terms) -> bytes:
-    """Encoded sum of k * Q over the (k, w, row) in `terms`, for k >= 0 and
-    row[j] = (2j + 1) * Q in packed affine Niels form for every j < 2^(w-2).
+    """Encoded sum of k * Q over the (k, w, table) in `terms`, for k >= 0
+    and table[(q << (w-2)) + j] = (2j + 1) * 2^(32q) * Q in packed affine
+    Niels form for every q < 8 and j < 2^(w-2).
 
-    Each k is written in width-w NAF: odd digits d with |d| < 2^(w-1), at
-    least w positions apart.  Every addend goes into a bucket by its bit
-    position, so the terms share one chain of doublings, as long as the
-    longest k, that visits only the positions holding an addend.
+    Each k is written once in width-w NAF: odd digits d with |d| < 2^(w-1),
+    at least w positions apart.  A digit at bit i is taken from row
+    q = min(i >> 5, 7), so its addend d * 2^(32q) * Q goes into the bucket
+    of chain position i - 32q.  The terms thus share one chain of doublings,
+    about 31 long, that visits only the positions holding an addend (Lim
+    and Lee's rows; row 7 takes every bit from 2^224 up, so any k is exact).
     """
-    buckets = {}  # bit position -> affine Niels addends, unpacked
-    for k, w, row in terms:
+    buckets = {}  # chain position -> affine Niels addends, unpacked
+    for k, w, table in terms:
         full = 1 << w
         i = 0
         while k:
@@ -180,15 +182,16 @@ def _joint(terms) -> bytes:
             d = k & (full - 1)
             if d >= full >> 1:
                 d -= full
+            q = i >> 5 if i < 224 else 7
             # each field is below P < 2^255, so _MASK takes one whole; the
             # negated point swaps y+x and y-x and negates 2d*x*y
             if d > 0:
-                packed = row[d >> 1]
+                packed = table[(q << (w - 2)) + (d >> 1)]
                 addend = (packed & _MASK, packed >> 256 & _MASK, packed >> 512)
             else:
-                packed = row[-d >> 1]
+                packed = table[(q << (w - 2)) + (-d >> 1)]
                 addend = (packed >> 256 & _MASK, packed & _MASK, -(packed >> 512))
-            buckets.setdefault(i, []).append(addend)
+            buckets.setdefault(i - 32 * q, []).append(addend)
             k = (k - d) >> w
             i += w
     x, y, z, t = 0, 1, 1, 0
@@ -225,14 +228,9 @@ def _joint(terms) -> bytes:
 
 def scalarmult_base(k: int) -> bytes:
     """Encoded k*B for the curve base point B."""
-    k %= L
-    return _joint(((k >> (32 * q)) & _PIECE, 8, row) for q, row in enumerate(_ODD_B))
+    return _joint(((k % L, 8, _ODD_B),))
 
 
 def scalarmult_sub(s: int, h: int, ax: int, ay: int) -> bytes:
     """Encoded s*B - h*A for the affine point A = (ax, ay)."""
-    s %= L
-    terms = [((s >> (32 * q)) & _PIECE, 8, row) for q, row in enumerate(_ODD_B)]
-    for q, row in enumerate(_neg_tables(ax, ay)):
-        terms.append((h >> (32 * q) if q == 7 else (h >> (32 * q)) & _PIECE, 4, row))
-    return _joint(terms)
+    return _joint(((s % L, 8, _ODD_B), (h, 4, _neg_tables(ax, ay))))

@@ -143,7 +143,6 @@ def validate_changeset(state: CompetitionState, changeset: Changeset) -> Validat
     the changeset's author must be the team its path names.  Every
     outcome is a verdict; nothing here raises on untrusted input.
     """
-    actions = []  # (change, its path's match) of each team-writable path
     for change in changeset.changes:
         match = _TEAM_PATH_RE.match(change.path) or _SUBMISSION_PATH_RE.match(change.path)
         if change.path in state:
@@ -163,12 +162,12 @@ def validate_changeset(state: CompetitionState, changeset: Changeset) -> Validat
             return ValidationVerdict.reject(
                 ReasonCode.BAD_PATH, f"{change.path!r} is not a team-writable path"
             )
-        actions.append((change, match))
-    if len(actions) != 1:
+    # every change that gets here is an action: one on a team-writable path
+    if len(changeset.changes) != 1:
         return ValidationVerdict.reject(
-            ReasonCode.MIXED_CONCERNS, f"changeset carries {len(actions)} actions, expected 1"
+            ReasonCode.MIXED_CONCERNS,
+            f"changeset carries {len(changeset.changes)} actions, expected 1",
         )
-    change, match = actions[0]
     validate = _validate_registration if match.re is _TEAM_PATH_RE else _validate_submission
     verdict = validate(state, change.content, *match.groups())
     if verdict and changeset.author != match.group(1):

@@ -335,15 +335,14 @@ class TestAgainstReferenceKernel:
             assert memo.cache_info().hits == hits + 1
 
     def test_pure_key_tables_hold_odd_multiples_of_each_piece(self):
-        # row (q, j) is (2j + 1) * 2^(32q) * -A in affine Niels form
+        # entry 4q + j is (2j + 1) * 2^(32q) * -A in affine Niels form
         points = _random_points(random.Random(18), 3) + _torsion_points()
         for ax, ay in points:
-            tables = pykernel._neg_tables(ax, ay)
-            assert [len(row) for row in tables] == [4] * 8
+            table = pykernel._neg_tables(ax, ay)
             a_neg = _ref_point((core.P - ax) % core.P, ay)
-            for q, row in enumerate(tables):
-                for j, entry in enumerate(row):
-                    assert _unpacked(entry) == _ref_affine_niels(
+            for q in range(8):
+                for j in range(4):
+                    assert _unpacked(table[4 * q + j]) == _ref_affine_niels(
                         _ref_mul(a_neg, (2 * j + 1) << (32 * q))
                     )
 
@@ -352,9 +351,24 @@ class TestAgainstReferenceKernel:
             return sys.getsizeof(obj) + sum(map(size, obj) if isinstance(obj, tuple) else ())
 
         ((ax, ay),) = _random_points(random.Random(19), 1)
-        tables = pykernel._neg_tables(ax, ay)
-        assert all(type(entry) is int for row in tables for entry in row)
-        assert size(tables) <= 5000
+        table = pykernel._neg_tables(ax, ay)
+        assert all(type(entry) is int for entry in table)
+        assert size(table) <= 4500
+
+    def test_pure_tables_are_flat_rows_of_odd_multiples(self):
+        # one tuple of packed ints per table: row q of width n starts at n*q
+        ((ax, ay),) = _random_points(random.Random(21), 1)
+        table = pykernel._neg_tables(ax, ay)
+        assert type(table) is tuple and len(table) == 32
+        assert all(type(entry) is int for entry in table)
+        odd_b = pykernel._ODD_B
+        assert type(odd_b) is tuple and len(odd_b) == 512
+        assert all(type(entry) is int for entry in odd_b)
+        for q in range(8):
+            for j in range(64):
+                assert _unpacked(odd_b[64 * q + j]) == _ref_affine_niels(
+                    _ref_mul_base((2 * j + 1) << (32 * q))
+                ), (q, j)
 
     def test_joint_multiply_edge_points_and_scalars(self, kernel):
         torsion = _torsion_points()
