@@ -34,7 +34,7 @@ signing under one still takes its secret scalar.
 of signatures under a few hundred team, challenge and organizer keys, so
 each key costs one square root per process.  The pure kernel's
 `scalarmult_sub` keeps a memo of the same size holding each key's addend
-tables (232 doublings and one inversion to build, about 4.4 KB), so with
+tables (232 doublings and one inversion to build, 3 KiB), so with
 that kernel each key also costs those once per process.  Both memos hold
 pure functions of the key, so they change nothing but timing;
 `decompress` itself stays uncached.

@@ -41,7 +41,7 @@ from .competition import (
     scoreboard_bytes,
 )
 from .sigproof import PROFILES
-from .validator import CompetitionHost, FileRegion
+from .validator import CompetitionHost
 
 
 class CliError(Exception):
@@ -122,15 +122,11 @@ class LocalTarget(_Target):
         return open(self.path, "rb")
 
     def _get(self, route: str) -> bytes:
+        # a JSON route's body; the ledger is read through `ledger_file`
         if self._held is not None:
-            body = self._held.read(route)
-        else:
-            with CompetitionHost.view(self.path) as host:
-                body = host.read(route)
-        if isinstance(body, FileRegion):
-            with body:
-                return body.read()
-        return body
+            return self._held.read(route)
+        with CompetitionHost.view(self.path) as host:
+            return host.read(route)
 
     def _post(self, changeset) -> tuple[int, bytes]:
         status, payload = service.answer(self._held, changeset)

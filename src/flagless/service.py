@@ -66,16 +66,18 @@ checked as it arrives, so a bad line is refused without waiting for the
 rest, and a line that arrives in parts grows in place.  A POST
 body comes from the same buffer, and what is left begins the next
 request.  Status lines come from one fixed table, so `serve` loads
-neither `http` nor, since it keeps no log, `logging`.
+neither `http` nor, since it keeps no log, `logging`.  It binds, listens
+and accepts on `_socket`, whose sockets have every method it calls, so it
+loads no `socket` (nor the `selectors` and `array` that pulls in).
 """
 
 from __future__ import annotations
 
+import _socket
 import functools
 import os
 import re
 import select
-import socket
 import sys
 import threading
 import time
@@ -119,7 +121,7 @@ def _http_date(second: int) -> str:
     return time.strftime("%a, %d %b %Y %H:%M:%S GMT", time.gmtime(second))
 
 
-def _send(sock: socket.socket, status: int, body, content_type: str, close: bool) -> None:
+def _send(sock: _socket.socket, status: int, body, content_type: str, close: bool) -> None:
     """Write an answer whose body is bytes or a `FileRegion`.  Bytes go
     out with the head in one gather write (`sendmsg`), with more only for
     what the socket did not take.  A region goes out from its file with
@@ -198,12 +200,12 @@ class _Handler:
     timeout = 30
     host: CompetitionHost  # set by make_server on the handler subclass
 
-    def __init__(self, request: socket.socket):
+    def __init__(self, request: _socket.socket):
         self.request = request
         request.settimeout(self.timeout)
         # An answer's last segment, a ledger's from `sendfile` included, would
         # otherwise wait on the client's delayed ACK (~40 ms on keep-alive).
-        request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
+        request.setsockopt(_socket.IPPROTO_TCP, _socket.TCP_NODELAY, True)
         self._buffer = b""
 
     def handle(self) -> None:
@@ -371,11 +373,24 @@ class _Server:
     """
 
     def __init__(self, address: tuple[str, int], handler: type[_Handler]):
-        self.socket = socket.create_server(address)
+        # the listening socket `socket.create_server(address)` makes, error
+        # message included, without loading `socket`
+        self.socket = _socket.socket(_socket.AF_INET, _socket.SOCK_STREAM)
+        try:
+            self.socket.setsockopt(_socket.SOL_SOCKET, _socket.SO_REUSEADDR, 1)
+            try:
+                self.socket.bind(address)
+            except OSError as exc:
+                message = f"{exc.strerror} (while attempting to bind on address {address!r})"
+                raise OSError(exc.errno, message) from None
+            self.socket.listen()
+        except OSError:
+            self.socket.close()
+            raise
         self.server_address = self.socket.getsockname()
         self._handler = handler
         self._lock = threading.Lock()
-        self._live: set[socket.socket] = set()  # accepted and not yet closed
+        self._live: set[_socket.socket] = set()  # accepted and not yet closed
         self._idle = 0  # threads not serving a live connection
         self._workers: list[threading.Thread] = []
         self._shut = False
@@ -391,11 +406,12 @@ class _Server:
     def _serve(self) -> None:
         while True:
             try:
-                request, _ = self.socket.accept()
+                fd, _ = self.socket._accept()
             except OSError:
                 if self._shut:
                     return
                 continue
+            request = _socket.socket(fileno=fd)
             with self._lock:
                 busy = len(self._live) >= MAX_CONNECTIONS
                 if not busy:
@@ -439,7 +455,7 @@ class _Server:
         answer.  It takes no lock, so a signal handler may call it."""
         self._shut = True
         try:
-            self.socket.shutdown(socket.SHUT_RDWR)
+            self.socket.shutdown(_socket.SHUT_RDWR)
         except OSError:  # not listening any more
             pass
         for request in tuple(self._live):
@@ -452,16 +468,16 @@ class _Server:
             worker.join()
 
 
-def _shut_reads(request: socket.socket) -> None:
+def _shut_reads(request: _socket.socket) -> None:
     try:
-        request.shutdown(socket.SHUT_RD)
+        request.shutdown(_socket.SHUT_RD)
     except OSError:  # the peer has gone, or the socket is closed
         pass
 
 
-def _close(request: socket.socket) -> None:
+def _close(request: _socket.socket) -> None:
     try:
-        request.shutdown(socket.SHUT_WR)
+        request.shutdown(_socket.SHUT_WR)
     except OSError:
         pass
     request.close()

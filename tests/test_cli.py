@@ -408,11 +408,11 @@ def test_a_key_file_nested_too_deeply_is_one_error_line(competition, tmp_path, c
 
 # Runs in a fresh interpreter: argv is the ledger file, a registration and a
 # solve as changeset JSON, then module names.  POSTs both and GETs every
-# route through `make_server` over raw sockets, prints the statuses and
-# which of the modules got loaded, then runs scrypt and prints whether
-# `hashlib` is loaded.
+# route through `make_server` over `_socket` (so only the server could load
+# `socket`), prints the statuses and which of the modules got loaded, then
+# runs scrypt and prints whether `hashlib` is loaded.
 _SERVE_PATH = r"""
-import socket, sys, threading
+import _socket, sys, threading
 import flagless.cli
 from flagless import sigproof
 from flagless.service import make_server
@@ -426,9 +426,16 @@ with CompetitionHost.open(sys.argv[1]) as host:
 
     def status(method, route, body=b""):
         head = f"{method} {route} HTTP/1.0\r\nContent-Length: {len(body)}\r\n\r\n"
-        with socket.create_connection(server.server_address) as conn:
+        conn = _socket.socket()
+        try:
+            conn.connect(server.server_address)
             conn.sendall(head.encode() + body)
-            return int(conn.makefile("rb").read().split()[1])
+            answer = b""
+            while chunk := conn.recv(1 << 16):
+                answer += chunk
+        finally:
+            conn.close()
+        return int(answer.split()[1])
 
     statuses = [status("POST", "/changesets", body) for body in (registration, solve)]
     statuses += [status("GET", r) for r in ("/healthz", "/scoreboard", "/challenges", "/ledger")]
@@ -443,15 +450,16 @@ print("hashlib" in sys.modules)
 def test_the_serve_path_loads_no_openssl_http_client_or_mail_parser(tmp_path, rng):
     # `serve` and the local commands start without them, and a host that
     # answers POSTs and every GET route hashes without OpenSSL, builds its
-    # records without `dataclasses`, logs nothing and spells its status
-    # lines without `http`; only scrypt loads `hashlib`, only the flag
-    # prompt `getpass`, and --service-url loads urllib on first use
-    # (test_service_url_gives_the_same_results_as_ledger)
+    # records without `dataclasses`, logs nothing, spells its status lines
+    # without `http` and listens without `socket`; only scrypt loads
+    # `hashlib`, only the flag prompt `getpass`, and --service-url loads
+    # urllib on first use (test_service_url_gives_the_same_results_as_ledger)
     heavy = (
         "http.server", "http.client", "email.parser", "urllib.request", "ssl",
         "_hashlib", "hashlib", "hmac", "secrets",
         "dataclasses", "inspect", "ast", "dis", "getpass",
         "logging", "traceback", "tokenize", "http", "socketserver",
+        "socket", "selectors", "array",
     )
     sim = simulate(rng, n_challenges=1, n_teams=0)
     with sim.host:

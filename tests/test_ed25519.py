@@ -171,10 +171,12 @@ def _ref_affine_niels(p):
     return (y + x) % P, (y - x) % P, x * y % P * _REF_D2 % P
 
 
-def _unpacked(entry: int):
-    """The three fields of a packed table entry, y+x | y-x << 256 | 2dxy << 512."""
-    field = (1 << 256) - 1
-    return entry & field, entry >> 256 & field, entry >> 512
+def _unpacked(table: bytes, index: int):
+    """The three fields of a pure-kernel table's entry: 96 bytes holding
+    y+x, y-x and 2dxy, 32 little-endian bytes each."""
+    entry = table[96 * index : 96 * (index + 1)]
+    assert len(entry) == 96
+    return tuple(int.from_bytes(entry[o : o + 32], "little") for o in (0, 32, 64))
 
 
 def _ref_mul(p, k: int):
@@ -319,6 +321,38 @@ class TestAgainstReferenceKernel:
         for h in [2**256, 2**257 + 2**64 + 1]:
             assert pykernel.scalarmult_sub(1, h, ax, ay) == ref_scalarmult_sub(1, h, ax, ay)
 
+    def test_pure_lazy_reduction_keeps_coordinates_below_2_256(self, monkeypatch):
+        # every point that reaches a doubling or the encoding has come out
+        # of the folds, which the docstring bounds below 2^256 in
+        # magnitude; L-1 and 2^253-1 recode to runs of negative digits, so
+        # negated addends, and mixed-order keys put torsion in the tables
+        bound = 1 << 256
+        seen = []
+
+        def checked(fn):
+            def check(pt, *args):
+                seen.append(pt)
+                assert all(-bound < v < bound for v in pt), pt
+                return fn(pt, *args)
+
+            return check
+
+        monkeypatch.setattr(pykernel, "_double", checked(pykernel._double))
+        monkeypatch.setattr(pykernel, "_encode", checked(pykernel._encode))
+        prime = _ref_mul_base(random.Random(22).randrange(L))
+        keys = [core.decompress(_ref_encode(prime))]
+        for tx, ty in _torsion_points()[1:4]:
+            keys.append(core.decompress(_ref_encode(_ref_add(prime, _ref_point(tx, ty)))))
+        scalars = [0, 1, L - 1, 2**253 - 1]
+        for k in scalars:
+            assert pykernel.scalarmult_base(k) == ref_scalarmult_base(k), k
+        for ax, ay in keys:
+            for s in scalars:
+                for h in scalars:
+                    expected = ref_scalarmult_sub(s, h, ax, ay)
+                    assert pykernel.scalarmult_sub(s, h, ax, ay) == expected, (ax, s, h)
+        assert len(seen) > 100
+
     def test_pure_key_memo_is_bounded_and_changes_no_byte(self):
         memo = pykernel._neg_tables
         assert memo.cache_info().maxsize is not None and memo.cache_info().maxsize <= 1024
@@ -342,31 +376,27 @@ class TestAgainstReferenceKernel:
             a_neg = _ref_point((core.P - ax) % core.P, ay)
             for q in range(8):
                 for j in range(4):
-                    assert _unpacked(table[4 * q + j]) == _ref_affine_niels(
+                    assert _unpacked(table, 4 * q + j) == _ref_affine_niels(
                         _ref_mul(a_neg, (2 * j + 1) << (32 * q))
                     )
 
-    def test_pure_key_tables_pack_each_entry_into_one_int(self):
-        def size(obj):
-            return sys.getsizeof(obj) + sum(map(size, obj) if isinstance(obj, tuple) else ())
-
+    def test_pure_key_tables_take_96_bytes_an_entry(self):
         ((ax, ay),) = _random_points(random.Random(19), 1)
         table = pykernel._neg_tables(ax, ay)
-        assert all(type(entry) is int for entry in table)
-        assert size(table) <= 4500
+        assert type(table) is bytes and len(table) == 96 * 32
+        assert sys.getsizeof(table) <= 3200
 
     def test_pure_tables_are_flat_rows_of_odd_multiples(self):
-        # one tuple of packed ints per table: row q of width n starts at n*q
+        # one byte string of 96-byte entries per table: row q of width n
+        # starts at entry n*q
         ((ax, ay),) = _random_points(random.Random(21), 1)
         table = pykernel._neg_tables(ax, ay)
-        assert type(table) is tuple and len(table) == 32
-        assert all(type(entry) is int for entry in table)
+        assert type(table) is bytes and len(table) == 96 * 32
         odd_b = pykernel._ODD_B
-        assert type(odd_b) is tuple and len(odd_b) == 512
-        assert all(type(entry) is int for entry in odd_b)
+        assert type(odd_b) is bytes and len(odd_b) == 96 * 512
         for q in range(8):
             for j in range(64):
-                assert _unpacked(odd_b[64 * q + j]) == _ref_affine_niels(
+                assert _unpacked(odd_b, 64 * q + j) == _ref_affine_niels(
                     _ref_mul_base((2 * j + 1) << (32 * q))
                 ), (q, j)
 

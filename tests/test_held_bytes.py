@@ -84,7 +84,13 @@ def _check(host, path, conn) -> None:
     for route in ROUTES:
         assert _get(conn, route) == read_body(host, route), route
         if path is not None:
-            assert cli.LocalTarget(str(path))._get(route) == read_body(host, route), route
+            target = cli.LocalTarget(str(path))
+            if route == "/ledger":
+                with target.ledger_file() as fh:
+                    read = fh.read()
+            else:
+                read = target._get(route)
+            assert read == read_body(host, route), route
     held = read_body(host)
     chain = ledger.load_chain(held)
     assert held == ledger.dump_chain(chain)
