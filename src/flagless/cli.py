@@ -25,6 +25,7 @@ import io
 import os
 import signal
 import sys
+import threading
 import time
 
 from . import competition, ledger, service, sigproof
@@ -353,11 +354,22 @@ def cmd_serve(args) -> int:
     with CompetitionHost.open(args.ledger) as host:
         server = service.make_server(host, (bind_host or "127.0.0.1", int(port)))
         # SIGINT and SIGTERM let each connection end after its current
-        # answer, not raise in the middle of one: this thread serves too.
-        # One ignored at start (a background job's SIGINT) stays ignored.
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            if signal.getsignal(signum) is not signal.SIG_IGN:
-                signal.signal(signum, lambda *_: server.shutdown())
+        # answer, not raise in the middle of one.  One ignored at start (a
+        # background job's SIGINT) stays ignored.  The others are blocked in
+        # every thread and taken by a thread that waits for them: a handler
+        # would run only on the main thread, which serves too, between two
+        # steps of its Python code, so a signal caught just before that
+        # thread enters `accept` would wait there for the next connection.
+        signals = (signal.SIGINT, signal.SIGTERM)
+        stops = {s for s in signals if signal.getsignal(s) is not signal.SIG_IGN}
+        if stops:
+            signal.pthread_sigmask(signal.SIG_BLOCK, stops)
+
+            def stop() -> None:
+                signal.sigwait(stops)
+                server.shutdown()
+
+            threading.Thread(target=stop, daemon=True).start()
         print(f"serving on http://{server.server_address[0]}:{server.server_address[1]}")
         try:
             server.serve_forever()

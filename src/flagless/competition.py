@@ -14,18 +14,32 @@ keep secret: the flag and the challenge signing key are discarded the
 moment a challenge is created.
 
 CompetitionState folds the chain once, entry by entry, into typed records
-and running totals; the validator, the host, the scoreboard, the audit and
-the CLI all read it.  It holds nothing but what the chain says, so any
-replica that folds the same chain gets the same verdicts and scoreboard.
-The scoreboard counts only the solves that name a team and a challenge
-the state holds; a forged chain can hold others, and the audit flags them.
+and running totals; the rules, the host, the scoreboard, the audit and the
+CLI all read it.  It holds nothing but what the chain says, so any replica
+that folds the same chain gets the same verdicts and scoreboard.  The
+scoreboard counts only the solves that name a team and a challenge the
+state holds; a forged chain can hold others, and the audit flags them.
+
+Every rule an entry must keep is here, and the host (`validator`) and the
+audit (`audit_all`) run the same code: `audit_entry` holds the chain,
+genesis and organizer rules, and `validate_changeset` the team rules.
+Like the continuous-integration hook that merges or denies a pull
+request, the team rules accept a changeset only if it is exactly one team
+registration or exactly one proof submission, checked against the folded
+state.  No rule needs privileged information, so an auditor running them
+over a replica reaches the host's verdicts, and the tests hold them to
+that.  Possession of a valid proof is the only authentication there is:
+nobody needs an account to submit for team t, because only holders of t's
+signing key can produce the inner signature layer.
 """
 
 from __future__ import annotations
 
+import enum
 import os
 import re
 import unicodedata
+from contextlib import suppress
 from json.encoder import encode_basestring
 from random import Random
 from typing import Iterable, NamedTuple
@@ -311,8 +325,8 @@ class _Records:
     the first lookup only, then cached.
 
     Content that does not decode is a missing record, not an error: it
-    cannot enter a validator-accepted chain, and in forged chains the audit
-    flags the entry that wrote it.
+    cannot enter a chain whose entries keep the rules, and in forged chains
+    the audit flags the entry that wrote it.
     """
 
     __slots__ = ("_decode", "content", "_decoded")
@@ -344,8 +358,8 @@ class _Records:
 
 
 class CompetitionState:
-    """The chain folded into what the validator, the host, the scoreboard
-    and the audit read; `fold` takes each entry exactly once, and
+    """The chain folded into what the rules, the host, the scoreboard and
+    the audit read; `fold` takes each entry exactly once, and
     `audit_entry` checks an entry against the state before it is folded.
 
     Holds the head (the last entry folded) and the organizer key genesis
@@ -548,8 +562,8 @@ def audit_entry(state: CompetitionState, entry: LedgerEntry) -> list[AuditFindin
     GENESIS_KEY).  A later organizer-signed entry may write only
     `challenges/` and `meta/` (ORG_SCOPE), and only well-formed
     descriptors, each its own canonical bytes, under `challenges/`
-    (BAD_DESCRIPTOR).  Team entries have
-    no rule here: `validator.validate_changeset` is theirs.
+    (BAD_DESCRIPTOR).  Team entries have no rule here: `validate_changeset`
+    below is theirs.
     """
     head = state.head
     org_key = organizer_key(entry) if head is None else state.organizer_key
@@ -585,6 +599,142 @@ def audit_entry(state: CompetitionState, entry: LedgerEntry) -> list[AuditFindin
     return findings
 
 
+class ReasonCode(enum.Enum):
+    IMMUTABLE_PATH = "a committed path can never be rewritten"
+    BAD_PATH = "path is outside the shapes teams may write"
+    UNKNOWN_CHALLENGE = "no such challenge in the ledger state"
+    UNKNOWN_TEAM = "no such team in the ledger state"
+    INVALID_PROOF = "proof does not verify for this team and challenge"
+    DUPLICATE_SUBMISSION = "this team already solved this challenge"
+    DUPLICATE_TEAM = "team id or public key already registered"
+    MALFORMED_RECORD = "record does not parse or contradicts its path"
+    MIXED_CONCERNS = "one changeset must carry exactly one action"
+
+
+class ValidationVerdict(Record):
+    __slots__ = ("accepted", "code", "message")
+
+    def __init__(self, accepted: bool, code: ReasonCode | None = None, message: str = "") -> None:
+        Record.__init__(self, accepted, code, message)
+
+    def __bool__(self) -> bool:
+        return self.accepted
+
+    @classmethod
+    def accept(cls) -> "ValidationVerdict":
+        return cls(accepted=True)
+
+    @classmethod
+    def reject(cls, code: ReasonCode, message: str = "") -> "ValidationVerdict":
+        return cls(accepted=False, code=code, message=message or code.value)
+
+
+ACCEPT = ValidationVerdict.accept()
+
+_NOT_CANONICAL = "record is not in canonical form"
+
+
+def _validate_registration(
+    state: CompetitionState, content: bytes, team_id: str
+) -> ValidationVerdict:
+    try:
+        record = TeamRecord.from_json_dict(parse_json(content))
+    except ValueError as exc:
+        return ValidationVerdict.reject(ReasonCode.MALFORMED_RECORD, str(exc))
+    if record.id != team_id:
+        return ValidationVerdict.reject(
+            ReasonCode.MALFORMED_RECORD, f"record id {record.id!r} does not match path"
+        )
+    if record.id != slugify(record.name):
+        return ValidationVerdict.reject(
+            ReasonCode.MALFORMED_RECORD,
+            f"id {record.id!r} is not the slug of name {record.name!r}",
+        )
+    existing = state.team_with_key(record.public_key)
+    if existing is not None:
+        return ValidationVerdict.reject(
+            ReasonCode.DUPLICATE_TEAM,
+            f"public key already registered to {existing.id!r}",
+        )
+    if record.serialize() != content:
+        return ValidationVerdict.reject(ReasonCode.MALFORMED_RECORD, _NOT_CANONICAL)
+    return ACCEPT
+
+
+def _validate_submission(
+    state: CompetitionState, content: bytes, team_id: str, challenge_id: str
+) -> ValidationVerdict:
+    team = state.team(team_id)
+    if team is None:
+        return ValidationVerdict.reject(ReasonCode.UNKNOWN_TEAM, f"team {team_id!r}")
+    challenge = state.challenge(challenge_id)
+    if challenge is None:
+        return ValidationVerdict.reject(
+            ReasonCode.UNKNOWN_CHALLENGE, f"challenge {challenge_id!r}"
+        )
+    try:
+        record = SubmissionRecord.from_json_dict(parse_json(content))
+    except ValueError as exc:
+        return ValidationVerdict.reject(ReasonCode.MALFORMED_RECORD, str(exc))
+    if record.team_id != team_id or record.challenge_id != challenge_id:
+        return ValidationVerdict.reject(
+            ReasonCode.MALFORMED_RECORD, "record ids do not match the path"
+        )
+    if not sigproof.verify_proof(
+        team.public_key,
+        challenge.public_key,
+        challenge_id.encode("ascii"),
+        record.proof,
+    ):
+        return ValidationVerdict.reject(ReasonCode.INVALID_PROOF)
+    if record.serialize() != content:
+        return ValidationVerdict.reject(ReasonCode.MALFORMED_RECORD, _NOT_CANONICAL)
+    return ACCEPT
+
+
+def validate_changeset(state: CompetitionState, changeset: Changeset) -> ValidationVerdict:
+    """Decide whether a team-originated changeset may be appended to the
+    chain that `state` folds.  Costs two signature verifies for a
+    submission and one point decompression for a registration, plus one
+    the first time a team or challenge record is looked up.
+
+    Two rules come last, so each turns only an accept into a rejection:
+    the record's content must be its canonical form (`serialize()`), and
+    the changeset's author must be the team its path names.  Every
+    outcome is a verdict; nothing here raises on untrusted input.
+    """
+    for change in changeset.changes:
+        match = _TEAM_PATH_RE.match(change.path) or _SUBMISSION_PATH_RE.match(change.path)
+        if change.path in state:
+            if match is None:
+                return ValidationVerdict.reject(
+                    ReasonCode.IMMUTABLE_PATH, f"{change.path!r} is already committed"
+                )
+            if match.re is _TEAM_PATH_RE:
+                return ValidationVerdict.reject(
+                    ReasonCode.DUPLICATE_TEAM, f"team {match.group(1)!r} already registered"
+                )
+            return ValidationVerdict.reject(
+                ReasonCode.DUPLICATE_SUBMISSION,
+                f"{match.group(1)!r} already solved {match.group(2)!r}",
+            )
+        if match is None:
+            return ValidationVerdict.reject(
+                ReasonCode.BAD_PATH, f"{change.path!r} is not a team-writable path"
+            )
+    # every change that gets here is an action: one on a team-writable path
+    if len(changeset.changes) != 1:
+        return ValidationVerdict.reject(
+            ReasonCode.MIXED_CONCERNS,
+            f"changeset carries {len(changeset.changes)} actions, expected 1",
+        )
+    validate = _validate_registration if match.re is _TEAM_PATH_RE else _validate_submission
+    verdict = validate(state, change.content, *match.groups())
+    if verdict and changeset.author != match.group(1):
+        return ValidationVerdict.reject(ReasonCode.MALFORMED_RECORD, "author is not the team")
+    return verdict
+
+
 def audit_all(chain: Iterable[LedgerEntry]) -> AuditReport:
     """Re-derive everything from public data alone.
 
@@ -593,15 +743,15 @@ def audit_all(chain: Iterable[LedgerEntry]) -> AuditReport:
     a team entry also `validate_changeset` (which re-verifies its proof),
     and then it is folded.  A CHAIN finding ends the checks, and so does a
     `ChainError` from `chain`: a CHAIN finding at the line that does not
-    parse.  Then the scoreboard, which counts the solves that name a team
-    and a challenge the chain holds; the first other solve (`unresolved`)
-    is a SCOREBOARD finding at the last entry.  An empty chain is one
-    CHAIN finding at index 0.  Requires no secrets: any holder of the
+    parse.  After a CHAIN finding the rest of `chain` is only counted, and
+    a line that does not parse there ends the count and adds no finding.
+    Then the scoreboard, which counts the solves that name a team and a
+    challenge the chain holds; the first other solve (`unresolved`) is a
+    SCOREBOARD finding at the last entry.  An empty chain is one CHAIN
+    finding at index 0.  Requires no secrets: any holder of the
     ledger file gets the same report.  This is the check for a ledger from
     an untrusted source, whose team entries a loading host does not check.
     """
-    from .validator import validate_changeset  # local import breaks the cycle
-
     findings: list[AuditFinding] = []
     state = CompetitionState()
     count, entries = 0, iter(chain)
@@ -610,8 +760,9 @@ def audit_all(chain: Iterable[LedgerEntry]) -> AuditReport:
             count += 1
             findings += audit_entry(state, entry)
             if findings and findings[-1].code == "CHAIN":
-                for _ in entries:  # nothing after it can be checked, only counted
-                    count += 1
+                with suppress(ChainError):  # nothing after it can be checked, only counted
+                    for _ in entries:
+                        count += 1
                 break
             if entry.index > 0 and entry.org_sig is None:
                 verdict = validate_changeset(state, entry.changeset)

@@ -14,8 +14,9 @@ committed entries can never be silently rewritten, and a copied ledger
 file is a complete audit-capable replica.
 
 A ledger file is written whole only once, when `write_ledger` creates it;
-then the `CompetitionHost` holding it (see `validator`) appends each entry
-as one fsynced line.  Readers fold each entry as `entries` reads its line.
+then the `validator.CompetitionHost` holding it appends each entry that
+the rules in `competition` pass, as one fsynced line.  Readers fold each
+entry as `entries` reads its line.
 """
 
 from __future__ import annotations

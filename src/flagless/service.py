@@ -41,9 +41,13 @@ its current answer; `flagless serve` calls it on SIGINT and on SIGTERM,
 and exits 0 once its connections have ended.  A connection that stays
 silent for `_Handler.timeout` seconds, mid-request (say, a body shorter
 than its Content-Length) or between keep-alive requests, is closed
-without an answer, so a stalled client cannot pin a thread; one whose
-client takes no byte of an answer for that long is closed with the
-answer cut short, and one that the client resets is closed.
+without an answer, so a silent client cannot pin a thread.  A client
+that sends a byte now and then, within each timeout, keeps its
+connection and its thread for as long as it goes on: the timeout bounds
+each wait, not a request.  A connection whose client does not take a
+`GET /ledger` answer's next byte for that long, or any other answer
+whole within that time, is closed with the answer cut short, and one
+that the client resets is closed.
 The host serializes appends and reads, so every read sees the state
 between two appends.  `GET /ledger` is the acknowledged prefix of the
 host's file (for `serve`, the ledger file): its bytes up to the last
@@ -51,8 +55,8 @@ entry acknowledged when the read began, sent from the file with
 `sendfile` after the answer's head, outside the host's lock.  So `serve`
 keeps no copy of the ledger, and never sends a byte past that prefix.
 The other GET bodies are built at most once per chain head (the
-challenge list once per release), and each goes out with its head in one
-gather write.  A 201 goes out only after the entry's line is fsynced to
+challenge list once per release), and each goes out joined to its head
+in one write.  A 201 goes out only after the entry's line is fsynced to
 the host's file; if that write fails, the connection is closed without
 an answer and the entry is not kept.  A 503 is safe to retry: its
 request was not read.  An unanswered POST may still have been appended,
@@ -83,8 +87,9 @@ import threading
 import time
 
 from .canonical import canonical_bytes, parse_json, to_hex
+from .competition import ValidationVerdict
 from .ledger import Changeset
-from .validator import CompetitionHost, FileRegion, ValidationVerdict
+from .validator import CompetitionHost, FileRegion
 
 MAX_BODY_BYTES = 1 << 20
 MAX_CONNECTIONS = 64
@@ -123,11 +128,11 @@ def _http_date(second: int) -> str:
 
 def _send(sock: _socket.socket, status: int, body, content_type: str, close: bool) -> None:
     """Write an answer whose body is bytes or a `FileRegion`.  Bytes go
-    out with the head in one gather write (`sendmsg`), with more only for
-    what the socket did not take.  A region goes out from its file with
-    `sendfile`, after the head; while the socket's buffer is full it
-    waits for room, and raises `TimeoutError` when none comes within the
-    socket's timeout."""
+    out joined to the head in one `sendall`, which raises `TimeoutError`
+    when the socket has not taken them all within its timeout.  A region
+    goes out from its file with `sendfile`, after the head; while the
+    socket's buffer is full it waits for room, and raises `TimeoutError`
+    when none comes within the socket's timeout."""
     head = (
         f"HTTP/1.1 {status} {_REASONS[status]}\r\nServer: flagless\r\n"
         f"Date: {_http_date(int(time.time()))}\r\n"
@@ -153,13 +158,7 @@ def _send(sock: _socket.socket, status: int, body, content_type: str, close: boo
                 raise EOFError("the file is shorter than its region")
             offset += sent
         return
-    buffers = [head, body]
-    while buffers:
-        sent = sock.sendmsg(buffers)
-        while buffers and sent >= len(buffers[0]):
-            sent -= len(buffers.pop(0))
-        if sent:
-            buffers[0] = memoryview(buffers[0])[sent:]
+    sock.sendall(head + body)
 
 
 def answer(host: CompetitionHost, changeset: Changeset) -> tuple[int, dict]:

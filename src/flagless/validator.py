@@ -1,20 +1,18 @@
-"""Gatekeeper for team-originated changesets.
+"""The competition host: the one writer of a ledger file.
 
-Plays the role of the continuous-integration hook that merges or denies
-pull requests: a changeset is accepted only if it is exactly one team
-registration or exactly one proof submission, checked against the current
-replayed state.  Validation needs no privileged information whatsoever —
-an independent auditor running the same rules over a replica must reach
-the same verdicts, and the test suite holds us to that.
-
-Possession of a valid proof is the only authentication there is.  Nobody
-needs an account to submit for team t, because only holders of t's
-signing key can produce the inner signature layer.
+`CompetitionHost` holds the file of the ledger's acknowledged bytes and
+the state folded from them, and serializes every append and read.  It
+makes no rule of its own: it appends an entry only when
+`competition.audit_entry` (the chain, genesis and organizer rules) and,
+for a team entry, `competition.validate_changeset` (the team rules) pass
+it, the same functions that `competition.audit_all` runs, so an auditor
+replaying the ledger reaches the host's verdicts.  `FileRegion` is the
+body of `GET /ledger`, the acknowledged bytes on a descriptor of its own,
+and `_BODIES` builds each other body the host serves.
 """
 
 from __future__ import annotations
 
-import enum
 import fcntl
 import os
 import tempfile
@@ -23,156 +21,15 @@ import time
 import weakref
 from typing import Iterable
 
-from . import ledger, sigproof
-from .canonical import Record, canonical_bytes, parse_json, to_hex
+from . import ledger
+from .canonical import canonical_bytes, to_hex
 from .competition import (
-    CompetitionState,
-    SubmissionRecord,
-    TeamRecord,
-    _SUBMISSION_PATH_RE,
-    _TEAM_PATH_RE,
-    audit_entry,
-    scoreboard_bytes,
-    slugify,
+    CompetitionState, ValidationVerdict, audit_entry, scoreboard_bytes, validate_changeset
 )
 from .ledger import Changeset, LedgerEntry
 
 
-class ReasonCode(enum.Enum):
-    IMMUTABLE_PATH = "a committed path can never be rewritten"
-    BAD_PATH = "path is outside the shapes teams may write"
-    UNKNOWN_CHALLENGE = "no such challenge in the ledger state"
-    UNKNOWN_TEAM = "no such team in the ledger state"
-    INVALID_PROOF = "proof does not verify for this team and challenge"
-    DUPLICATE_SUBMISSION = "this team already solved this challenge"
-    DUPLICATE_TEAM = "team id or public key already registered"
-    MALFORMED_RECORD = "record does not parse or contradicts its path"
-    MIXED_CONCERNS = "one changeset must carry exactly one action"
-
-
-class ValidationVerdict(Record):
-    __slots__ = ("accepted", "code", "message")
-
-    def __init__(self, accepted: bool, code: ReasonCode | None = None, message: str = "") -> None:
-        Record.__init__(self, accepted, code, message)
-
-    def __bool__(self) -> bool:
-        return self.accepted
-
-    @classmethod
-    def accept(cls) -> "ValidationVerdict":
-        return cls(accepted=True)
-
-    @classmethod
-    def reject(cls, code: ReasonCode, message: str = "") -> "ValidationVerdict":
-        return cls(accepted=False, code=code, message=message or code.value)
-
-
-ACCEPT = ValidationVerdict.accept()
-
 _CLOSED = "the competition host is closed"
-_NOT_CANONICAL = "record is not in canonical form"
-
-
-def _validate_registration(
-    state: CompetitionState, content: bytes, team_id: str
-) -> ValidationVerdict:
-    try:
-        record = TeamRecord.from_json_dict(parse_json(content))
-    except ValueError as exc:
-        return ValidationVerdict.reject(ReasonCode.MALFORMED_RECORD, str(exc))
-    if record.id != team_id:
-        return ValidationVerdict.reject(
-            ReasonCode.MALFORMED_RECORD, f"record id {record.id!r} does not match path"
-        )
-    if record.id != slugify(record.name):
-        return ValidationVerdict.reject(
-            ReasonCode.MALFORMED_RECORD,
-            f"id {record.id!r} is not the slug of name {record.name!r}",
-        )
-    existing = state.team_with_key(record.public_key)
-    if existing is not None:
-        return ValidationVerdict.reject(
-            ReasonCode.DUPLICATE_TEAM,
-            f"public key already registered to {existing.id!r}",
-        )
-    if record.serialize() != content:
-        return ValidationVerdict.reject(ReasonCode.MALFORMED_RECORD, _NOT_CANONICAL)
-    return ACCEPT
-
-
-def _validate_submission(
-    state: CompetitionState, content: bytes, team_id: str, challenge_id: str
-) -> ValidationVerdict:
-    team = state.team(team_id)
-    if team is None:
-        return ValidationVerdict.reject(ReasonCode.UNKNOWN_TEAM, f"team {team_id!r}")
-    challenge = state.challenge(challenge_id)
-    if challenge is None:
-        return ValidationVerdict.reject(
-            ReasonCode.UNKNOWN_CHALLENGE, f"challenge {challenge_id!r}"
-        )
-    try:
-        record = SubmissionRecord.from_json_dict(parse_json(content))
-    except ValueError as exc:
-        return ValidationVerdict.reject(ReasonCode.MALFORMED_RECORD, str(exc))
-    if record.team_id != team_id or record.challenge_id != challenge_id:
-        return ValidationVerdict.reject(
-            ReasonCode.MALFORMED_RECORD, "record ids do not match the path"
-        )
-    if not sigproof.verify_proof(
-        team.public_key,
-        challenge.public_key,
-        challenge_id.encode("ascii"),
-        record.proof,
-    ):
-        return ValidationVerdict.reject(ReasonCode.INVALID_PROOF)
-    if record.serialize() != content:
-        return ValidationVerdict.reject(ReasonCode.MALFORMED_RECORD, _NOT_CANONICAL)
-    return ACCEPT
-
-
-def validate_changeset(state: CompetitionState, changeset: Changeset) -> ValidationVerdict:
-    """Decide whether a team-originated changeset may be appended to the
-    chain that `state` folds.  Costs two signature verifies for a
-    submission and one point decompression for a registration, plus one
-    the first time a team or challenge record is looked up.
-
-    Two rules come last, so each turns only an accept into a rejection:
-    the record's content must be its canonical form (`serialize()`), and
-    the changeset's author must be the team its path names.  Every
-    outcome is a verdict; nothing here raises on untrusted input.
-    """
-    for change in changeset.changes:
-        match = _TEAM_PATH_RE.match(change.path) or _SUBMISSION_PATH_RE.match(change.path)
-        if change.path in state:
-            if match is None:
-                return ValidationVerdict.reject(
-                    ReasonCode.IMMUTABLE_PATH, f"{change.path!r} is already committed"
-                )
-            if match.re is _TEAM_PATH_RE:
-                return ValidationVerdict.reject(
-                    ReasonCode.DUPLICATE_TEAM, f"team {match.group(1)!r} already registered"
-                )
-            return ValidationVerdict.reject(
-                ReasonCode.DUPLICATE_SUBMISSION,
-                f"{match.group(1)!r} already solved {match.group(2)!r}",
-            )
-        if match is None:
-            return ValidationVerdict.reject(
-                ReasonCode.BAD_PATH, f"{change.path!r} is not a team-writable path"
-            )
-    # every change that gets here is an action: one on a team-writable path
-    if len(changeset.changes) != 1:
-        return ValidationVerdict.reject(
-            ReasonCode.MIXED_CONCERNS,
-            f"changeset carries {len(changeset.changes)} actions, expected 1",
-        )
-    validate = _validate_registration if match.re is _TEAM_PATH_RE else _validate_submission
-    verdict = validate(state, change.content, *match.groups())
-    if verdict and changeset.author != match.group(1):
-        return ValidationVerdict.reject(ReasonCode.MALFORMED_RECORD, "author is not the team")
-    return verdict
 
 
 def _write_at(fd: int, data: bytes, offset: int) -> None:

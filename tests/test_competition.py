@@ -14,6 +14,7 @@ from flagless.competition import (
     FlagMismatch,
     ScoreboardRow,
     TeamRecord,
+    ValidationVerdict,
     audit_all,
     build_submission,
     challenge_changeset,
@@ -29,13 +30,13 @@ from flagless.competition import (
     teams_in,
 )
 from flagless.ledger import Changeset, FileChange
-from flagless.sigproof import KdfParams, derive_challenge_keys, normalize_flag
-from flagless.validator import ValidationVerdict
+from flagless.sigproof import KdfParams, derive_challenge_keys, keypair_from_seed, normalize_flag
 
 from helpers import (
     append_ghost_solve,
     brute_force_scoreboard,
     rebuild_consistent,
+    replace_entry,
     scoreboard_json,
     simulate,
 )
@@ -464,12 +465,68 @@ class TestAudit:
         assert not report.ok
         assert report.findings[0].code == "CHAIN"
 
+    def test_nothing_follows_the_first_chain_finding(self, rng):
+        sim = simulate(rng, n_challenges=2, n_teams=3, solve_prob=0)
+        chain = sim.chain()
+        chain[2] = replace_entry(chain[2], timestamp=chain[2].timestamp + 1)
+        lines = ledger.dump_chain(chain).splitlines(keepends=True)
+        lines[4] = b'{"garbage":1}\n'
+        report = audit_all(ledger.entries(lines))
+        assert _findings(report) == [(2, "CHAIN", "hash mismatch")]
+        assert report.entries == 4 and report.scoreboard == []
+
+    def test_genesis_may_write_only_meta(self, rng):
+        org = keypair_from_seed(rng.randbytes(32))
+        changeset = Changeset(
+            changes=(
+                FileChange(ledger.ORGANIZER_KEY_PATH, to_hex(org.public).encode()),
+                FileChange(team_path("early"), b"{}"),
+            ),
+            author="organizer",
+        )
+        chain = [ledger.make_entry(0, 0, ledger.ZERO_HASH, changeset)]
+        assert _findings(audit_all(chain)) == [
+            (0, "GENESIS_SCOPE", "unexpected path 'teams/early/team.json'")
+        ]
+
+    @pytest.mark.parametrize(
+        "path,message",
+        [
+            ("challenges/Bad_Id.json", "bad path 'challenges/Bad_Id.json'"),
+            (challenge_path("other"), "descriptor id does not match its path"),
+        ],
+        ids=["path-refused", "id-not-the-path's"],
+    )
+    def test_a_release_is_a_descriptor_at_its_own_path(self, rng, path, message):
+        sim = simulate(rng, n_challenges=1, n_teams=0)
+        chain = sim.chain()
+        (descriptor,) = sim.descriptors.values()
+        changeset = Changeset((FileChange(path, descriptor.serialize()),), "organizer")
+        entry = ledger.append(chain, changeset, chain[-1].timestamp, org_secret=sim.org_seed)
+        assert _findings(audit_all(chain)) == [(entry.index, "BAD_DESCRIPTOR", message)]
+
+    def test_an_organizer_entry_needs_a_key_in_genesis(self, rng):
+        meta = FileChange(ledger.COMPETITION_META_PATH, b"{}")
+        chain = [ledger.make_entry(0, 0, ledger.ZERO_HASH, Changeset((meta,), "organizer"))]
+        notice = Changeset((FileChange("meta/notice", b"hi"),), "organizer")
+        ledger.append(chain, notice, 1, org_secret=rng.randbytes(32))
+        report = audit_all(chain)
+        assert _findings(report) == [
+            (0, "GENESIS_KEY", "missing or invalid organizer key"),
+            (1, "CHAIN", "organizer key unavailable in genesis"),
+        ]
+        assert report.entries == 2
+
     def test_empty_chain_has_no_genesis(self):
         report = audit_all([])
         assert not report.ok and report.entries == 0 and report.scoreboard == []
         assert [(f.index, f.code, f.message) for f in report.findings] == [
             (0, "CHAIN", ledger.NO_GENESIS)
         ]
+
+
+def _findings(report) -> list[tuple[int, str, str]]:
+    return [(f.index, f.code, f.message) for f in report.findings]
 
 
 def verify_chain_ok_for_team_only(chain) -> bool:

@@ -147,3 +147,35 @@ def test_only_canonical_decodes_json():
         if _decodes_json(node)
     ]
     assert found == []
+
+
+def _imports_the_package(node: ast.AST) -> bool:
+    """Whether `node` is an import of a module of `flagless`."""
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").partition(".")[0] == "flagless"
+    if isinstance(node, ast.Import):
+        return any(alias.name.partition(".")[0] == "flagless" for alias in node.names)
+    return False
+
+
+def test_modules_import_each_other_at_the_top_and_by_public_names():
+    """No module imports another inside a function, where an import cycle
+    hides until the function runs, and none imports another's private
+    (`_`-prefixed) names, which belong to the module that defines them."""
+    found = set()
+    for path, tree in _package_modules():
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {
+                    f"{path.name}:{node.lineno} imports inside {function.name}"
+                    for node in ast.walk(function)
+                    if _imports_the_package(node)
+                }
+        found |= {
+            f"{path.name}:{node.lineno} imports {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level and node.module
+            for alias in node.names
+            if alias.name.startswith("_")
+        }
+    assert sorted(found) == []

@@ -315,8 +315,8 @@ class TestAgainstReferenceKernel:
                 assert kernel.scalarmult_sub(0, h, ax, ay) == ref_scalarmult_sub(0, h, ax, ay)
 
     def test_pure_joint_multiply_takes_h_of_any_size(self):
-        # the compiled kernel takes h < 2^256 only; the pure one keeps every
-        # bit above 2^224 in its top piece, as its docstring promises
+        # the compiled kernel takes h < 2^256 only; the pure one takes every
+        # bit from 2^224 up in row 7 of its tables, as its docstring promises
         ((ax, ay),) = _random_points(random.Random(17), 1)
         for h in [2**256, 2**257 + 2**64 + 1]:
             assert pykernel.scalarmult_sub(1, h, ax, ay) == ref_scalarmult_sub(1, h, ax, ay)

@@ -17,9 +17,11 @@ from flagless.competition import (
     AuditFinding,
     ChallengeDescriptor,
     CompetitionState,
+    ReasonCode,
     ScoreboardRow,
     SubmissionRecord,
     TeamRecord,
+    ValidationVerdict,
     _CHALLENGE_PATH_RE,
     _SUBMISSION_PATH_RE,
     _TEAM_PATH_RE,
@@ -30,14 +32,10 @@ from flagless.competition import (
     slugify,
     submission_path,
     team_path,
-)
-from flagless.ledger import Changeset, FileChange
-from flagless.validator import (
-    CompetitionHost,
-    ReasonCode,
-    ValidationVerdict,
     validate_changeset,
 )
+from flagless.ledger import Changeset, FileChange
+from flagless.validator import CompetitionHost
 
 from helpers import load_host, read_body, scoreboard_json, simulate
 

@@ -18,6 +18,7 @@ from flagless import _ed25519_pykernel as pykernel
 from flagless import cli, ed25519, ledger
 from flagless.canonical import canonical_bytes, to_hex
 from flagless.competition import (
+    ReasonCode,
     SubmissionRecord,
     audit_all,
     challenge_path,
@@ -28,7 +29,7 @@ from flagless.competition import (
 )
 from flagless.ledger import Changeset, FileChange
 from flagless.sigproof import KdfParams, Proof, verify_proof
-from flagless.validator import CompetitionHost, ReasonCode
+from flagless.validator import CompetitionHost
 
 from helpers import BackgroundService, read_body, simulate
 from test_ed25519 import _random_points, _ref_encode, _ref_point, _torsion_points

@@ -69,12 +69,24 @@ def _child_env() -> dict[str, str]:
     return env
 
 
+def _sigint_at_default() -> None:
+    """Run in the child before it executes: a suite started as a background
+    job ignores SIGINT, the child would inherit that, and `serve` keeps an
+    ignored SIGINT ignored."""
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
 @contextlib.contextmanager
 def _serve(ledger_path):
-    """`flagless serve` as a child process on an ephemeral port; yields
-    (process, port) and kills the child on exit."""
+    """`flagless serve` as a child process on an ephemeral port, with SIGINT
+    at its default however the suite was started; yields (process, port)
+    and kills the child on exit."""
     proc = subprocess.Popen(
-        _serve_argv(ledger_path), stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()
+        _serve_argv(ledger_path),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+        preexec_fn=_sigint_at_default,
     )
     try:
         line = proc.stdout.readline().decode("ascii", "replace")
@@ -175,6 +187,18 @@ def test_serve_stops_on_a_signal_while_its_main_thread_serves(path, rng, signum)
         finally:
             conn.close()
     assert path.read_bytes() == acknowledged
+
+
+def test_serve_blocks_its_stop_signals_on_the_main_thread(path):
+    # a handler would run on the main thread, which waits in `accept`, and
+    # a signal caught just before that wait began would be left there until
+    # the next connection; so a thread of its own waits for them, blocked
+    with _serve(path) as (proc, port):
+        _get(port, "/healthz")
+        with open(f"/proc/{proc.pid}/status") as fh:
+            blocked = int(next(line for line in fh if line.startswith("SigBlk:")).split()[1], 16)
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            assert blocked >> (signum - 1) & 1, signum
 
 
 def test_writers_refused_while_serve_holds_the_ledger(sim, path, tmp_path, capsys):

@@ -12,14 +12,15 @@ from flagless.competition import (
     AuditFinding,
     AuditReport,
     ChallengeDescriptor,
+    ReasonCode,
     ScoreboardRow,
     SubmissionRecord,
     TeamRecord,
     TeamSecret,
+    ValidationVerdict,
 )
 from flagless.ledger import ChainVerdict, Changeset, FileChange, LedgerEntry
 from flagless.sigproof import KdfParams, KeyPair, Proof, keypair_from_seed
-from flagless.validator import ReasonCode, ValidationVerdict
 
 _KEYS = [keypair_from_seed(bytes([i]) * 32) for i in (1, 2)]
 _CHANGES = [FileChange(path=f"meta/{i}", content=bytes([i])) for i in (1, 2)]

@@ -10,21 +10,19 @@ from flagless import ledger
 from flagless.canonical import canonical_bytes, to_b64, to_hex
 from flagless.competition import (
     CompetitionState,
+    ReasonCode,
+    ValidationVerdict,
     audit_all,
     build_submission,
     challenge_path,
     register_team,
     submission_path,
     team_path,
+    validate_changeset,
 )
 from flagless.ledger import Changeset, FileChange
 from flagless.sigproof import keypair_from_seed
-from flagless.validator import (
-    CompetitionHost,
-    ReasonCode,
-    ValidationVerdict,
-    validate_changeset,
-)
+from flagless.validator import CompetitionHost
 
 from helpers import load_host, simulate
 
@@ -150,6 +148,17 @@ class TestSubmissionRules:
             canonical_bytes(record.to_json_dict()),
         )
         assert validate_changeset(state, moved).code is ReasonCode.MALFORMED_RECORD
+
+    def test_garbage_record_rejected(self, rng):
+        fresh = simulate(rng, n_challenges=1, n_teams=1, solve_prob=0.0)
+        (team_id,) = fresh.teams
+        (cid,) = fresh.descriptors
+        garbage = _single(submission_path(team_id, cid), b"not json", author=team_id)
+        verdict = validate_changeset(CompetitionState.from_chain(fresh.chain()), garbage)
+        assert (verdict.code, verdict.message) == (
+            ReasonCode.MALFORMED_RECORD,
+            "Expecting value: line 1 column 1 (char 0)",
+        )
 
     def test_fuzzed_proofs_always_rejected(self, rng):
         fresh = simulate(rng, n_challenges=1, n_teams=1, solve_prob=0.0)
