@@ -130,8 +130,7 @@ class LocalTarget(_Target):
             return host.read(route)
 
     def _post(self, changeset) -> tuple[int, bytes]:
-        status, payload = service.answer(self._held, changeset)
-        return status, canonical_bytes(payload)
+        return service.answer(self._held, changeset)
 
 
 class RemoteTarget(_Target):

@@ -38,7 +38,6 @@ from __future__ import annotations
 import enum
 import os
 import re
-import unicodedata
 from contextlib import suppress
 from json.encoder import encode_basestring
 from random import Random
@@ -78,6 +77,8 @@ def slugify(name: str) -> str:
     single hyphen: "Team Épico" and "team-epico" intentionally map to the
     same slug.
     """
+    import unicodedata  # on first use: a `serve` that registers no team never loads it
+
     ascii_name = (
         unicodedata.normalize("NFKD", name).encode("ascii", "ignore").decode("ascii")
     )

@@ -64,15 +64,17 @@ so its retry can get 422 `DUPLICATE_SUBMISSION` or `DUPLICATE_TEAM`;
 `GET /ledger` tells whether the entry is there.
 
 Each connection reads into one buffer of the bytes `recv` gave that no
-request has used.  A head is found in it by one search for its blank
-line and split into lines once; while it is incomplete, each line is
-checked as it arrives, so a bad line is refused without waiting for the
-rest, and a line that arrives in parts grows in place.  A POST
-body comes from the same buffer, and what is left begins the next
-request.  Status lines come from one fixed table, so `serve` loads
-neither `http` nor, since it keeps no log, `logging`.  It binds, listens
-and accepts on `_socket`, whose sockets have every method it calls, so it
-loads no `socket` (nor the `selectors` and `array` that pulls in).
+request has used.  A head is read from it a line at a time, in one loop
+that checks each line as its LF arrives, so a bad line is refused
+without waiting for the rest.  Each search for an LF starts where the
+last one stopped, so a line that arrives in parts is searched once and
+grows in place.  A POST body comes from the same buffer, and only what is
+missing is received; what is left begins the next request.  Status lines
+come from one fixed table, so `serve` loads neither `http` nor, since it
+keeps no log, `logging`.  It binds, listens and accepts on `_socket`,
+whose sockets have every method it calls, so it loads no `socket` (nor
+the `selectors` and `array` that pulls in), and it loads `select` only
+once a `GET /ledger` answer fills the socket's buffer.
 """
 
 from __future__ import annotations
@@ -81,7 +83,6 @@ import _socket
 import functools
 import os
 import re
-import select
 import sys
 import threading
 import time
@@ -149,6 +150,8 @@ def _send(sock: _socket.socket, status: int, body, content_type: str, close: boo
             try:
                 sent = os.sendfile(out, body.fd, offset, body.size - offset)
             except BlockingIOError:  # only a socket with a timeout is nonblocking
+                import select  # only here: most answers never fill the socket's buffer
+
                 poller = select.poll()
                 poller.register(out, select.POLLOUT)
                 if not poller.poll(sock.gettimeout() * 1000):
@@ -161,14 +164,15 @@ def _send(sock: _socket.socket, status: int, body, content_type: str, close: boo
     sock.sendall(head + body)
 
 
-def answer(host: CompetitionHost, changeset: Changeset) -> tuple[int, dict]:
-    """`host.apply(changeset)` as the status and payload of its answer:
-    201 {"hash", "index"} of the appended entry, or 422 {"code",
-    "message", "outcome": "REJECT"} of the verdict."""
+def answer(host: CompetitionHost, changeset: Changeset) -> tuple[int, bytes]:
+    """`host.apply(changeset)` as the status and body of its answer: 201
+    {"hash", "index"} of the appended entry, or 422 {"code", "message",
+    "outcome": "REJECT"} of the verdict."""
     result = host.apply(changeset)
     if isinstance(result, ValidationVerdict):
-        return 422, {"code": result.code.name, "message": result.message, "outcome": "REJECT"}
-    return 201, {"hash": to_hex(result.hash), "index": result.index}
+        verdict = {"code": result.code.name, "message": result.message, "outcome": "REJECT"}
+        return 422, canonical_bytes(verdict)
+    return 201, canonical_bytes({"hash": to_hex(result.hash), "index": result.index})
 
 
 class _Refused(Exception):
@@ -223,37 +227,47 @@ class _Handler:
     def _read_head(self) -> bool:
         """Parse a request head into `command`, `path`, `headers` and
         `close_connection`; False at the end of the stream before its first
-        byte.  Until the blank line arrives, each line is checked as it
-        completes, so a bad one is refused without waiting for the rest."""
+        byte.  Each line is checked as its LF arrives, the request line
+        first, so a bad one is refused without waiting for the rest.  The
+        head ends at the first line of a lone CR after the request line, and
+        what follows it stays in `_buffer`."""
         self.close_connection, self.command, self.path = True, "-", "-"
-        self.headers, self._fields = _Headers(), 0
-        # checked becomes 1 once checked lines are cut from data, all but
-        # the LF that ends the last of them
-        data, checked = self._buffer, 0
-        while (end := data.find(b"\n\r\n")) < 0:
-            complete = data.rfind(b"\n") + 1
-            if complete > checked:
-                self._check(data[checked : complete - 1].split(b"\n"))
-                data, checked = data[complete - 1 :], 1
-            # an unended line grows in place, so a segment costs a copy of
-            # itself, not of the line
-            pending = bytearray(data)
-            while True:
-                if len(pending) - checked > _MAX_LINE:
+        self.headers, fields = _Headers(), 0
+        buffer = self._buffer = bytearray(self._buffer)
+        # the current line starts at `start`, and no byte before `searched`
+        # is its LF, so a line sent a byte per segment is searched once
+        start = searched = 0
+        while True:
+            end = buffer.find(b"\n", searched)
+            if end < 0:
+                if len(buffer) - start > _MAX_LINE:
                     raise _Refused(431, "line exceeds 64 KiB")
                 chunk = self.request.recv(_RECV)
                 if not chunk:
-                    if not pending:
+                    if not buffer:
                         return False
                     line = "request" if self.command == "-" else "header"
                     raise _Refused(400, f"malformed {line} line")
-                pending += chunk
-                if b"\n" in chunk:
-                    break
-            data = bytes(pending)
-        if end >= checked:  # else every line of the head is checked
-            self._check(data[checked:end].split(b"\n"))
-        self._buffer = data[end + 3 :]
+                searched = len(buffer)
+                buffer += chunk
+                continue
+            line = buffer[start:end]
+            searched = start = end + 1
+            if len(line) >= _MAX_LINE:  # with its LF, over the limit
+                raise _Refused(431, "line exceeds 64 KiB")
+            if self.command == "-":
+                self._request_line(line)
+                continue
+            if line == b"\r":
+                break
+            field = _FIELD.fullmatch(line.decode("latin-1"))
+            if field is None:
+                raise _Refused(400, "malformed header line")
+            if fields == _MAX_FIELDS:
+                raise _Refused(431, "more than 100 header fields")
+            fields += 1
+            self.headers.add(*field.groups())
+        del buffer[:start]
         connection = self.headers.get_all("Connection")
         if connection is None:
             self.close_connection = not self._http11
@@ -261,23 +275,6 @@ class _Handler:
             tokens = {token.strip(" \t") for token in ",".join(connection).lower().split(",")}
             self.close_connection = "close" in tokens if self._http11 else "keep-alive" not in tokens
         return True
-
-    def _check(self, lines: list[bytes]) -> None:
-        """Check complete head lines, each without its LF, in arrival order:
-        the request line, then header fields into `headers`."""
-        for line in lines:
-            if len(line) >= _MAX_LINE:  # with its LF, over the limit
-                raise _Refused(431, "line exceeds 64 KiB")
-            if self.command == "-":
-                self._request_line(line)
-                continue
-            field = _FIELD.fullmatch(line.decode("latin-1"))
-            if field is None:
-                raise _Refused(400, "malformed header line")
-            if self._fields == _MAX_FIELDS:
-                raise _Refused(431, "more than 100 header fields")
-            self._fields += 1
-            self.headers.add(*field.groups())
 
     def _request_line(self, line: bytes) -> None:
         parts = line[:-1].split(b" ") if line.endswith(b"\r") else []
@@ -291,17 +288,14 @@ class _Handler:
         self.command, self.path = method.decode("ascii"), target.decode("latin-1")
         self._http11 = version == b"HTTP/1.1"
 
-    def _read_body(self, length: int) -> bytes:
+    def _read_body(self, length: int) -> bytearray:
         """The next `length` bytes, from the buffer and then the socket;
         fewer if the stream ends first."""
-        data = self._buffer
-        if len(data) < length:
-            chunks, size = [data], len(data)
-            while size < length and (chunk := self.request.recv(length - size)):
-                chunks.append(chunk)
-                size += len(chunk)
-            data = b"".join(chunks)
-        body, self._buffer = data[:length], data[length:]
+        buffer = self._buffer
+        while len(buffer) < length and (chunk := self.request.recv(length - len(buffer))):
+            buffer += chunk
+        body = buffer[:length]
+        del buffer[:length]
         return body
 
     def _respond(
@@ -309,9 +303,6 @@ class _Handler:
     ) -> None:
         self.close_connection = self.close_connection or close
         _send(self.request, status, body, content_type, self.close_connection)
-
-    def _respond_json(self, status: int, obj) -> None:
-        self._respond(status, canonical_bytes(obj))
 
     def do_GET(self) -> None:
         # A GET body is never read, so a connection that sent one closes.
@@ -349,9 +340,9 @@ class _Handler:
         try:
             changeset = Changeset.from_json_dict(parse_json(body))
         except ValueError as exc:
-            self._respond_json(400, {"error": f"malformed changeset: {exc}"})
+            self._respond(400, canonical_bytes({"error": f"malformed changeset: {exc}"}))
             return
-        self._respond_json(*answer(self.host, changeset))
+        self._respond(*answer(self.host, changeset))
 
 
 class _Server:

@@ -459,7 +459,7 @@ def test_the_serve_path_loads_no_openssl_http_client_or_mail_parser(tmp_path, rn
         "_hashlib", "hashlib", "hmac", "secrets",
         "dataclasses", "inspect", "ast", "dis", "getpass",
         "logging", "traceback", "tokenize", "http", "socketserver",
-        "socket", "selectors", "array",
+        "socket", "selectors", "array", "select",
     )
     sim = simulate(rng, n_challenges=1, n_teams=0)
     with sim.host:
@@ -476,3 +476,13 @@ def test_the_serve_path_loads_no_openssl_http_client_or_mail_parser(tmp_path, rn
         cwd=package_root, capture_output=True, text=True, check=True,
     )
     assert out.stdout.splitlines() == ["[201, 201, 200, 200, 200, 200] []", "True"]
+
+
+def test_importing_the_cli_loads_no_unicodedata():
+    # only `slugify` needs it, and a `serve` that registers no team never
+    # calls it
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, flagless.cli; print('unicodedata' in sys.modules)"],
+        cwd=Path(cli.__file__).parents[1], capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "False\n"

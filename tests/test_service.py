@@ -468,6 +468,83 @@ def test_a_long_line_sent_a_byte_per_segment_costs_what_short_lines_do():
     assert long_bytes < 2 * short_bytes, (long_bytes, short_bytes)
 
 
+_LONG = b"b" * (1 << 16)
+# The heads of TestMalformedRequests and TestFraming, a good GET and a
+# good POST with its body
+_HEADS = {
+    "good-get": b"GET /healthz HTTP/1.1\r\nHost: x\r\nAccept: */*\r\n\r\n",
+    "good-post": b"POST /changesets HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}",
+    "413": b"POST /changesets HTTP/1.1\r\nHost: x\r\nContent-Length: 1048577\r\n\r\n",
+    "length--1": b"POST /changesets HTTP/1.1\r\nHost: x\r\nContent-Length: -1\r\n\r\n",
+    "length-abc": b"POST /changesets HTTP/1.1\r\nHost: x\r\nContent-Length: abc\r\n\r\n",
+    "short-body": b"POST /changesets HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\n{}",
+    "unread-404": b"POST /elsewhere HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
+    % (len(_SMUGGLED), _SMUGGLED),
+    "no-length": b"POST /changesets HTTP/1.1\r\nHost: x\r\n\r\n",
+    "get-body": b"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
+    % (len(_SMUGGLED), _SMUGGLED),
+    "get-chunked": b"GET /healthz HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n",
+    "post-chunked-with-length": b"POST /changesets HTTP/1.1\r\nHost: x\r\n"
+    b"Transfer-Encoding: chunked\r\nContent-Length: 0\r\n\r\n",
+    "two-lengths": b"POST /changesets HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n"
+    b"Content-Length: 12\r\n\r\n",
+    "garbage": b"GARBAGE\r\n",
+    "double-space": b"GET  /healthz HTTP/1.1\r\n",
+    "bare-lf": b"GET /healthz HTTP/1.1\n",
+    "no-colon": b"GET /healthz HTTP/1.1\r\nHost x\r\n",
+    "space-before-colon": b"GET /healthz HTTP/1.1\r\nHost : x\r\n",
+    "obs-fold": b"GET /healthz HTTP/1.1\r\nHost: x\r\n  folded\r\n",
+    "101-fields": b"GET /healthz HTTP/1.1\r\n" + b"X-A: b\r\n" * 101,
+    "long-line": b"GET /healthz HTTP/1.1\r\nX-A: " + _LONG,
+    "http-2": b"GET /healthz HTTP/2.0\r\n",
+    "http-0.9": b"GET /healthz HTTP/0.9\r\n",
+    "put": b"PUT /changesets HTTP/1.1\r\n",
+    "head": b"HEAD /healthz HTTP/1.1\r\n",
+    "1.1-close": b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: Keep-Alive, Close\r\n\r\n",
+    "1.0": b"GET /healthz HTTP/1.0\r\nHost: x\r\n\r\n",
+    "1.0-keep-alive": b"GET /healthz HTTP/1.0\r\nHost: x\r\nConnection: keep-alive\r\n\r\n",
+    "expect": b"POST /changesets HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+    b"Content-Length: 2\r\n\r\n{}",
+    "pipelined": b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\nGET /nope HTTP/1.1\r\nHost: x\r\n\r\n"
+    b"GET /challenges HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+    "64-kib": b"GET /healthz HTTP/1.0\r\nX-A: " + _LONG[7:] + b"\r\n\r\n",
+    "64-kib-and-1": b"GET /healthz HTTP/1.0\r\nX-A: " + _LONG[6:] + b"\r\n",
+    "64-kib-and-1-unended": b"GET /healthz HTTP/1.0\r\nX-A: " + _LONG[4:],
+    "long-line-pipelined": b"GET /healthz HTTP/1.1\r\n\r\nGET /a" + _LONG + b" HTTP/1.1\r\n\r\n",
+    "no-request-line": b"\n\r\n",
+    "bare-lf-line": b"GET /healthz HTTP/1.1\r\n\n\r\n",
+    "cut-in-request-line": b"GET /hea",
+    "cut-after-request-line": b"GET /healthz HTTP/1.1\r\n",
+    "cut-in-header-line": b"GET /healthz HTTP/1.1\r\nHost: x",
+    "100-fields": b"GET /healthz HTTP/1.0\r\n" + b"X-A: b\r\n" * 100 + b"\r\n",
+}
+
+
+def _outcomes(parts: list[bytes]) -> list:
+    """What a connection whose `recv` gives each of `parts` in turn reads:
+    each request's command, path, headers, persistence and the body its
+    Content-Length of digits gives, up to the end of the stream or a
+    refused head's (status, message)."""
+    handler = _Handler.__new__(_Handler)
+    handler.request, handler._buffer = _Segments(parts), b""
+    outcomes = []
+    try:
+        while handler._read_head():
+            length = handler.headers.get("Content-Length", "")
+            body = handler._read_body(int(length)) if length.isdigit() else None
+            headers = dict(handler.headers)
+            outcomes.append((handler.command, handler.path, headers, handler.close_connection, body))
+    except flagless.service._Refused as exc:
+        outcomes.append(exc.args)
+    return outcomes
+
+
+@pytest.mark.parametrize("head", _HEADS.values(), ids=_HEADS.keys())
+def test_a_head_read_a_byte_per_recv_gives_what_it_gives_whole(head):
+    whole = _outcomes([head])
+    assert whole and whole == _outcomes([bytes([byte]) for byte in head])
+
+
 class TestConnectionCap:
     def test_overflow_is_503_and_a_freed_slot_serves_again(self, sim, monkeypatch):
         monkeypatch.setattr("flagless.service.MAX_CONNECTIONS", 4)
