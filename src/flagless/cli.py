@@ -181,9 +181,7 @@ def _target(args) -> LocalTarget | RemoteTarget:
 def _write_private_file(path: str, payload: bytes) -> None:
     if os.path.exists(path):
         raise CliError(f"refusing to overwrite {path}")
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
-    with os.fdopen(fd, "wb") as fh:
-        fh.write(payload)
+    ledger.create_file(path, payload, 0o600)
 
 
 def _read_secret(path: str) -> TeamSecret:
@@ -215,6 +213,7 @@ def _read_flag(args) -> str:
 
 def cmd_init(args) -> int:
     os.makedirs(args.dir, exist_ok=True)
+    ledger.sync_directory(args.dir)  # the directory's own name, if it is new
     ledger_path = os.path.join(args.dir, "ledger.ndjson")
     key_path = os.path.join(args.dir, "organizer.key")
     if os.path.exists(ledger_path):
@@ -224,7 +223,11 @@ def cmd_init(args) -> int:
     meta = canonical_bytes({"created_at": int(time.time()), "name": args.name})
     entry = ledger.genesis(keys.public, meta, int(time.time()))
     _write_private_file(key_path, TeamSecret(team_id="organizer", seed=seed).serialize())
-    ledger.write_ledger(ledger_path, [entry])
+    try:
+        ledger.write_ledger(ledger_path, [entry])
+    except BaseException:
+        os.unlink(key_path)  # so that `init` can be run again
+        raise
     if args.json:
         print(canonical_dumps({"ledger": ledger_path, "organizer_key": key_path}))
     else:

@@ -366,16 +366,15 @@ class CompetitionState:
     Holds the head (the last entry folded) and the organizer key genesis
     published, the set of paths written, the latest content of each team
     and challenge path (a path's latest write wins, as in `ledger.replay`)
-    by id, a count of the writes to challenge paths, the ledger index of
-    the first submission of each (team, challenge) pair, and running
-    per-team totals.  It keeps no other content: a submission's bytes, and
-    those of `meta/` and any other path, stay in the ledger.  There is no
-    index by public key: `team_with_key` scans the teams.  Records are
-    decoded on first lookup.  The totals are counted on a scoreboard read
-    and kept up to date as solves are folded; any write to a team or
-    challenge path drops them, since a solve that did not count may now
-    count and a challenge's points may change, and the next read counts
-    them again from the first solves.
+    by id, the ledger index of the first submission of each (team,
+    challenge) pair, and running per-team totals.  It keeps no other
+    content: a submission's bytes, and those of `meta/` and any other path,
+    stay in the ledger.  There is no index by public key: `team_with_key`
+    scans the teams.  Records are decoded on first lookup.  The totals are
+    counted on a scoreboard read and kept up to date as solves are folded;
+    any write to a team or challenge path drops them, since a solve that
+    did not count may now count and a challenge's points may change, and
+    the next read counts them again from the first solves.
     Not thread-safe: the host calls it under its lock.
     """
 
@@ -385,7 +384,6 @@ class CompetitionState:
         self._paths: set[str] = set()
         self._teams = _Records(TeamRecord.from_json_dict)
         self._challenges = _Records(ChallengeDescriptor.from_json_dict)
-        self.challenge_writes = 0  # `challenges()` changes only with it
         self._solves: dict[str, int] = {}  # submission path -> first index
         # team id -> [points, solves, last solve index]; None: count on next read
         self._totals: dict[str, list[int]] | None = None
@@ -430,7 +428,6 @@ class CompetitionState:
             self._teams.put(match.group(1), content)
         elif match := _CHALLENGE_PATH_RE.match(path):
             self._challenges.put(match.group(1), content)
-            self.challenge_writes += 1
         else:
             return
         self._totals = None  # a dangling solve may now count, or points change

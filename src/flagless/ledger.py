@@ -371,13 +371,32 @@ def load_chain(data: bytes) -> list[LedgerEntry]:
 
 
 def write_ledger(path: str, chain: list[LedgerEntry]) -> None:
-    """Create a ledger file holding `chain`, durably.  Raises
-    `FileExistsError` rather than touch an existing file: entries are
-    added to a ledger file only by the `CompetitionHost` holding it."""
-    with open(path, "xb") as fh:
-        fh.write(dump_chain(chain))
-        fh.flush()
-        os.fsync(fh.fileno())
+    """Create the ledger file `path` holding `chain`, with `create_file`."""
+    create_file(path, dump_chain(chain))
+
+
+def create_file(path: str, data: bytes, mode: int = 0o666) -> None:
+    """Create the file `path` holding `data`, and fsync it and then its
+    directory, so a crash loses neither the bytes nor the name.  Raises
+    `FileExistsError` at an existing file; removes the file if a write fails."""
+    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode), "wb") as fh:
+        try:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        except BaseException:
+            os.unlink(path)
+            raise
+    sync_directory(path)
+
+
+def sync_directory(path: str) -> None:
+    """fsync the directory that holds `path`, so a name made in it lasts."""
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def read_ledger(path: str) -> list[LedgerEntry]:

@@ -55,10 +55,10 @@ entry acknowledged when the read began, sent from the file with
 `sendfile` after the answer's head, outside the host's lock.  So `serve`
 keeps no copy of the ledger, and never sends a byte past that prefix.
 The other GET bodies are built at most once per chain head (the
-challenge list once per release), and each goes out joined to its head
-in one write.  A 201 goes out only after the entry's line is fsynced to
-the host's file; if that write fails, the connection is closed without
-an answer and the entry is not kept.  A 503 is safe to retry: its
+challenge list once per organizer entry), and each goes out joined to
+its head in one write.  A 201 goes out only after the entry's line is
+fsynced to the host's file; if that write fails, the connection is
+closed without an answer and the entry is not kept.  A 503 is safe to retry: its
 request was not read.  An unanswered POST may still have been appended,
 so its retry can get 422 `DUPLICATE_SUBMISSION` or `DUPLICATE_TEAM`;
 `GET /ledger` tells whether the entry is there.
@@ -127,20 +127,25 @@ def _http_date(second: int) -> str:
     return time.strftime("%a, %d %b %Y %H:%M:%S GMT", time.gmtime(second))
 
 
-def _send(sock: _socket.socket, status: int, body, content_type: str, close: bool) -> None:
-    """Write an answer whose body is bytes or a `FileRegion`.  Bytes go
-    out joined to the head in one `sendall`, which raises `TimeoutError`
-    when the socket has not taken them all within its timeout.  A region
-    goes out from its file with `sendfile`, after the head; while the
-    socket's buffer is full it waits for room, and raises `TimeoutError`
-    when none comes within the socket's timeout."""
+def _send(sock: _socket.socket, status: int, body, close: bool) -> None:
+    """Write an answer whose body is JSON bytes or a `FileRegion` of NDJSON.
+    Bytes go out joined to the head in one `sendall`, which raises
+    `TimeoutError` when the socket has not taken them all within its
+    timeout.  A region goes out from its file with `sendfile`, after the
+    head, and is then closed, sent or not; it raises `TimeoutError` when
+    the socket's buffer stays full for the socket's timeout."""
+    region = isinstance(body, FileRegion)
     head = (
         f"HTTP/1.1 {status} {_REASONS[status]}\r\nServer: flagless\r\n"
         f"Date: {_http_date(int(time.time()))}\r\n"
         + ("Connection: close\r\n" if close else "")
-        + f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n\r\n"
+        + f"Content-Type: application/{'x-ndjson' if region else 'json'}\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
     ).encode("ascii")
-    if isinstance(body, FileRegion):
+    if not region:
+        sock.sendall(head + body)
+        return
+    with body:
         # Not with MSG_MORE: a corked head held the whole body back, and a
         # keep-alive GET /ledger of 442 KB over loopback on a 2-vCPU Linux
         # machine took 0.8 ms instead of 0.16.
@@ -160,8 +165,6 @@ def _send(sock: _socket.socket, status: int, body, content_type: str, close: boo
             if not sent:
                 raise EOFError("the file is shorter than its region")
             offset += sent
-        return
-    sock.sendall(head + body)
 
 
 def answer(host: CompetitionHost, changeset: Changeset) -> tuple[int, bytes]:
@@ -201,10 +204,9 @@ class _Handler:
     # Socket timeout in seconds; a read, or a wait for room to send, that
     # times out closes the connection.
     timeout = 30
-    host: CompetitionHost  # set by make_server on the handler subclass
 
-    def __init__(self, request: _socket.socket):
-        self.request = request
+    def __init__(self, request: _socket.socket, host: CompetitionHost):
+        self.request, self.host = request, host
         request.settimeout(self.timeout)
         # An answer's last segment, a ledger's from `sendfile` included, would
         # otherwise wait on the client's delayed ACK (~40 ms on keep-alive).
@@ -298,11 +300,9 @@ class _Handler:
         del buffer[:length]
         return body
 
-    def _respond(
-        self, status: int, body, content_type: str = "application/json", *, close=False
-    ) -> None:
+    def _respond(self, status: int, body, *, close=False) -> None:
         self.close_connection = self.close_connection or close
-        _send(self.request, status, body, content_type, self.close_connection)
+        _send(self.request, status, body, self.close_connection)
 
     def do_GET(self) -> None:
         # A GET body is never read, so a connection that sent one closes.
@@ -311,9 +311,6 @@ class _Handler:
         body = self.host.read(self.path)
         if body is None:
             self._respond(404, _NOT_FOUND, close=close)
-        elif self.path == "/ledger":
-            with body:
-                self._respond(200, body, "application/x-ndjson", close=close)
         else:
             self._respond(200, body, close=close)
 
@@ -362,7 +359,7 @@ class _Server:
     answer; `server_close` then joins the workers.
     """
 
-    def __init__(self, address: tuple[str, int], handler: type[_Handler]):
+    def __init__(self, address: tuple[str, int], host: CompetitionHost):
         # the listening socket `socket.create_server(address)` makes, error
         # message included, without loading `socket`
         self.socket = _socket.socket(_socket.AF_INET, _socket.SOCK_STREAM)
@@ -378,7 +375,7 @@ class _Server:
             self.socket.close()
             raise
         self.server_address = self.socket.getsockname()
-        self._handler = handler
+        self._host = host
         self._lock = threading.Lock()
         self._live: set[_socket.socket] = set()  # accepted and not yet closed
         self._idle = 0  # threads not serving a live connection
@@ -411,7 +408,7 @@ class _Server:
                     self._idle += spare  # the worker is idle from its start
             if busy:
                 try:
-                    _send(request, 503, _BUSY, "application/json", True)
+                    _send(request, 503, _BUSY, True)
                 except OSError:  # the client has gone
                     pass
                 _close(request)
@@ -421,7 +418,7 @@ class _Server:
             try:
                 if spare:
                     self._start_worker()
-                self._handler(request).handle()
+                _Handler(request, self._host).handle()
             except Exception:
                 sys.excepthook(*sys.exc_info())
             finally:
@@ -442,7 +439,7 @@ class _Server:
 
     def shutdown(self) -> None:
         """Stop accepting, and end each live connection after its current
-        answer.  It takes no lock, so a signal handler may call it."""
+        answer.  `flagless serve` calls it from the thread taking its signals."""
         self._shut = True
         try:
             self.socket.shutdown(_socket.SHUT_RDWR)
@@ -474,4 +471,4 @@ def _close(request: _socket.socket) -> None:
 
 
 def make_server(host: CompetitionHost, address: tuple[str, int]) -> _Server:
-    return _Server(address, type("BoundHandler", (_Handler,), {"host": host}))
+    return _Server(address, host)

@@ -65,9 +65,6 @@ class FileRegion:
     def __len__(self) -> int:
         return self.size
 
-    def read(self) -> bytes:
-        return _read_prefix(self.fd, self.size)
-
     def close(self) -> None:
         if self.fd >= 0:
             os.close(self.fd)
@@ -120,10 +117,9 @@ class CompetitionHost:
     acknowledged bytes at that instant, on a descriptor of its own, so a
     caller sends them without holding the lock and never sends a byte
     past them or from another file.  Any other body is one bytes object,
-    built on its first read after the state it depends on moves and then
-    kept: the head and scoreboard bodies depend on the head, the challenge
-    body only on the state's count of challenge writes, so team entries
-    leave it as it is.
+    built on its first read at the current head and then kept until an
+    append moves the head: an organizer entry drops every kept body, and a
+    team entry every one but the challenge list.
     """
 
     def __init__(self, chain: Iterable[LedgerEntry] = (), *, _fd: int | None = None):
@@ -143,8 +139,7 @@ class CompetitionHost:
             self._release()
             raise
         self._refusal: str | None = None  # why appends are refused, once they are
-        # route -> (the version of the state it was built at, its body)
-        self._bodies: dict[str, tuple[int, bytes]] = {}
+        self._bodies: dict[str, bytes] = {}  # route -> its body at the head
 
     @classmethod
     def open(cls, path: str) -> "CompetitionHost":
@@ -221,6 +216,10 @@ class CompetitionHost:
             raise
         self._size += len(line)
         self._state.fold(entry)
+        # `validate_changeset` lets a team entry write only teams/ and
+        # submissions/ paths, so it never changes the challenge list
+        kept = self._bodies.get("/challenges") if entry.org_sig is None else None
+        self._bodies = {} if kept is None else {"/challenges": kept}
         return entry
 
     def apply(
@@ -263,18 +262,13 @@ class CompetitionHost:
         served.  The body of `/ledger` is a `FileRegion` of the file's
         acknowledged bytes, the canonical NDJSON ledger, which the caller
         closes; any other body is bytes."""
-        if route == "/ledger":
-            with self._lock:
-                return FileRegion(self._file(), self._size)
-        if route not in _BODIES:
-            return None
-        version, build = _BODIES[route]
+        build = _BODIES.get(route)
         with self._lock:
-            now = version(self._state)
-            kept = self._bodies.get(route)
-            if kept is None or kept[0] != now:
-                kept = self._bodies[route] = (now, build(self._state))
-            return kept[1]
+            if route == "/ledger":
+                return FileRegion(self._file(), self._size)
+            if build is not None and route not in self._bodies:
+                self._bodies[route] = build(self._state)
+            return self._bodies.get(route)
 
 
 def _anonymous_file(data: bytes) -> int:
@@ -284,25 +278,13 @@ def _anonymous_file(data: bytes) -> int:
         return os.dup(fh.fileno())
 
 
-def _head_index(state: CompetitionState) -> int:
-    return state.head.index
-
-
-# route -> (the version of the state its body depends on, the body as a
-# function of the state), for each route but /ledger: a body built at one
-# version is kept until the version moves
+# route -> its body as a function of the state, for each route but /ledger
 _BODIES = {
-    "/healthz": (
-        _head_index,
-        lambda state: canonical_bytes(
-            {"hash": to_hex(state.head.hash), "index": state.head.index}
-        ),
+    "/healthz": lambda state: canonical_bytes(
+        {"hash": to_hex(state.head.hash), "index": state.head.index}
     ),
-    "/scoreboard": (_head_index, lambda state: scoreboard_bytes(state.scoreboard())),
-    "/challenges": (
-        lambda state: state.challenge_writes,
-        lambda state: canonical_bytes(
-            [d.to_json_dict() for d in state.challenges().values()]
-        ),
+    "/scoreboard": lambda state: scoreboard_bytes(state.scoreboard()),
+    "/challenges": lambda state: canonical_bytes(
+        [d.to_json_dict() for d in state.challenges().values()]
     ),
 }

@@ -65,7 +65,7 @@ def read_body(host: CompetitionHost, route: str = "/ledger") -> bytes:
     body = host.read(route)
     if isinstance(body, FileRegion):
         with body:
-            return body.read()
+            return os.pread(body.fd, body.size, 0)
     return body
 
 

@@ -2,9 +2,11 @@
 and through a running service."""
 
 import contextlib
+import errno
 import http.server
 import io
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -404,6 +406,122 @@ def test_a_key_file_nested_too_deeply_is_one_error_line(competition, tmp_path, c
         assert cli.run([*map(str, argv), "--ledger", ledger_path]) == 1
         assert "nested too deeply" in _error_line(capsys)
     assert Path(ledger_path).read_bytes() == before
+
+
+def test_init_prints_where_it_wrote(tmp_path, capsys):
+    code, out = _run(capsys, "init", "--name", "CLI Cup", "--dir", tmp_path)
+    assert code == 0
+    assert out == (
+        "initialized competition 'CLI Cup'\n"
+        f"  ledger:        {tmp_path / 'ledger.ndjson'}\n"
+        f"  organizer key: {tmp_path / 'organizer.key'}  (keep this private)\n"
+    )
+
+
+def test_a_failed_init_leaves_no_key_and_runs_again(tmp_path, capsys, monkeypatch):
+    def full(path, chain):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(ledger, "write_ledger", full)
+        assert cli.run(["init", "--name", "CLI Cup", "--dir", str(tmp_path)]) == 1
+    assert "No space left on device" in _error_line(capsys)
+    assert list(tmp_path.iterdir()) == []
+    assert _run(capsys, "init", "--name", "CLI Cup", "--dir", tmp_path)[0] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.ndjson", "organizer.key"]
+
+
+def test_init_and_register_fsync_each_file_and_its_directory(tmp_path, capsys, monkeypatch):
+    synced, fsync = [], os.fsync
+
+    def seen(fd):
+        status = os.fstat(fd)
+        synced.append((status.st_dev, status.st_ino))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", seen)
+    cup = tmp_path / "cup"  # made by `init`, so its own name is synced too
+    assert _run(capsys, "init", "--name", "CLI Cup", "--dir", cup)[0] == 0
+    secret = cup / "alpha.key"
+    argv = ["team", "register", "--name", "Alpha", "--secret-out", secret]
+    assert _run(capsys, *argv, "--ledger", cup / "ledger.ndjson")[0] == 0
+    for path in (cup / "organizer.key", cup / "ledger.ndjson", secret, cup, tmp_path):
+        status = path.stat()
+        assert (status.st_dev, status.st_ino) in synced, path
+
+
+def test_a_file_that_cannot_be_written_is_not_left_behind(tmp_path, monkeypatch):
+    def full(fd):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "fsync", full)
+    with pytest.raises(OSError, match="No space left"):
+        ledger.create_file(str(tmp_path / "key"), b"secret", 0o600)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_listings_as_text(competition, tmp_path, capsys):
+    ledger_path, team_id = competition
+    empty = tmp_path / "empty"
+    assert _run(capsys, "init", "--name", "Empty", "--dir", empty)[0] == 0
+    target = ["--ledger", empty / "ledger.ndjson"]
+    assert _run(capsys, "challenges", *target) == (0, "no challenges released yet\n")
+    assert _run(capsys, "score", "--out", tmp_path / "s.json", *target) == (0, "no teams yet\n")
+    assert _run(capsys, "challenges", "--ledger", ledger_path) == (
+        0, "warmup    100 pts  [-]  Warm-up\n"
+    )
+    assert team_id == "alpha"
+    assert _run(capsys, "score", "--out", tmp_path / "s.json", "--ledger", ledger_path) == (
+        0, "  #  team   points  solves\n  1  alpha     100       1\n"
+    )
+
+
+def test_submit_as_text(competition, tmp_path, capsys):
+    ledger_path, _ = competition
+    target = ["--ledger", ledger_path]
+    key = tmp_path / "beta.key"
+    assert _run(capsys, "team", "register", "--name", "Beta", "--secret-out", key, *target)[0] == 0
+    flag_file = tmp_path / "flag.txt"
+    flag_file.write_text(FLAG + "\n", encoding="utf-8")
+    submit = ["submit", "--challenge", "warmup", "--secret", key]
+    assert _run(capsys, *submit, "--flag-file", flag_file, *target) == (
+        0, "ACCEPT: solve recorded at entry 5\n"
+    )
+    code, out = _run(capsys, *submit, "--flag", FLAG, *target)
+    assert code == 1
+    assert out.startswith("REJECT DUPLICATE_SUBMISSION: ") and out.endswith("\n")
+    before = Path(ledger_path).read_bytes()
+    unknown = ["submit", "--challenge", "nope", "--flag", FLAG, "--secret", key, *target]
+    assert cli.run([*map(str, unknown)]) == 1
+    assert _error_line(capsys) == "error: unknown challenge 'nope'"
+    no_flag_file = [*submit, "--flag-file", tmp_path / "gone", *target]
+    assert cli.run([*map(str, no_flag_file)]) == 1
+    assert _error_line(capsys).startswith("error: cannot read flag file: ")
+    assert Path(ledger_path).read_bytes() == before
+
+
+def test_a_rejected_registration_keeps_no_secret_file(competition, tmp_path, capsys):
+    ledger_path, _ = competition
+    before = Path(ledger_path).read_bytes()
+    secret = tmp_path / "again.key"
+    argv = ["team", "register", "--name", "Alpha", "--secret-out", secret, "--ledger", ledger_path]
+    assert cli.run([*map(str, argv)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("registration rejected: DUPLICATE_TEAM: ")
+    assert not secret.exists()
+    assert Path(ledger_path).read_bytes() == before
+
+
+def test_a_key_file_whose_public_key_is_not_its_seeds_is_refused(competition, tmp_path, capsys):
+    ledger_path, _ = competition
+    key = json.loads((tmp_path / "alpha.key").read_bytes())
+    key["seed"] = "00" * 32
+    forged = tmp_path / "forged.key"
+    forged.write_bytes(canonical_bytes(key))
+    argv = ["submit", "--challenge", "warmup", "--flag", FLAG, "--secret", forged]
+    assert cli.run([*map(str, argv), "--ledger", ledger_path]) == 1
+    assert _error_line(capsys) == f"error: bad secret file {forged}: secret key file is inconsistent"
 
 
 # Runs in a fresh interpreter: argv is the ledger file, a registration and a

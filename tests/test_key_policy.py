@@ -60,6 +60,14 @@ def test_the_eight_small_order_encodings_decode_but_are_refused():
         assert core.decoded_key(encoding) is None
 
 
+def test_x_zero_with_the_sign_bit_set_is_refused():
+    # RFC 8032 section 5.1.3, step 4: x = 0 has no negative, so an encoding
+    # of y = 1 or y = -1 with the sign bit set is not a point
+    for y in (1, core.P - 1):
+        assert core.decompress(y.to_bytes(32, "little")) == (0, y)
+        assert core.decompress((y | 1 << 255).to_bytes(32, "little")) is None
+
+
 def test_refused_exactly_when_eight_times_the_point_is_the_identity():
     rng = random.Random(0x8A)
     # random curve points are mostly of mixed order; multiples of B have prime order

@@ -42,7 +42,7 @@ change = changeset["changes"][0]
 kdf = descriptor["kdf"]
 bad_hex = "AB" * 16
 
-# (class, JSON object with two or more faults, the message it is refused with)
+# (class, JSON object with one or more faults, the message it is refused with)
 FAULTS = [
     (ChallengeDescriptor, {**descriptor, "categories": "misc", "salt": "zz"},
      "categories must be a list"),
@@ -54,6 +54,14 @@ FAULTS = [
      "points must be a positive integer"),
     (ChallengeDescriptor, {**descriptor, "extra": 1, "salt": "zz"},
      "malformed challenge descriptor"),
+    (ChallengeDescriptor, {**descriptor, "id": "Bad Id", "points": 0},
+     "challenge id is not a valid slug: 'Bad Id'"),
+    (ChallengeDescriptor, {**descriptor, "salt": "00" * 15, "title": 1},
+     "salt must be 16 bytes"),
+    (ChallengeDescriptor, {**descriptor, "title": 1, "categories": [1]},
+     "title and description must be strings"),
+    (ChallengeDescriptor, {**descriptor, "categories": ["misc", 1]},
+     "categories must be strings"),
     (LedgerEntry, {**_ENTRY, "prev_hash": bad_hex, "changeset": {"author": "x"}},
      f"not canonical lowercase hex: {bad_hex!r}"),
     (LedgerEntry, {**_ENTRY, "index": -1, "hash": "zz"},
@@ -64,6 +72,10 @@ FAULTS = [
      "not canonical lowercase hex: 'zz'"),
     (LedgerEntry, {**_ENTRY, "timestamp": -1, "org_sig": "00" * 63},
      "timestamp must be non-negative UTC seconds"),
+    (LedgerEntry, {**_ENTRY, "prev_hash": "00" * 31, "org_sig": "00" * 63},
+     "hashes must be 32 bytes"),
+    (LedgerEntry, {**_ORG_ENTRY, "org_sig": "00" * 63},
+     "organizer signature must be 64 bytes"),
     (Changeset, {**changeset, "changes": [{"content": "!!", "path": "../a"}]},
      "invalid base64: '!!'"),
     (Changeset, {**changeset, "changes": [{**change, "path": "../a"}, {"content": "!!"}]},
@@ -76,24 +88,36 @@ FAULTS = [
      "changeset paths must be distinct"),
     (Changeset, {**changeset, "changes": [{**change, "extra": 1}], "extra": 1},
      "malformed changeset record"),
+    (Changeset, {**changeset, "author": 1},
+     "author must be a string"),
+    (Changeset, {**changeset, "changes": [{**change, "content": 7}], "author": 1},
+     "base64 value must be a string"),
     (KdfParams, {**kdf, "cost_n": "16", "out_len": 16},
      "KDF parameters must be integers"),
     (KdfParams, {**kdf, "cost_n": 3, "out_len": 16},
      "out_len must be 32"),
     (KdfParams, {**kdf, "cost_n": 3, "block_r": 0},
      "cost_n must be a power of two >= 2"),
+    (KdfParams, {**kdf, "cost_n": 1 << 30, "block_r": 0},
+     "block_r and parallel_p must be >= 1"),
+    (KdfParams, {**kdf, "cost_n": 1 << 30},
+     "cost parameters exceed the supported memory budget"),
     (TeamRecord, {**team, "id": "Bad Id", "public_key": bad_hex},
      f"not canonical lowercase hex: {bad_hex!r}"),
     (TeamRecord, {**team, "name": "", "public_key": "00" * 31},
      "team name must be 1-64 characters"),
     (TeamRecord, {**team, "id": "Bad Id", "public_key": "00" * 31},
      "team id is not a valid slug: 'Bad Id'"),
+    (TeamRecord, {**team, "name": "Alpha\x07", "public_key": "00" * 31},
+     "team name must be printable"),
     (SubmissionRecord, {**submission, "team_id": "Bad Id", "proof": "!!"},
      "invalid base64: '!!'"),
     (SubmissionRecord, {**submission, "team_id": "Bad Id", "proof": to_b64(bytes(64))},
      "proof shorter than two signatures"),
     (SubmissionRecord, {**submission, "challenge_id": 1, "extra": 1},
      "malformed submission record"),
+    (SubmissionRecord, {**submission, "team_id": 1, "challenge_id": "Bad Id"},
+     "submission ids must be valid slugs"),
 ]
 
 
