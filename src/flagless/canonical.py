@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import base64
 import json
-from typing import AbstractSet, Any
+from collections.abc import Set
 
 # CPython's own SHA-2, as `random` takes it: `hashlib` would load OpenSSL.
 # The module is `_sha2` from 3.12 on, `_sha256` and `_sha512` before.
@@ -76,7 +76,7 @@ class Record:
         cls._store = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
         cls._what = what
 
-    def __init__(self, *values: Any) -> None:
+    def __init__(self, *values: object) -> None:
         for store, value in zip(self._store, values):
             store(self, value)
 
@@ -95,7 +95,7 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
-    def __setattr__(self, name: str, value: Any) -> None:
+    def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
@@ -109,7 +109,7 @@ class Record:
         return obj
 
     @classmethod
-    def from_json_dict(cls, obj: Any) -> Any:
+    def from_json_dict(cls, obj: object) -> Record:
         json_object(obj, cls._json.keys(), cls._what)
         values = []
         for key, codec in cls._json.items():
@@ -121,7 +121,7 @@ class Record:
         return canonical_bytes(self.to_json_dict())
 
 
-def canonical_dumps(obj: Any) -> str:
+def canonical_dumps(obj: object) -> str:
     return json.dumps(
         obj,
         sort_keys=True,
@@ -131,11 +131,11 @@ def canonical_dumps(obj: Any) -> str:
     )
 
 
-def canonical_bytes(obj: Any) -> bytes:
+def canonical_bytes(obj: object) -> bytes:
     return canonical_dumps(obj).encode("utf-8")
 
 
-def parse_json(data: bytes) -> Any:
+def parse_json(data: bytes) -> object:
     """The value of the UTF-8 JSON `data`.  Bytes that are not UTF-8 and
     text that is not JSON raise the decoder's `ValueError`; nesting too
     deep to decode raises `ValueError("nested too deeply")`."""
@@ -145,14 +145,14 @@ def parse_json(data: bytes) -> Any:
         raise ValueError("nested too deeply") from None
 
 
-def json_object(obj: Any, keys: AbstractSet[str], what: str) -> None:
+def json_object(obj: object, keys: Set[str], what: str) -> None:
     """Raise `ValueError("malformed <what>")` unless `obj` is a JSON object
     with exactly the names `keys`."""
     if not isinstance(obj, dict) or obj.keys() != keys:
         raise ValueError(f"malformed {what}")
 
 
-def is_int(value: Any) -> bool:
+def is_int(value: object) -> bool:
     """JSON integers only: `true` parses to a bool, which is an int."""
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -212,7 +212,7 @@ def listed(item: tuple | None, message: str) -> tuple:
     def to_json(values: tuple) -> list:
         return list(values if encode is None else map(encode, values))
 
-    def from_json(value: Any) -> tuple:
+    def from_json(value: object) -> tuple:
         if not isinstance(value, list):
             raise ValueError(message)
         return tuple(value if decode is None else map(decode, value))

@@ -14,19 +14,25 @@ organizer key, which never belongs on the wire.
 it.  A command that finds the file held exits 1 and leaves it untouched,
 so `challenge add` needs `serve` stopped.
 
+`serve` reads its two options itself, without argparse, when they take
+the plain form (`_serve_args`); every other command line goes to the
+parser that `build_parser` builds, so usage errors and `--help` stay
+argparse's.  `serve` never loads `argparse` or `gettext`, nor `tempfile`
+(with the `shutil`, `bz2` and `lzma` it pulls in), `random` or `typing`.
+
 Exit codes: 0 success, 1 domain rejection (wrong flag, rejected changeset,
 audit findings), 2 usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import os
 import signal
 import sys
 import threading
 import time
+import types
 
 from . import competition, ledger, service, sigproof
 from .canonical import canonical_bytes, canonical_dumps, is_int, parse_json
@@ -43,6 +49,8 @@ from .competition import (
 )
 from .sigproof import PROFILES
 from .validator import CompetitionHost
+
+LISTEN = "127.0.0.1:8337"  # `serve --listen`'s default
 
 
 class CliError(Exception):
@@ -383,13 +391,16 @@ def cmd_serve(args) -> int:
 # --------------------------------------------------------------- parser
 
 
-def _add_target_options(parser: argparse.ArgumentParser) -> None:
+def _add_target_options(parser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--ledger", metavar="PATH", help="local ledger file")
     group.add_argument("--service-url", metavar="URL", help="running service")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The `argparse.ArgumentParser` of every command."""
+    import argparse  # here, not at the top: `serve` reads its options itself
+
     parser = argparse.ArgumentParser(
         prog="flagless",
         description="run, play, and audit a proof-based CTF",
@@ -448,18 +459,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="expose a ledger over HTTP")
     p.add_argument("--ledger", required=True, metavar="PATH")
-    p.add_argument("--listen", default="127.0.0.1:8337", metavar="HOST:PORT")
+    p.add_argument("--listen", default=LISTEN, metavar="HOST:PORT")
     p.set_defaults(func=cmd_serve)
 
     return parser
 
 
+def _serve_args(argv: list[str]):
+    """The options of a `serve` command line of the plain form, or None.
+    That form is an optional leading `--json`, `serve`, then `--ledger V`
+    and, optionally, `--listen V`, each once and in either order, with no
+    value that starts with `-`; argparse reads any such line the same way.
+    It parses any other line, the near misses among them (`--ledger=V`,
+    `--led V`, `--help`), so their answers and errors stay its own."""
+    as_json = argv[:1] == ["--json"]
+    command, *rest = argv[as_json:] or [None]
+    options = dict(zip(rest[::2], rest[1::2]))
+    if (
+        command != "serve"
+        or len(options) * 2 != len(rest)
+        or not {"--ledger"} <= options.keys() <= {"--ledger", "--listen"}
+        or any(value.startswith("-") for value in options.values())
+    ):
+        return None
+    return types.SimpleNamespace(
+        json=as_json, command="serve", func=cmd_serve,
+        ledger=options["--ledger"], listen=options.get("--listen", LISTEN),
+    )
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse handles --help (0) and usage errors (2)
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _serve_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse handles --help (0) and usage errors (2)
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except CliError as exc:

@@ -38,10 +38,10 @@ from __future__ import annotations
 import enum
 import os
 import re
+from collections import namedtuple
+from collections.abc import Iterable
 from contextlib import suppress
 from json.encoder import encode_basestring
-from random import Random
-from typing import Iterable, NamedTuple
 
 from .canonical import (
     HEX, Record, from_b64, from_hex, is_int, json_object, listed, parse_json, to_b64, to_hex
@@ -201,16 +201,12 @@ class SubmissionRecord(Record, what="submission record"):
         Record.__init__(self, team_id, challenge_id, proof)
 
 
-class ScoreboardRow(NamedTuple):
+class ScoreboardRow(namedtuple("ScoreboardRow", "rank team_id points solves last_solve_index")):
     """One team's line of the scoreboard.  A named tuple rather than a
     `Record`: the host builds one per team after every append, and a
     tuple is built in less than half the time."""
 
-    rank: int
-    team_id: str
-    points: int
-    solves: int
-    last_solve_index: int | None
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return self._asdict()
@@ -227,7 +223,8 @@ class ScoreboardRow(NamedTuple):
         return cls(**obj)
 
 
-def _rand_bytes(rng: Random | None, n: int) -> bytes:
+def _rand_bytes(rng, n: int) -> bytes:
+    # `rng`: a `random.Random`, or None for `os.urandom`
     if rng is None:
         return os.urandom(n)
     return rng.randbytes(n)
@@ -241,7 +238,7 @@ def new_challenge(
     kdf: KdfParams,
     description: str = "",
     categories: tuple[str, ...] = (),
-    rng: Random | None = None,
+    rng=None,
 ) -> ChallengeDescriptor:
     """Derive and publish the challenge key; the flag and the secret key
     are dropped on the floor, never stored."""
@@ -270,9 +267,7 @@ def challenge_changeset(descriptor: ChallengeDescriptor) -> Changeset:
     )
 
 
-def register_team(
-    name: str, rng: Random | None = None
-) -> tuple[TeamRecord, TeamSecret, Changeset]:
+def register_team(name: str, rng=None) -> tuple[TeamRecord, TeamSecret, Changeset]:
     """Fresh team identity: the record goes to the ledger, the seed stays
     with the caller."""
     team_id = slugify(name)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import io
 import os
 import time
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from . import ed25519
 from ._ed25519_core import decoded_key

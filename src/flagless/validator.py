@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import fcntl
 import os
-import tempfile
 import threading
 import time
 import weakref
-from typing import Iterable
+from collections.abc import Iterable
 
 from . import ledger
 from .canonical import canonical_bytes, to_hex
@@ -99,8 +98,10 @@ class CompetitionHost:
     writer: it holds an exclusive lock on the file until `close`.  A host
     made by `view` reads the file itself without the lock and refuses
     every append.  A host made from a chain uses an anonymous temporary
-    file, which leaves no name behind.  A host dropped without
-    `close` releases its file when it is collected.
+    file, which leaves no name behind; it imports `tempfile` on first use,
+    so `serve` never loads it (nor the `shutil`, `bz2` and `lzma` it pulls
+    in).  A host dropped without `close` releases its file when it is
+    collected.
 
     All reads and appends take one lock.  An append builds the next entry
     on the state's head, serializing it once, writes its canonical line
@@ -273,6 +274,8 @@ class CompetitionHost:
 
 def _anonymous_file(data: bytes) -> int:
     """A descriptor of a new temporary file, with no name, that holds `data`."""
+    import tempfile  # on first use: only a host made from a chain needs it
+
     with tempfile.TemporaryFile() as fh:
         _write_at(fh.fileno(), data, 0)
         return os.dup(fh.fileno())

@@ -566,7 +566,8 @@ print("hashlib" in sys.modules)
 
 
 def test_the_serve_path_loads_no_openssl_http_client_or_mail_parser(tmp_path, rng):
-    # `serve` and the local commands start without them, and a host that
+    # importing the CLI loads none of them (argparse and `gettext` load
+    # only to parse a command line other than a plain `serve`), and a host that
     # answers POSTs and every GET route hashes without OpenSSL, builds its
     # records without `dataclasses`, logs nothing, spells its status lines
     # without `http` and listens without `socket`; only scrypt loads
@@ -577,7 +578,7 @@ def test_the_serve_path_loads_no_openssl_http_client_or_mail_parser(tmp_path, rn
         "_hashlib", "hashlib", "hmac", "secrets",
         "dataclasses", "inspect", "ast", "dis", "getpass",
         "logging", "traceback", "tokenize", "http", "socketserver",
-        "socket", "selectors", "array", "select",
+        "socket", "selectors", "array", "select", "argparse", "gettext",
     )
     sim = simulate(rng, n_challenges=1, n_teams=0)
     with sim.host:
@@ -596,11 +597,107 @@ def test_the_serve_path_loads_no_openssl_http_client_or_mail_parser(tmp_path, rn
     assert out.stdout.splitlines() == ["[201, 201, 200, 200, 200, 200] []", "True"]
 
 
-def test_importing_the_cli_loads_no_unicodedata():
-    # only `slugify` needs it, and a `serve` that registers no team never
-    # calls it
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, flagless.cli; print('unicodedata' in sys.modules)"],
-        cwd=Path(cli.__file__).parents[1], capture_output=True, text=True, check=True,
+def test_serve_from_a_clean_interpreter_loads_none_of_what_it_leaves_out(tmp_path, rng):
+    # the real entry under `python -S`, so that no `site` module loads
+    # anything first; `-X importtime` names on stderr each module the
+    # process imports, to its exit on SIGTERM.  The solve POSTed is by a
+    # team already registered, so no slug is checked and `unicodedata`
+    # stays out too
+    left_out = (
+        "argparse", "gettext", "tempfile", "shutil", "random", "typing", "bz2", "lzma",
+        "unicodedata",
     )
-    assert out.stdout == "False\n"
+    sim = simulate(rng, n_challenges=1, n_teams=1, solve_prob=0.0)
+    with sim.host:
+        (tmp_path / "ledger").write_bytes(read_body(sim.host))
+    (_, secret), = sim.secrets.items()
+    _, solve = build_submission(secret, sim.descriptors["chal-0"], sim.flags["chal-0"])
+    argv = ["serve", "--ledger", tmp_path / "ledger", "--listen", "127.0.0.1:0"]
+    proc = subprocess.Popen(
+        [sys.executable, "-S", "-u", "-X", "importtime", "-m", "flagless.cli", *map(str, argv)],
+        cwd=Path(cli.__file__).parents[1], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        line = proc.stdout.readline().decode("ascii", "replace")
+        assert line.startswith("serving on http://"), line
+        port = int(line.rsplit(":", 1)[1])
+        statuses = []
+        requests = [("POST", "/changesets", canonical_bytes(solve.to_json_dict()))]
+        routes = ("/healthz", "/scoreboard", "/challenges", "/ledger")
+        requests += [("GET", route, None) for route in routes]
+        for method, route, body in requests:
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            try:
+                conn.request(method, route, body)
+                resp = conn.getresponse()
+                resp.read()
+                statuses.append(resp.status)
+            finally:
+                conn.close()
+        proc.terminate()
+        assert proc.wait(timeout=10) == 0
+        stderr = proc.stderr.read().decode("ascii")
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+    assert statuses == [201, 200, 200, 200, 200]
+    lines = stderr.splitlines()
+    assert all(line.startswith("import time:") for line in lines), stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in lines[1:]}
+    assert {"flagless.service", "flagless.validator", "_socket"} <= loaded
+    assert [name for name in left_out if name in loaded] == []
+
+
+# `serve` command lines: the plain forms, which `cli` reads itself, and near
+# misses, which it leaves to argparse; `P` stands for a ledger path that does
+# not exist, so a line that parses exits 1 when `serve` cannot open it.
+# The middle column says whether `cli` reads the line itself, the last is the
+# exit code of `cli.run`.
+_SERVE_LINES = [
+    (["serve", "--ledger", "P"], True, 1),
+    (["serve", "--ledger", "P", "--listen", "0.0.0.0:9"], True, 1),
+    (["serve", "--listen", "0.0.0.0:9", "--ledger", "P"], True, 1),
+    (["--json", "serve", "--ledger", "P"], True, 1),
+    (["--json", "serve", "--listen", "[::1]:0", "--ledger", "P"], True, 1),
+    (["serve", "--ledger", ""], True, 1),
+    (["serve", "--ledger=P"], False, 1),
+    (["serve", "--led", "P"], False, 1),
+    (["serve", "--ledger", "P", "--ledger", "P"], False, 1),
+    (["serve", "--listen", "0.0.0.0:9"], False, 2),
+    (["serve"], False, 2),
+    (["serve", "--ledger", "-x"], False, 2),
+    (["serve", "--ledger", "P", "extra"], False, 2),
+    (["serve", "--ledger", "P", "--listen"], False, 2),
+    (["serve", "--help"], False, 0),
+    (["serve", "--json", "--ledger", "P"], False, 2),
+    (["--json", "--json", "serve", "--ledger", "P"], False, 1),
+    (["--help"], False, 0),
+    ([], False, 2),
+]
+_SERVE_IDS = [" ".join(argv) or "nothing" for argv, _, _ in _SERVE_LINES]
+
+
+def _serve_line(argv, tmp_path) -> list[str]:
+    return [str(tmp_path / "missing.ndjson") if a == "P" else a for a in argv]
+
+
+@pytest.mark.parametrize("argv, plain, _", _SERVE_LINES, ids=_SERVE_IDS)
+def test_serve_reads_a_plain_line_as_argparse_does_and_declines_the_rest(argv, plain, _, tmp_path):
+    argv = _serve_line(argv, tmp_path)
+    args = cli._serve_args(argv)
+    assert (args is not None) == plain
+    if plain:
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv, _, code", _SERVE_LINES, ids=_SERVE_IDS)
+def test_every_serve_line_answers_as_argparse_alone_does(
+    argv, _, code, tmp_path, capsys, monkeypatch
+):
+    argv = _serve_line(argv, tmp_path)
+    answer = (cli.run(argv), *capsys.readouterr())
+    monkeypatch.setattr(cli, "_serve_args", lambda argv: None)  # argparse reads every line
+    assert (cli.run(argv), *capsys.readouterr()) == answer
+    assert answer[0] == code

@@ -769,16 +769,15 @@ def test_wire_bytes_are_pinned(rng, monkeypatch):
 
 
 def test_every_status_sent_has_one_reason_phrase():
-    # the statuses the module names: what `_Refused`, `_respond`,
-    # `_respond_json` and `_send` are given, what `answer` returns, and
-    # the `100 Continue` line
+    # the statuses the module names: what `_Refused`, `_respond` and
+    # `_send` are given, what `answer` returns, and the `100 Continue` line
     tree = ast.parse(Path(flagless.service.__file__).read_text(encoding="utf-8"))
     sent = set()
     for node in ast.walk(tree):
         status = None
         if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
             name = getattr(node.func, "id", None) or node.func.attr
-            position = {"_Refused": 0, "_respond": 0, "_respond_json": 0, "_send": 1}.get(name)
+            position = {"_Refused": 0, "_respond": 0, "_send": 1}.get(name)
             if position is not None and len(node.args) > position:
                 status = node.args[position]
         elif isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple):
