@@ -38,6 +38,15 @@ tables (232 doublings and one inversion to build, 3 KiB), so with
 that kernel each key also costs those once per process.  Both memos hold
 pure functions of the key, so they change nothing but timing;
 `decompress` itself stays uncached.
+
+Past 1,024 keys both memos miss on nearly every team key, since a
+competition reaches its teams in no fixed order.  Measured in one
+process with the pure kernel, after n registrations: the first
+scoreboard read, which decodes each team record's key, took 4.7 ms at
+1,000 teams and about 440 ms at 4,000 (1.1 s at 10,000); in a second
+round of one solve per team, 100% of team keys' tables were still cached
+at 1,000 teams, 3.7% at 4,000 and 0.5% at 10,000, and a solve, its
+proof's building included, took 1.7, 3.0 and 4.2 ms.
 """
 
 from __future__ import annotations

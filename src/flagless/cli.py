@@ -38,15 +38,14 @@ from . import competition, ledger, service, sigproof
 from .canonical import canonical_bytes, canonical_dumps, is_int, parse_json
 from .competition import (
     ChallengeDescriptor,
-    ScoreboardRow,
     TeamSecret,
     audit_all,
     build_submission,
     challenge_changeset,
     new_challenge,
     register_team,
-    scoreboard_bytes,
 )
+from .scoreboard import ScoreboardRow, scoreboard_bytes
 from .sigproof import PROFILES
 from .validator import CompetitionHost
 

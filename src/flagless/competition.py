@@ -19,6 +19,7 @@ CLI all read it.  It holds nothing but what the chain says, so any replica
 that folds the same chain gets the same verdicts and scoreboard.  The
 scoreboard counts only the solves that name a team and a challenge the
 state holds; a forged chain can hold others, and the audit flags them.
+The state ranks the solves it counts on a `scoreboard.Board`.
 
 Every rule an entry must keep is here, and the host (`validator`) and the
 audit (`audit_all`) run the same code: `audit_entry` holds the chain,
@@ -38,10 +39,8 @@ from __future__ import annotations
 import enum
 import os
 import re
-from collections import namedtuple
 from collections.abc import Iterable
 from contextlib import suppress
-from json.encoder import encode_basestring
 
 from .canonical import (
     HEX, Record, from_b64, from_hex, is_int, json_object, listed, parse_json, to_b64, to_hex
@@ -51,6 +50,7 @@ from .ledger import (
 )
 from . import sigproof
 from ._ed25519_core import decoded_key
+from .scoreboard import Board, ScoreboardRow
 from .sigproof import KdfParams, KeyPair, Proof
 
 SLUG_RE = re.compile(r"\A[a-z0-9-]{1,64}\Z")
@@ -201,28 +201,6 @@ class SubmissionRecord(Record, what="submission record"):
         Record.__init__(self, team_id, challenge_id, proof)
 
 
-class ScoreboardRow(namedtuple("ScoreboardRow", "rank team_id points solves last_solve_index")):
-    """One team's line of the scoreboard.  A named tuple rather than a
-    `Record`: the host builds one per team after every append, and a
-    tuple is built in less than half the time."""
-
-    __slots__ = ()
-
-    def to_json_dict(self) -> dict:
-        return self._asdict()
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "ScoreboardRow":
-        json_object(obj, set(cls._fields), "scoreboard row")
-        if not all(is_int(obj[k]) for k in ("points", "rank", "solves")):
-            raise ValueError("rank, points and solves must be integers")
-        if obj["last_solve_index"] is not None and not is_int(obj["last_solve_index"]):
-            raise ValueError("last_solve_index must be an integer or null")
-        if not isinstance(obj["team_id"], str):
-            raise ValueError("team_id must be a string")
-        return cls(**obj)
-
-
 def _rand_bytes(rng, n: int) -> bytes:
     # `rng`: a `random.Random`, or None for `os.urandom`
     if rng is None:
@@ -353,6 +331,14 @@ class _Records:
         return {k: r for k in sorted(self.content) if (r := self.get(k)) is not None}
 
 
+def _claimed_key(content: bytes) -> bytes | None:
+    """The public key a team record's content claims, decoded as
+    `TeamRecord` decodes it but with no point check, or None."""
+    with suppress(LookupError, TypeError, ValueError):
+        return from_hex(parse_json(content)["public_key"])
+    return None
+
+
 class CompetitionState:
     """The chain folded into what the rules, the host, the scoreboard and
     the audit read; `fold` takes each entry exactly once, and
@@ -361,15 +347,20 @@ class CompetitionState:
     Holds the head (the last entry folded) and the organizer key genesis
     published, the set of paths written, the latest content of each team
     and challenge path (a path's latest write wins, as in `ledger.replay`)
-    by id, the ledger index of the first submission of each (team,
-    challenge) pair, and running per-team totals.  It keeps no other
-    content: a submission's bytes, and those of `meta/` and any other path,
-    stay in the ledger.  There is no index by public key: `team_with_key`
-    scans the teams.  Records are decoded on first lookup.  The totals are
-    counted on a scoreboard read and kept up to date as solves are folded;
-    any write to a team or challenge path drops them, since a solve that
-    did not count may now count and a challenge's points may change, and
-    the next read counts them again from the first solves.
+    by id, and the ledger index of the first submission of each (team,
+    challenge) pair.  It keeps no other content: a submission's bytes, and
+    those of `meta/` and any other path, stay in the ledger.  Records are
+    decoded on first lookup.
+
+    Two indexes are built on first use, not as a ledger loads, and then
+    kept up to date as entries are folded.  The scoreboard (a `Board`): the
+    totals, the teams in rank order and the body's bytes, so a solve costs
+    a bisection and the rows it moves past.  Any write to a team or
+    challenge path drops it, since a solve that did not count may now
+    count and a challenge's points may change, and the next read counts
+    it again from the first solves.  And the team ids by the public key
+    their content claims (`_owners`), which `team_with_key` reads; it
+    parses each team's content but decompresses no point.
     Not thread-safe: the host calls it under its lock.
     """
 
@@ -380,8 +371,9 @@ class CompetitionState:
         self._teams = _Records(TeamRecord.from_json_dict)
         self._challenges = _Records(ChallengeDescriptor.from_json_dict)
         self._solves: dict[str, int] = {}  # submission path -> first index
-        # team id -> [points, solves, last solve index]; None: count on next read
-        self._totals: dict[str, list[int]] | None = None
+        self._board: Board | None = None  # None: count on the next read
+        # claimed public key -> team ids; None: build on the next lookup
+        self._owners: dict[bytes | None, set[str]] | None = None
 
     @classmethod
     def from_chain(cls, chain: list[LedgerEntry]) -> "CompetitionState":
@@ -416,16 +408,21 @@ class CompetitionState:
         if _SUBMISSION_PATH_RE.match(path):
             if index is not None and path not in self._solves:
                 self._solves[path] = index
-                if self._totals is not None:
-                    self._tally(self._totals, path, index)
+                if self._board is not None:
+                    self._tally(path, index, self._board.count)
             return
         if match := _TEAM_PATH_RE.match(path):
-            self._teams.put(match.group(1), content)
+            team_id, owners = match.group(1), self._owners
+            if owners is not None:
+                if team_id in self._teams.content:  # a rewrite (forged): its old claim goes
+                    owners[_claimed_key(self._teams.content[team_id])].discard(team_id)
+                owners.setdefault(_claimed_key(content), set()).add(team_id)
+            self._teams.put(team_id, content)
         elif match := _CHALLENGE_PATH_RE.match(path):
             self._challenges.put(match.group(1), content)
         else:
             return
-        self._totals = None  # a dangling solve may now count, or points change
+        self._board = None  # a dangling solve may now count, or points change
 
     def team(self, team_id: str) -> TeamRecord | None:
         return self._teams.get(team_id)
@@ -435,10 +432,14 @@ class CompetitionState:
 
     def team_with_key(self, public_key: bytes) -> TeamRecord | None:
         """The well-formed team registered with `public_key`; the first by
-        team path if a forged chain holds several."""
-        for team_id in sorted(self._teams.content, key=team_path):
-            record = self.team(team_id)
-            if record is not None and record.public_key == public_key:
+        team path if a forged chain holds several.  Decodes only the teams
+        whose content claims that key."""
+        if self._owners is None:
+            self._owners = {}
+            for team_id, content in self._teams.content.items():
+                self._owners.setdefault(_claimed_key(content), set()).add(team_id)
+        for team_id in sorted(self._owners.get(public_key, ()), key=team_path):
+            if (record := self.team(team_id)) is not None:
                 return record
         return None
 
@@ -448,41 +449,46 @@ class CompetitionState:
     def challenges(self) -> dict[str, ChallengeDescriptor]:
         return self._challenges.all()
 
-    def _tally(self, totals: dict[str, list[int]], path: str, index: int) -> str | None:
-        """Count the solve at `path` into `totals`, or return why it does
-        not count: it names a team or challenge the state lacks."""
+    def _tally(self, path: str, index: int, count) -> str | None:
+        """Pass the solve at `path` to `count(team_id, points, index)`, or
+        return why it does not count: it names a team or challenge the
+        state lacks."""
         team_id, challenge_id = _SUBMISSION_PATH_RE.match(path).groups()
         if self.team(team_id) is None:
             return f"submission for unknown team {team_id!r} at entry {index}"
         challenge = self.challenge(challenge_id)
         if challenge is None:
             return f"submission for unknown challenge {challenge_id!r} at entry {index}"
-        row = totals.setdefault(team_id, [0, 0, index])
-        row[0] += challenge.points
-        row[1] += 1
-        row[2] = max(row[2], index)
+        count(team_id, challenge.points, index)
         return None
 
     def unresolved(self) -> str | None:
         """Why the first solve that the scoreboard leaves out does not
         count, or None when every solve counts."""
-        scratch: dict[str, list[int]] = {}
-        reasons = (self._tally(scratch, path, index) for path, index in self._solves.items())
+        scratch = Board()
+        reasons = (self._tally(path, index, scratch.add) for path, index in self._solves.items())
         return next((reason for reason in reasons if reason is not None), None)
+
+    def _ranked(self) -> Board:
+        if self._board is None:
+            board = Board()
+            for path, index in self._solves.items():
+                self._tally(path, index, board.add)
+            self._board = board.rank(self.teams())
+        return self._board
 
     def scoreboard(self) -> list[ScoreboardRow]:
         """Rank teams by points; ties go to the earlier last solve (ledger
-        order, not claimed wall clocks), then team id.  Counts only the
-        solves that name a team and a challenge the state holds (see
-        `unresolved`), so it never raises."""
-        if self._totals is None:
-            totals: dict[str, list[int]] = {}
-            for path, index in self._solves.items():
-                self._tally(totals, path, index)
-            self._totals = totals
-        rows = [(team_id, *self._totals.get(team_id, (0, 0, None))) for team_id in self.teams()]
-        rows.sort(key=lambda r: (-r[1], r[3] if r[3] is not None else float("inf"), r[0]))
-        return [ScoreboardRow(rank, *row) for rank, row in enumerate(rows, start=1)]
+        order, not claimed wall clocks), then team id, and teams with no
+        counted solve come last.  Counts only the solves that name a team
+        and a challenge the state holds (see `unresolved`), so it never
+        raises."""
+        board = self._ranked()
+        return [ScoreboardRow(*board.row(at)) for at in range(len(board.keys))]
+
+    def scoreboard_body(self) -> bytes:
+        """`scoreboard_bytes(self.scoreboard())`, kept by the board."""
+        return self._ranked().body
 
 
 def teams_in(files: dict[str, bytes]) -> dict[str, TeamRecord]:
@@ -501,19 +507,6 @@ def compute_scoreboard(
     """Scoreboard of `chain` by a one-shot fold.  `files` must be the
     chain's replay; the fold recomputes them, so they are not read."""
     return CompetitionState.from_chain(chain).scoreboard()
-
-
-def scoreboard_bytes(rows: list[ScoreboardRow]) -> bytes:
-    """The canonical JSON of `rows`, the list of their `to_json_dict`s,
-    formatted directly rather than through `canonical_bytes`: each row's
-    keys in sorted order, its integers as digits and its team id as
-    `json` escapes a string."""
-    fields = '{"last_solve_index":%s,"points":%d,"rank":%d,"solves":%d,"team_id":%s}'
-    body = ",".join(
-        fields % ("null" if last is None else last, points, rank, solves, encode_basestring(team))
-        for rank, team, points, solves, last in rows
-    )
-    return f"[{body}]".encode("utf-8")
 
 
 class AuditFinding(Record, what="audit finding"):
@@ -689,7 +682,11 @@ def validate_changeset(state: CompetitionState, changeset: Changeset) -> Validat
     """Decide whether a team-originated changeset may be appended to the
     chain that `state` folds.  Costs two signature verifies for a
     submission and one point decompression for a registration, plus one
-    the first time a team or challenge record is looked up.
+    the first time a team or challenge record is looked up.  Neither
+    grows with the number of teams: a registration's duplicate-key check
+    decodes only the teams whose records claim its key (none, unless the
+    key is taken), though the state's first check parses every team's
+    record once to index them (`team_with_key`).
 
     Two rules come last, so each turns only an accept into a rejection:
     the record's content must be its canonical form (`serialize()`), and

@@ -23,7 +23,7 @@ from collections.abc import Iterable
 from . import ledger
 from .canonical import canonical_bytes, to_hex
 from .competition import (
-    CompetitionState, ValidationVerdict, audit_entry, scoreboard_bytes, validate_changeset
+    CompetitionState, ValidationVerdict, audit_entry, validate_changeset
 )
 from .ledger import Changeset, LedgerEntry
 
@@ -120,7 +120,9 @@ class CompetitionHost:
     past them or from another file.  Any other body is one bytes object,
     built on its first read at the current head and then kept until an
     append moves the head: an organizer entry drops every kept body, and a
-    team entry every one but the challenge list.
+    team entry every one but the challenge list.  The scoreboard's is the
+    state's own (`CompetitionState.scoreboard_body`), which a solve
+    splices rather than rebuilds.
     """
 
     def __init__(self, chain: Iterable[LedgerEntry] = (), *, _fd: int | None = None):
@@ -286,7 +288,7 @@ _BODIES = {
     "/healthz": lambda state: canonical_bytes(
         {"hash": to_hex(state.head.hash), "index": state.head.index}
     ),
-    "/scoreboard": lambda state: scoreboard_bytes(state.scoreboard()),
+    "/scoreboard": CompetitionState.scoreboard_body,
     "/challenges": lambda state: canonical_bytes(
         [d.to_json_dict() for d in state.challenges().values()]
     ),

@@ -23,13 +23,13 @@ from flagless.competition import (
     compute_scoreboard,
     new_challenge,
     register_team,
-    scoreboard_bytes,
     slugify,
     submission_path,
     team_path,
     teams_in,
 )
 from flagless.ledger import Changeset, FileChange
+from flagless.scoreboard import scoreboard_bytes
 from flagless.sigproof import KdfParams, derive_challenge_keys, keypair_from_seed, normalize_flag
 
 from helpers import (

@@ -5,15 +5,18 @@ path -> content dict on each call and rescans the whole chain for solves,
 as the validator and scoreboard once did.  Over simulated and forged
 chains, the fold must give the same verdict for every entry and every
 probe, and the same scoreboard and first unresolved solve after every entry.
+One host, alive across the whole chain, must serve the oracle's scoreboard
+after every entry: its body is the state's kept ranking, spliced per solve.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from flagless import ledger, sigproof
+from flagless import ledger, sigproof, validator
 from flagless.canonical import canonical_bytes, parse_json, to_hex
 from flagless.competition import (
+    ACCEPT,
     AuditFinding,
     ChallengeDescriptor,
     CompetitionState,
@@ -215,8 +218,8 @@ class Forge:
         self.chain = sim.chain()
         self.extra_secrets = {}
 
-    def team_entry(self, path: str, content: bytes) -> None:
-        changeset = Changeset(changes=(FileChange(path=path, content=content),), author="x")
+    def team_entry(self, path: str, content: bytes, author: str = "x") -> None:
+        changeset = Changeset(changes=(FileChange(path=path, content=content),), author=author)
         ledger.append(self.chain, changeset, self.chain[-1].timestamp + 1)
 
     def org_entry(self, path: str, content: bytes) -> None:
@@ -259,6 +262,17 @@ def reused_key(forge, rng):
         forge.team_entry(team_path(team_id), _team_file(team_id, team_id, victim.public_key))
 
 
+def rekeyed_team(forge, rng):
+    # a team rewritten to a new key frees the one it held: of two later
+    # registrations with that key, the first is accepted, the second is not
+    team_id = sorted(forge.sim.teams)[-1]
+    record, _, _ = register_team(forge.sim.teams[team_id].name, rng=rng)
+    forge.team_entry(team_path(team_id), record.serialize())
+    for heir, name in (("heir", "Heir"), ("heir-2", "Heir 2")):
+        content = _team_file(heir, name, forge.sim.teams[team_id].public_key)
+        forge.team_entry(team_path(heir), content, author=heir)
+
+
 def unknown_team(forge, rng):
     forge.team_entry(submission_path("ghost", sorted(forge.sim.descriptors)[0]), b"{}")
 
@@ -291,6 +305,7 @@ FORGERIES = [
     organizer_team,
     malformed_team,
     reused_key,
+    rekeyed_team,
     unknown_team,
     unknown_challenge,
     late_challenge,
@@ -325,10 +340,13 @@ def _probes(sim, secrets, rng):
     return probes
 
 
-def assert_fold_matches_oracle(sim, chain, secrets, rng):
+def assert_fold_matches_oracle(sim, chain, secrets, rng, monkeypatch):
     oracle: dict[str, bytes] = {}
     fold = CompetitionState()
-    hosted = True
+    # One host takes every entry, as a host loading a ledger file does:
+    # team entries unchecked.  It stops at the first entry it refuses.
+    monkeypatch.setattr(validator, "validate_changeset", lambda state, changeset: ACCEPT)
+    host = CompetitionHost(chain[:1])
     for entry in chain:
         if entry.index > 0 and entry.org_sig is None:
             assert validate_changeset(fold, entry.changeset) == oracle_validate(
@@ -339,51 +357,72 @@ def assert_fold_matches_oracle(sim, chain, secrets, rng):
         prefix = chain[: entry.index + 1]
         expected = oracle_scoreboard(oracle, prefix)
         unresolved = oracle_unresolved(oracle, prefix)
-        # read the incrementally kept totals after every entry ...
+        # read the incrementally kept ranking after every entry ...
         assert fold.scoreboard() == expected, entry.index
         assert fold.unresolved() == unresolved, entry.index
-        # the host's scoreboard body is the canonical JSON of a fresh fold's rows
-        if hosted:
+        if host is not None and entry.index > 0:
             try:
-                host = CompetitionHost(prefix)
+                if entry.org_sig is None:
+                    appended = host.apply(entry.changeset, entry.timestamp)
+                else:
+                    appended = host.apply_organizer(entry.changeset, sim.org_seed, entry.timestamp)
             except ledger.ChainError:  # the host refuses this entry and all after it
-                hosted = False
+                host = None
             else:
-                rows = CompetitionState.from_chain(prefix).scoreboard()
-                assert read_body(host, "/scoreboard") == scoreboard_json(rows), entry.index
-    # ... and count them once from a fresh fold
-    assert CompetitionState.from_chain(chain).scoreboard() == expected
+                assert appended == entry
+        if host is not None:
+            assert read_body(host, "/scoreboard") == scoreboard_json(expected), entry.index
+    # ... and count it once from a fresh fold, whose key index is built
+    # only by its first probe, after every rewrite
+    fresh = CompetitionState.from_chain(chain)
+    for probe in _probes(sim, secrets, rng):
+        verdict = oracle_validate(oracle, probe)
+        assert validate_changeset(fresh, probe) == verdict
+        assert validate_changeset(fold, probe) == verdict
+    assert fresh.scoreboard() == expected
     report = audit_all(chain)
     assert report.scoreboard == expected
     if unresolved is not None:
         assert report.findings[-1] == AuditFinding(len(chain) - 1, "SCOREBOARD", unresolved)
     else:
         assert "SCOREBOARD" not in {f.code for f in report.findings}
-    for probe in _probes(sim, secrets, rng):
-        assert validate_changeset(fold, probe) == oracle_validate(oracle, probe)
 
 
-def test_simulated_chain(rng):
+def test_simulated_chain(rng, monkeypatch):
     sim = simulate(rng, n_challenges=3, n_teams=4, solve_prob=0.5)
-    assert_fold_matches_oracle(sim, sim.chain(), sim.secrets, rng)
+    assert_fold_matches_oracle(sim, sim.chain(), sim.secrets, rng, monkeypatch)
 
 
 @pytest.mark.parametrize("forgery", FORGERIES, ids=lambda f: f.__name__)
-def test_forged_chain(rng, forgery):
+def test_forged_chain(rng, monkeypatch, forgery):
     sim = simulate(rng, n_challenges=2, n_teams=3, solve_prob=0.5)
     forge = Forge(sim)
     forgery(forge, rng)
     assert ledger.verify_chain(forge.chain)
-    assert_fold_matches_oracle(sim, forge.chain, {**sim.secrets, **forge.extra_secrets}, rng)
+    secrets = {**sim.secrets, **forge.extra_secrets}
+    assert_fold_matches_oracle(sim, forge.chain, secrets, rng, monkeypatch)
 
 
-def test_all_forgeries_on_one_chain(rng):
+def test_all_forgeries_on_one_chain(rng, monkeypatch):
     sim = simulate(rng, n_challenges=2, n_teams=3, solve_prob=0.5)
     forge = Forge(sim)
     for forgery in FORGERIES:
         forgery(forge, rng)
     assert ledger.verify_chain(forge.chain)
-    assert_fold_matches_oracle(sim, forge.chain, {**sim.secrets, **forge.extra_secrets}, rng)
+    secrets = {**sim.secrets, **forge.extra_secrets}
+    assert_fold_matches_oracle(sim, forge.chain, secrets, rng, monkeypatch)
+
+
+def test_a_rewritten_team_frees_its_old_key(rng):
+    sim = simulate(rng, n_challenges=1, n_teams=3, solve_prob=0.0)
+    forge = Forge(sim)
+    rekeyed_team(forge, rng)
+    rewrite, _, heir_2 = forge.chain[-3:]
+    team_id = sorted(sim.teams)[-1]
+    assert audit_all(forge.chain).findings == [
+        AuditFinding(rewrite.index, "DUPLICATE_TEAM", f"team {team_id!r} already registered"),
+        AuditFinding(heir_2.index, "DUPLICATE_TEAM", "public key already registered to 'heir'"),
+    ]
 
 
 # the audit codes of the rules the host applies to every entry it loads

@@ -25,11 +25,11 @@ from flagless.competition import (
     CompetitionState,
     build_submission,
     register_team,
-    scoreboard_bytes,
     submission_path,
     team_path,
 )
 from flagless.ledger import Changeset, FileChange
+from flagless.scoreboard import scoreboard_bytes
 from flagless.service import _BAD_LENGTH, _REASONS, _Handler
 from flagless.validator import CompetitionHost
 
