@@ -359,9 +359,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    bind_host, _, port = args.listen.rpartition(":")
     with CompetitionHost.open(args.ledger) as host:
-        server = service.make_server(host, (bind_host or "127.0.0.1", int(port)))
+        server = service.make_server(host, args.listen)
         # SIGINT and SIGTERM let each connection end after its current
         # answer, not raise in the middle of one.  One ignored at start (a
         # background job's SIGINT) stays ignored.  The others are blocked in
@@ -388,6 +387,16 @@ def cmd_serve(args) -> int:
 
 
 # --------------------------------------------------------------- parser
+
+
+def address(value: str) -> tuple[str, int]:
+    """`serve --listen`'s HOST:PORT as the address to bind; with no host
+    (no colon, or nothing before it) the host is 127.0.0.1.  Raises
+    ValueError unless the port is ASCII digits that name 0 to 65535."""
+    bind_host, _, port = value.rpartition(":")
+    if not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise ValueError(f"not a port: {port!r}")
+    return bind_host or "127.0.0.1", int(port)
 
 
 def _add_target_options(parser) -> None:
@@ -458,7 +467,7 @@ def build_parser():
 
     p = sub.add_parser("serve", help="expose a ledger over HTTP")
     p.add_argument("--ledger", required=True, metavar="PATH")
-    p.add_argument("--listen", default=LISTEN, metavar="HOST:PORT")
+    p.add_argument("--listen", default=LISTEN, type=address, metavar="HOST:PORT")
     p.set_defaults(func=cmd_serve)
 
     return parser
@@ -468,9 +477,10 @@ def _serve_args(argv: list[str]):
     """The options of a `serve` command line of the plain form, or None.
     That form is an optional leading `--json`, `serve`, then `--ledger V`
     and, optionally, `--listen V`, each once and in either order, with no
-    value that starts with `-`; argparse reads any such line the same way.
-    It parses any other line, the near misses among them (`--ledger=V`,
-    `--led V`, `--help`), so their answers and errors stay its own."""
+    value that starts with `-` and a `--listen` value that `address`
+    takes; argparse reads any such line the same way.  It parses any other
+    line, the near misses among them (`--ledger=V`, `--led V`, `--help`)
+    and a bad address, so their answers and errors stay its own."""
     as_json = argv[:1] == ["--json"]
     command, *rest = argv[as_json:] or [None]
     options = dict(zip(rest[::2], rest[1::2]))
@@ -481,9 +491,12 @@ def _serve_args(argv: list[str]):
         or any(value.startswith("-") for value in options.values())
     ):
         return None
+    try:
+        listen = address(options.get("--listen", LISTEN))
+    except ValueError:
+        return None
     return types.SimpleNamespace(
-        json=as_json, command="serve", func=cmd_serve,
-        ledger=options["--ledger"], listen=options.get("--listen", LISTEN),
+        json=as_json, command="serve", func=cmd_serve, ledger=options["--ledger"], listen=listen
     )
 
 

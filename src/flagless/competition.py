@@ -43,7 +43,8 @@ from collections.abc import Iterable
 from contextlib import suppress
 
 from .canonical import (
-    HEX, Record, from_b64, from_hex, is_int, json_object, listed, parse_json, to_b64, to_hex
+    HEX, Record, canonical_bytes, from_b64, from_hex, is_int, json_object, listed, parse_json,
+    to_b64, to_hex,
 )
 from .ledger import (
     NO_GENESIS, ChainError, Changeset, FileChange, LedgerEntry, link_fault, organizer_key
@@ -219,11 +220,11 @@ def new_challenge(
     rng=None,
 ) -> ChallengeDescriptor:
     """Derive and publish the challenge key; the flag and the secret key
-    are dropped on the floor, never stored."""
+    are dropped on the floor, never stored.  A flag that is empty after
+    `sigproof.normalize_flag` raises ValueError before any scrypt runs
+    (`sigproof.derive_challenge_keys` refuses it)."""
     if not valid_slug(challenge_id):
         raise ValueError(f"challenge id is not a valid slug: {challenge_id!r}")
-    if not sigproof.normalize_flag(flag):
-        raise ValueError("flag is empty after normalization")
     salt = _rand_bytes(rng, sigproof.SALT_LEN)
     keys = sigproof.derive_challenge_keys(flag, salt, kdf)
     return ChallengeDescriptor(
@@ -352,15 +353,19 @@ class CompetitionState:
     those of `meta/` and any other path, stay in the ledger.  Records are
     decoded on first lookup.
 
-    Two indexes are built on first use, not as a ledger loads, and then
-    kept up to date as entries are folded.  The scoreboard (a `Board`): the
-    totals, the teams in rank order and the body's bytes, so a solve costs
-    a bisection and the rows it moves past.  Any write to a team or
-    challenge path drops it, since a solve that did not count may now
-    count and a challenge's points may change, and the next read counts
-    it again from the first solves.  And the team ids by the public key
-    their content claims (`_owners`), which `team_with_key` reads; it
-    parses each team's content but decompresses no point.
+    Three indexes are built on first use, not as a ledger loads, and each
+    is kept until a write changes it.  `_write` is the only code that
+    decides which write drops or updates which, so the host serves the
+    bodies kept here and keeps none of its own.  The scoreboard (a
+    `Board`): the totals, the teams in rank order and the body's bytes, so
+    a solve costs a bisection and the rows it moves past.  Any write to a
+    team or challenge path drops it, since a solve that did not count may
+    now count and a challenge's points may change, and the next read
+    counts it again from the first solves.  The challenge list's bytes
+    (`challenges_body`), which only a write to a challenge path drops.
+    And the team ids by the public key their content claims (`_owners`),
+    which each team write updates and `team_with_key` reads; it parses
+    each team's content but decompresses no point.
     Not thread-safe: the host calls it under its lock.
     """
 
@@ -372,6 +377,7 @@ class CompetitionState:
         self._challenges = _Records(ChallengeDescriptor.from_json_dict)
         self._solves: dict[str, int] = {}  # submission path -> first index
         self._board: Board | None = None  # None: count on the next read
+        self._listing: bytes | None = None  # `challenges_body`; None: build on the next read
         # claimed public key -> team ids; None: build on the next lookup
         self._owners: dict[bytes | None, set[str]] | None = None
 
@@ -420,6 +426,7 @@ class CompetitionState:
             self._teams.put(team_id, content)
         elif match := _CHALLENGE_PATH_RE.match(path):
             self._challenges.put(match.group(1), content)
+            self._listing = None
         else:
             return
         self._board = None  # a dangling solve may now count, or points change
@@ -448,6 +455,13 @@ class CompetitionState:
 
     def challenges(self) -> dict[str, ChallengeDescriptor]:
         return self._challenges.all()
+
+    def challenges_body(self) -> bytes:
+        """The canonical JSON of the `challenges()` descriptors, in id
+        order, kept until a challenge write."""
+        if self._listing is None:
+            self._listing = canonical_bytes([d.to_json_dict() for d in self.challenges().values()])
+        return self._listing
 
     def _tally(self, path: str, index: int, count) -> str | None:
         """Pass the solve at `path` to `count(team_id, points, index)`, or

@@ -338,6 +338,12 @@ def dump_entry(entry: LedgerEntry) -> bytes:
     return _line(entry.preimage(), entry.hash)
 
 
+def receipt(entry: LedgerEntry) -> bytes:
+    """The canonical JSON `{"hash", "index"}` of `entry`: the body of a 201
+    for an appended entry, and of `GET /healthz` for the chain head."""
+    return canonical_bytes({"hash": to_hex(entry.hash), "index": entry.index})
+
+
 def dump_chain(chain: Iterable[LedgerEntry]) -> bytes:
     return b"".join(dump_entry(e) + b"\n" for e in chain)
 

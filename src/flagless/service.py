@@ -54,12 +54,14 @@ host's file (for `serve`, the ledger file): its bytes up to the last
 entry acknowledged when the read began, sent from the file with
 `sendfile` after the answer's head, outside the host's lock.  So `serve`
 keeps no copy of the ledger, and never sends a byte past that prefix.
-The other GET bodies are built at most once per chain head (the
-challenge list once per organizer entry), and each goes out joined to
-its head in one write.  A 201 goes out only after the entry's line is
-fsynced to the host's file; if that write fails, the connection is
-closed without an answer and the entry is not kept.  A 503 is safe to retry: its
-request was not read.  An unanswered POST may still have been appended,
+The host's state keeps the scoreboard and challenge list bodies, and
+rebuilds one only on the first read after a write that changes it: a
+team or challenge write for the scoreboard (a solve splices it instead),
+a challenge write for the list.  `/healthz` is built on each read.  Each
+of these bodies goes out joined to its head in one write.  A 201 goes
+out only after the entry's line is fsynced to the host's file; if that
+write fails, the connection is closed without an answer and the entry is
+not kept.  A 503 is safe to retry: its request was not read.  An unanswered POST may still have been appended,
 so its retry can get 422 `DUPLICATE_SUBMISSION` or `DUPLICATE_TEAM`;
 `GET /ledger` tells whether the entry is there.
 
@@ -87,12 +89,13 @@ import sys
 import threading
 import time
 
-from .canonical import canonical_bytes, parse_json, to_hex
+from .canonical import canonical_bytes, parse_json
 from .competition import ValidationVerdict
-from .ledger import Changeset
+from .ledger import Changeset, receipt
 from .validator import CompetitionHost, FileRegion
 
 MAX_BODY_BYTES = 1 << 20
+_LENGTH_DIGITS = len(str(MAX_BODY_BYTES))  # more, past leading zeros, is too large
 MAX_CONNECTIONS = 64
 _MAX_LINE = 1 << 16  # bytes in a request or header line, CRLF included
 _MAX_FIELDS = 100
@@ -169,13 +172,13 @@ def _send(sock: _socket.socket, status: int, body, close: bool) -> None:
 
 def answer(host: CompetitionHost, changeset: Changeset) -> tuple[int, bytes]:
     """`host.apply(changeset)` as the status and body of its answer: 201
-    {"hash", "index"} of the appended entry, or 422 {"code", "message",
-    "outcome": "REJECT"} of the verdict."""
+    with the appended entry's `ledger.receipt` ({"hash", "index"}), or 422
+    {"code", "message", "outcome": "REJECT"} of the verdict."""
     result = host.apply(changeset)
     if isinstance(result, ValidationVerdict):
         verdict = {"code": result.code.name, "message": result.message, "outcome": "REJECT"}
         return 422, canonical_bytes(verdict)
-    return 201, canonical_bytes({"hash": to_hex(result.hash), "index": result.index})
+    return 201, receipt(result)
 
 
 class _Refused(Exception):
@@ -327,7 +330,8 @@ class _Handler:
         if chunked or not (value.isascii() and value.isdigit()):
             self._respond(400, _BAD_LENGTH, close=True)
             return
-        length = int(value)
+        digits = value.lstrip("0")  # converted only when short: `int` refuses 4,301 digits
+        length = int(digits or 0) if len(digits) <= _LENGTH_DIGITS else MAX_BODY_BYTES + 1
         if length > MAX_BODY_BYTES:
             self._respond(413, _TOO_LARGE, close=True)
             return
@@ -371,7 +375,7 @@ class _Server:
                 message = f"{exc.strerror} (while attempting to bind on address {address!r})"
                 raise OSError(exc.errno, message) from None
             self.socket.listen()
-        except OSError:
+        except BaseException:  # OverflowError from `bind` for a port past 65535, say
             self.socket.close()
             raise
         self.server_address = self.socket.getsockname()

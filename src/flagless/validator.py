@@ -7,8 +7,9 @@ makes no rule of its own: it appends an entry only when
 for a team entry, `competition.validate_changeset` (the team rules) pass
 it, the same functions that `competition.audit_all` runs, so an auditor
 replaying the ledger reaches the host's verdicts.  `FileRegion` is the
-body of `GET /ledger`, the acknowledged bytes on a descriptor of its own,
-and `_BODIES` builds each other body the host serves.
+body of `GET /ledger`, the acknowledged bytes on a descriptor of its own;
+every other body the host serves is the state's (`_BODIES`), which the
+state keeps until a write changes it, so the host keeps no body itself.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import weakref
 from collections.abc import Iterable
 
 from . import ledger
-from .canonical import canonical_bytes, to_hex
 from .competition import (
     CompetitionState, ValidationVerdict, audit_entry, validate_changeset
 )
@@ -118,11 +118,11 @@ class CompetitionHost:
     acknowledged bytes at that instant, on a descriptor of its own, so a
     caller sends them without holding the lock and never sends a byte
     past them or from another file.  Any other body is one bytes object,
-    built on its first read at the current head and then kept until an
-    append moves the head: an organizer entry drops every kept body, and a
-    team entry every one but the challenge list.  The scoreboard's is the
-    state's own (`CompetitionState.scoreboard_body`), which a solve
-    splices rather than rebuilds.
+    which the host asks of the state under the lock on each read and does
+    not keep.  The state keeps the scoreboard's
+    (`CompetitionState.scoreboard_body`), which a solve splices rather than
+    rebuilds, and the challenge list's (`challenges_body`), which only a
+    challenge write drops; `/healthz` is the head's `ledger.receipt`.
     """
 
     def __init__(self, chain: Iterable[LedgerEntry] = (), *, _fd: int | None = None):
@@ -142,7 +142,6 @@ class CompetitionHost:
             self._release()
             raise
         self._refusal: str | None = None  # why appends are refused, once they are
-        self._bodies: dict[str, bytes] = {}  # route -> its body at the head
 
     @classmethod
     def open(cls, path: str) -> "CompetitionHost":
@@ -219,10 +218,6 @@ class CompetitionHost:
             raise
         self._size += len(line)
         self._state.fold(entry)
-        # `validate_changeset` lets a team entry write only teams/ and
-        # submissions/ paths, so it never changes the challenge list
-        kept = self._bodies.get("/challenges") if entry.org_sig is None else None
-        self._bodies = {} if kept is None else {"/challenges": kept}
         return entry
 
     def apply(
@@ -269,9 +264,7 @@ class CompetitionHost:
         with self._lock:
             if route == "/ledger":
                 return FileRegion(self._file(), self._size)
-            if build is not None and route not in self._bodies:
-                self._bodies[route] = build(self._state)
-            return self._bodies.get(route)
+            return None if build is None else build(self._state)
 
 
 def _anonymous_file(data: bytes) -> int:
@@ -285,11 +278,7 @@ def _anonymous_file(data: bytes) -> int:
 
 # route -> its body as a function of the state, for each route but /ledger
 _BODIES = {
-    "/healthz": lambda state: canonical_bytes(
-        {"hash": to_hex(state.head.hash), "index": state.head.index}
-    ),
+    "/healthz": lambda state: ledger.receipt(state.head),
     "/scoreboard": CompetitionState.scoreboard_body,
-    "/challenges": lambda state: canonical_bytes(
-        [d.to_json_dict() for d in state.challenges().values()]
-    ),
+    "/challenges": CompetitionState.challenges_body,
 }

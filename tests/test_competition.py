@@ -104,6 +104,19 @@ class TestNewChallenge:
         with pytest.raises(ValueError):
             new_challenge("c", "CTF{x}", title="t", points=0, kdf=KdfParams.test(), rng=rng)
 
+    def test_a_whitespace_only_flag_is_refused_before_scrypt(self, rng, monkeypatch):
+        descriptor = new_challenge("c", "CTF{x}", title="t", points=1, kdf=KdfParams.test(), rng=rng)
+        _, secret, _ = register_team("Team", rng=rng)
+
+        def no_scrypt(*args):
+            raise AssertionError("scrypt ran for an empty flag")
+
+        monkeypatch.setattr(sigproof, "scrypt_kdf", no_scrypt)
+        with pytest.raises(ValueError, match="flag is empty after normalization"):
+            new_challenge("c", " \t\n", title="t", points=1, kdf=KdfParams.test(), rng=rng)
+        with pytest.raises(FlagMismatch):
+            build_submission(secret, descriptor, " \t\n")
+
     def test_descriptor_round_trip(self, rng):
         descriptor = new_challenge(
             "web-1",

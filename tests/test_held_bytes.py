@@ -1,10 +1,10 @@
-"""Reads served from the host's file and the bodies it keeps.
+"""Reads served from the host's file and the bodies its state keeps.
 
 The host keeps its ledger only in its file, serves `/ledger` as a region
-of the file's acknowledged bytes, and builds its scoreboard, challenge
-and head bodies once per chain head; `CompetitionHost.read(route)` gives
-each of them, and is the one read path of both `serve` and the CLI's
-`--ledger` target.  These tests hold those bytes to fresh serializations
+of the file's acknowledged bytes, and serves the scoreboard and challenge
+bodies that its state keeps until a write changes them;
+`CompetitionHost.read(route)` gives each of them, and is the one read
+path of both `serve` and the CLI's `--ledger` target.  These tests hold those bytes to fresh serializations
 after every kind of append, check that HTTP and a `--ledger` target read
 exactly `host.read(route)`, that the host holds no copy of the ledger
 and its state no submission's bytes, and that concurrent readers only
@@ -237,6 +237,12 @@ def test_the_challenge_list_is_kept_until_a_release(sim, rng):
     for changeset in (register_team("Keeper", rng=rng)[2], solve[1]):
         assert not isinstance(host.apply(changeset), ValidationVerdict)
         assert host.read("/challenges") is listed
+    # an organizer entry that writes no challenge keeps both bodies
+    ranked = host.read("/scoreboard")
+    meta = ledger.FileChange(ledger.COMPETITION_META_PATH, b'{"name":"kept"}')
+    host.apply_organizer(ledger.Changeset((meta,), "organizer"), sim.org_seed)
+    assert host.read("/challenges") is listed
+    assert host.read("/scoreboard") is ranked
     descriptor = new_challenge(
         "late", "flag{late}", title="Late", points=50, kdf=KdfParams.test(), rng=rng
     )

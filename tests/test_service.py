@@ -207,6 +207,18 @@ class TestMalformedRequests:
         )
         assert reply.startswith(b"HTTP/1.1 400 ")
 
+    def test_a_zero_padded_content_length_is_its_number(self, service, rng, capsys):
+        _, _, changeset = register_team("Padded", rng=rng)
+        body = canonical_bytes(changeset.to_json_dict())
+        length = b"0" * 5000 + b"%d" % len(body)  # past the digits `int` converts
+        reply = _until_eof(
+            service,
+            b"POST /changesets HTTP/1.1\r\nConnection: close\r\nContent-Length: %s\r\n\r\n%s"
+            % (length, body),
+        )
+        assert reply.startswith(b"HTTP/1.1 201 ")
+        assert capsys.readouterr().err == ""
+
     def test_short_body_is_dropped_after_the_read_timeout(self, sim, monkeypatch):
         assert _Handler.timeout is not None and _Handler.timeout > 0
         monkeypatch.setattr(_Handler, "timeout", 0.5)
@@ -225,6 +237,9 @@ class TestMalformedRequests:
         [
             b"POST /elsewhere HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n" % len(_SMUGGLED),
             b"POST /changesets HTTP/1.1\r\nHost: x\r\nContent-Length: 1048577\r\n\r\n",
+            # more digits than `int` converts, which must not be converted
+            b"POST /changesets HTTP/1.1\r\nHost: x\r\nContent-Length: 1%s\r\n\r\n"
+            % (b"0" * 5000),
             b"POST /changesets HTTP/1.1\r\nHost: x\r\nContent-Length: -1\r\n\r\n",
             b"POST /changesets HTTP/1.1\r\nHost: x\r\n\r\n",
             b"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n" % len(_SMUGGLED),
@@ -234,7 +249,7 @@ class TestMalformedRequests:
             b"Content-Length: 0\r\n\r\n",
         ],
         ids=[
-            "404", "413", "400-negative-length", "400-no-length", "get-body", "get-chunked",
+            "404", "413", "413-5001-digits", "400-negative-length", "400-no-length", "get-body", "get-chunked",
             "post-chunked", "post-chunked-with-length",
         ],
     )
@@ -571,6 +586,13 @@ class TestConnectionCap:
 
 
 class TestWorkers:
+    def test_a_port_past_65535_raises_and_leaves_no_descriptor_open(self, sim):
+        before = set(os.listdir("/proc/self/fd"))
+        # `caught` keeps the traceback, and so the half-made server, alive
+        with pytest.raises(OverflowError, match="port") as caught:
+            flagless.service.make_server(sim.host, ("127.0.0.1", 70000))
+        assert set(os.listdir("/proc/self/fd")) == before
+
     def test_shutdown_wakes_serve_forever_at_once(self, sim):
         server = flagless.service.make_server(sim.host, ("127.0.0.1", 0))
         thread = threading.Thread(target=server.serve_forever, daemon=True)
