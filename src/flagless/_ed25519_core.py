@@ -138,22 +138,16 @@ def public_from_seed(seed: bytes, kernel) -> bytes:
     return kernel.scalarmult_base(a)
 
 
-def sign(seed: bytes, message: bytes, kernel, public: bytes | None = None) -> bytes:
-    """Produce the detached 64-byte signature R || S (deterministic).
-
-    `public`, when given, must be the seed's own public key, as
-    `public_from_seed` returns it; it saves recomputing that key.  Never
-    pass any other key: the signature would not verify, and two signatures
-    of one message under two keys share r, which reveals the secret
-    scalar a = (s1 - s2) / (k1 - k2) mod L.
-    """
+def sign(seed: bytes, message: bytes, kernel) -> bytes:
+    """Produce the detached 64-byte signature R || S (deterministic).  The
+    public key it hashes is derived from `seed` here, never taken from a
+    caller."""
     if len(seed) != 32:
         raise ValueError("seed must be exactly 32 bytes")
     h = _sha512(seed)
     a = _clamp(h[:32])
     prefix = h[32:]
-    if public is None:
-        public = kernel.scalarmult_base(a)
+    public = kernel.scalarmult_base(a)
     r = _sha512_mod_l(prefix + message)
     r_enc = kernel.scalarmult_base(r)
     k = _sha512_mod_l(r_enc + public + message)

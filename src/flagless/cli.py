@@ -19,6 +19,9 @@ the plain form (`_serve_args`); every other command line goes to the
 parser that `build_parser` builds, so usage errors and `--help` stay
 argparse's.  `serve` never loads `argparse` or `gettext`, nor `tempfile`
 (with the `shutil`, `bz2` and `lzma` it pulls in), `random` or `typing`.
+`serve` binds IPv4 only: the HOST of `--listen HOST:PORT` is an IPv4
+address or a host name, and a HOST with a colon (`[::1]`, `::1`) is a
+usage error.
 
 Exit codes: 0 success, 1 domain rejection (wrong flag, rejected changeset,
 audit findings), 2 usage error.
@@ -392,10 +395,14 @@ def cmd_serve(args) -> int:
 def address(value: str) -> tuple[str, int]:
     """`serve --listen`'s HOST:PORT as the address to bind; with no host
     (no colon, or nothing before it) the host is 127.0.0.1.  Raises
-    ValueError unless the port is ASCII digits that name 0 to 65535."""
+    ValueError unless the port is ASCII digits that name 0 to 65535, and
+    at a host with a colon: `serve` binds IPv4 only, so HOST is an IPv4
+    address or a host name."""
     bind_host, _, port = value.rpartition(":")
     if not (port.isascii() and port.isdigit()) or int(port) > 65535:
         raise ValueError(f"not a port: {port!r}")
+    if ":" in bind_host:
+        raise ValueError(f"not an IPv4 address or host name: {bind_host!r}")
     return bind_host or "127.0.0.1", int(port)
 
 

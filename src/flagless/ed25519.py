@@ -26,13 +26,10 @@ def public_key(seed: bytes) -> bytes:
     return _core.public_from_seed(seed, _kernel)
 
 
-def sign(seed: bytes, message: bytes, public: bytes | None = None) -> bytes:
+def sign(seed: bytes, message: bytes) -> bytes:
     """Detached 64-byte signature; deterministic for fixed (seed, message).
-
-    `public`, when given, must be the seed's own public key; passing it
-    saves the base-point multiply that would recompute it.
-    """
-    return _core.sign(seed, message, _kernel, public)
+    The signer derives the public key it hashes from `seed` itself."""
+    return _core.sign(seed, message, _kernel)
 
 
 def verify(public: bytes, signature: bytes, message: bytes) -> bool:

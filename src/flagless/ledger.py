@@ -7,6 +7,10 @@ and entry 0 (genesis) publishes the organizer's verification key, so the
 whole competition history is tamper-evident and replayable from a single
 NDJSON file.  Organizer-privileged entries additionally carry a signature
 over their pre-hash serialization, verifiable against the genesis key.
+`next_entry(head, changeset)` makes every entry from its predecessor
+(`genesis`, `append` and `validator.CompetitionHost` all call it), and
+`link_fault(head, entry, key)` is the one check of an entry against its
+predecessor.
 
 Three guarantees this module is built around: any prefix of the chain can
 be replayed (`replay(chain[: i + 1])` is the files after entry i),
@@ -188,16 +192,22 @@ def signing_bytes(
     return canonical_bytes(_fields(index, timestamp, prev_hash, changeset))
 
 
-def make_entry(
-    index: int,
-    timestamp: int,
-    prev_hash: bytes,
+def next_entry(
+    head: LedgerEntry | None,
     changeset: Changeset,
+    timestamp: int | None = None,
     org_secret: bytes | None = None,
 ) -> LedgerEntry:
-    """The entry with these fields, hashed, and signed with `org_secret` if
-    given.  A team entry costs one serialization, an organizer entry two
-    (the signed bytes, then the preimage)."""
+    """The entry after `head` (None: genesis) writing `changeset`, hashed,
+    and signed with `org_secret` if given: the maker that `link_fault(head,
+    entry, key)` checks.  Its index and `prev_hash` come from `head`.  Given
+    no `timestamp`, it takes the clock's, or the head's when the clock is
+    behind it, since timestamps never decrease.  A team entry costs one
+    serialization, an organizer entry two (the signed bytes, then the
+    preimage)."""
+    index, prev_hash = (0, ZERO_HASH) if head is None else (head.index + 1, head.hash)
+    if timestamp is None:
+        timestamp = max(int(time.time()), 0 if head is None else head.timestamp)
     org_sig = None
     if org_secret is not None:
         org_sig = ed25519.sign(
@@ -227,7 +237,7 @@ def genesis(
         ),
         author="organizer",
     )
-    return make_entry(0, timestamp, ZERO_HASH, changeset)
+    return next_entry(None, changeset, timestamp)
 
 
 def append(
@@ -236,7 +246,9 @@ def append(
     timestamp: int | None = None,
     org_secret: bytes | None = None,
 ) -> LedgerEntry:
-    """Extend a verified chain in place and return the new entry.
+    """Extend a verified chain in place with `next_entry` on its last
+    entry, and return the new entry.  It runs no `link_fault`, so it
+    refuses a `timestamp` earlier than the last entry's itself.
 
     Existing entries are never touched; the chain list is the only thing
     mutated.  Single logical writer: callers serialize appends themselves.
@@ -244,13 +256,11 @@ def append(
     if not chain:
         raise ChainError("cannot append to an empty chain; create genesis first")
     last = chain[-1]
-    if timestamp is None:
-        timestamp = int(time.time())
-    if timestamp < last.timestamp:
+    if timestamp is not None and timestamp < last.timestamp:
         raise ChainError(
             f"timestamp {timestamp} earlier than predecessor {last.timestamp}"
         )
-    entry = make_entry(last.index + 1, timestamp, last.hash, changeset, org_secret)
+    entry = next_entry(last, changeset, timestamp, org_secret)
     chain.append(entry)
     return entry
 

@@ -181,10 +181,11 @@ def derive_challenge_keys(flag: str, salt: bytes, params: KdfParams) -> KeyPair:
 
 
 def prove(team: KeyPair, challenge_secret: bytes, challenge_id: bytes) -> Proof:
-    """Build the nested proof that this team solved this challenge."""
+    """Build the nested proof that this team solved this challenge.  Only
+    `team.secret` signs: `ed25519.sign` derives each public key itself."""
     if not challenge_id:
         raise ValueError("challenge_id must not be empty")
-    inner_sig = ed25519.sign(team.secret, challenge_id, team.public)
+    inner_sig = ed25519.sign(team.secret, challenge_id)
     outer_sig = ed25519.sign(challenge_secret, inner_sig + challenge_id)
     return Proof(outer_sig=outer_sig, inner_sig=inner_sig, challenge_id=challenge_id)
 

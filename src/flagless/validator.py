@@ -17,7 +17,6 @@ from __future__ import annotations
 import fcntl
 import os
 import threading
-import time
 import weakref
 from collections.abc import Iterable
 
@@ -104,15 +103,15 @@ class CompetitionHost:
     collected.
 
     All reads and appends take one lock.  An append builds the next entry
-    on the state's head, serializing it once, writes its canonical line
-    to the file right after the acknowledged bytes and fsyncs it, so the
-    line is on disk before `apply` or `apply_organizer` returns the entry,
-    and then folds it into the state.  An entry whose write fails joins
-    neither the acknowledged bytes nor the state, and is cut back out of
-    the file; if that cut fails too, the host refuses every later append,
-    as after `close`, and still serves the bytes it acknowledged.  An
-    append given no timestamp takes the clock's, or the head's when the
-    clock is behind it.
+    on the state's head with `ledger.next_entry`, which also stamps an
+    append given no timestamp, serializing it once; it writes the entry's
+    canonical line to the file right after the acknowledged bytes and
+    fsyncs it, so the line is on disk before `apply` or `apply_organizer`
+    returns the entry, and then folds it into the state.  An entry whose
+    write fails joins neither the acknowledged bytes nor the state, and is
+    cut back out of the file; if that cut fails too, the host refuses
+    every later append, as after `close`, and still serves the bytes it
+    acknowledged.
 
     `read(route)` gives the body of `/ledger` as a `FileRegion`: the
     acknowledged bytes at that instant, on a descriptor of its own, so a
@@ -199,10 +198,7 @@ class CompetitionHost:
         after the acknowledged bytes, then fold it."""
         if self._refusal is not None:
             raise ValueError(self._refusal)
-        head = self._state.head
-        if timestamp is None:
-            timestamp = max(int(time.time()), head.timestamp)
-        entry = ledger.make_entry(head.index + 1, timestamp, head.hash, changeset, org_secret)
+        entry = ledger.next_entry(self._state.head, changeset, timestamp, org_secret)
         self._check(entry)
         line = ledger.dump_entry(entry) + b"\n"
         try:

@@ -660,13 +660,14 @@ _SERVE_LINES = [
     (["serve", "--ledger", "P", "--listen", "0.0.0.0:9"], True, 1),
     (["serve", "--listen", "0.0.0.0:9", "--ledger", "P"], True, 1),
     (["--json", "serve", "--ledger", "P"], True, 1),
-    (["--json", "serve", "--listen", "[::1]:0", "--ledger", "P"], True, 1),
+    (["--json", "serve", "--listen", "[::1]:0", "--ledger", "P"], False, 2),
     (["serve", "--ledger", ""], True, 1),
     (["serve", "--ledger", "P", "--listen", "9"], True, 1),
     (["serve", "--ledger", "P", "--listen", "127.0.0.1:70000"], False, 2),
     (["serve", "--ledger", "P", "--listen", "127.0.0.1:-1"], False, 2),
     (["serve", "--ledger", "P", "--listen", "127.0.0.1:abc"], False, 2),
     (["serve", "--ledger", "P", "--listen", ":"], False, 2),
+    (["serve", "--ledger", "P", "--listen", "::1:8080"], False, 2),
     (["serve", "--ledger=P"], False, 1),
     (["serve", "--led", "P"], False, 1),
     (["serve", "--ledger", "P", "--ledger", "P"], False, 1),

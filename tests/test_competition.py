@@ -497,7 +497,7 @@ class TestAudit:
             ),
             author="organizer",
         )
-        chain = [ledger.make_entry(0, 0, ledger.ZERO_HASH, changeset)]
+        chain = [ledger.next_entry(None, changeset, 0)]
         assert _findings(audit_all(chain)) == [
             (0, "GENESIS_SCOPE", "unexpected path 'teams/early/team.json'")
         ]
@@ -520,7 +520,7 @@ class TestAudit:
 
     def test_an_organizer_entry_needs_a_key_in_genesis(self, rng):
         meta = FileChange(ledger.COMPETITION_META_PATH, b"{}")
-        chain = [ledger.make_entry(0, 0, ledger.ZERO_HASH, Changeset((meta,), "organizer"))]
+        chain = [ledger.next_entry(None, Changeset((meta,), "organizer"), 0)]
         notice = Changeset((FileChange("meta/notice", b"hi"),), "organizer")
         ledger.append(chain, notice, 1, org_secret=rng.randbytes(32))
         report = audit_all(chain)

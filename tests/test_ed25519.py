@@ -52,17 +52,6 @@ def test_rfc8032_vectors(kernel, seed_hex, public_hex, msg_hex, sig_hex):
     assert core.verify(bytes.fromhex(public_hex), signature, message, kernel)
 
 
-def test_sign_with_the_known_public_key_changes_no_byte(kernel):
-    rng = random.Random(4)
-    seeds = [bytes.fromhex(v[0]) for v in RFC8032_VECTORS] + [rng.randbytes(32) for _ in range(8)]
-    for seed in seeds:
-        message = rng.randbytes(rng.randrange(0, 80))
-        public = core.public_from_seed(seed, kernel)
-        signature = core.sign(seed, message, kernel)
-        assert core.sign(seed, message, kernel, public) == signature
-        assert core.sign(seed, message, kernel, public=public) == signature
-
-
 def test_bit_flips_rejected(kernel):
     rng = random.Random(1)
     seed = rng.randbytes(32)

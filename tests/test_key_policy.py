@@ -105,7 +105,7 @@ def _flagless_solve(sim) -> Changeset:
     outer signature made without any challenge secret."""
     team_id = next(iter(sim.teams))
     team = sim.secrets[team_id].keypair()
-    inner = ed25519.sign(team.secret, b"evil", team.public)
+    inner = ed25519.sign(team.secret, b"evil")
     proof = Proof(outer_sig=UNIVERSAL_SIG, inner_sig=inner, challenge_id=b"evil")
     record = SubmissionRecord(team_id=team_id, challenge_id="evil", proof=proof)
     return Changeset((FileChange(submission_path(team_id, "evil"), record.serialize()),), team_id)

@@ -1,6 +1,8 @@
 """Chain integrity: hashing, linking, folding, canonical NDJSON, tampering."""
 
+import functools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from flagless.ledger import (
     verify_chain,
 )
 from flagless.sigproof import keypair_from_seed
+from flagless.validator import CompetitionHost
 
 from helpers import entry_hash, load_host, replace_entry, simulate
 
@@ -110,6 +113,13 @@ class TestAppend:
         with pytest.raises(ChainError):
             append(chain, changeset, timestamp=chain[-1].timestamp - 1)
 
+    def test_a_clock_behind_the_head_stamps_the_heads_time(self, rng, monkeypatch):
+        chain, _ = _chain(rng, n_extra=1)
+        changeset = Changeset((FileChange("teams/late/team.json", b"x"),), "late")
+        monkeypatch.setattr(time, "time", lambda: chain[-1].timestamp - 1.0)
+        entry = append(chain, changeset)
+        assert entry.timestamp == chain[-2].timestamp and verify_chain(chain)
+
     def test_append_only(self, rng):
         chain, _ = _chain(rng, n_extra=3)
         before = [e.hash for e in chain]
@@ -140,6 +150,61 @@ class TestAppend:
         verdict = verify_chain(chain)
         assert not verdict and verdict.index == 1
         assert "signature" in verdict.reason
+
+
+@functools.cache
+def _heads():
+    """The organizer key pair, and for each kind of head the chain that
+    ends in it: none (the next entry is genesis), a team entry and an
+    organizer entry."""
+    org = keypair_from_seed(bytes(range(32)))
+    start = [genesis(org.public, b'{"name":"t"}', timestamp=100)]
+    team, signed = list(start), list(start)
+    append(team, register_team("Head", rng=random.Random(5))[2], 200)
+    append(signed, Changeset((FileChange("meta/notice", b"hi"),), "organizer"), 300, org.secret)
+    return org, {"none": (), "team": tuple(team), "organizer": tuple(signed)}
+
+
+# Text that canonical JSON escapes, or that spells the keys `link_fault`
+# and `dump_entry` find an entry's fields by.
+_AWKWARD = st.sampled_from(
+    ['"', "\\", "\u00e9", "\u2603", "\U0001f600", ',"org_sig":"', ',"index":']
+)
+_CHARACTERS = st.characters(codec="utf-8", exclude_characters="/")
+_TEXT = st.lists(st.one_of(_AWKWARD, st.text(_CHARACTERS, max_size=4)), max_size=6).map("".join)
+
+
+class TestNextEntry:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["none", "team", "organizer"]),
+        text=_TEXT,
+        later=st.integers(0, 10**6),
+        signed=st.booleans(),
+    )
+    def test_the_maker_and_the_checker_agree(self, kind, text, later, signed):
+        org, heads = _heads()
+        head = heads[kind][-1] if heads[kind] else None
+        changeset = Changeset((FileChange(f"meta/n{text}", f"c{text}".encode()),), text)
+        timestamp = (0 if head is None else head.timestamp) + later
+        secret = org.secret if signed else None
+        entry = ledger.next_entry(head, changeset, timestamp, secret)
+        assert ledger.link_fault(head, entry, org.public) is None
+        line = dump_entry(entry)
+        if head is not None:
+            assert dump_entry(append(list(heads[kind]), changeset, timestamp, secret)) == line
+            if signed:
+                with CompetitionHost(heads[kind]) as host:
+                    assert dump_entry(host.apply_organizer(changeset, secret, timestamp)) == line
+        (change,) = changeset.changes
+        flipped = change.content[:-1] + bytes([change.content[-1] ^ 1])
+        for changed in (
+            replace_entry(entry, index=entry.index + 1),
+            replace_entry(entry, prev_hash=bytes([entry.prev_hash[0] ^ 1]) + entry.prev_hash[1:]),
+            replace_entry(entry, timestamp=entry.timestamp + 1),
+            replace_entry(entry, changeset=Changeset((FileChange(change.path, flipped),), text)),
+        ):
+            assert ledger.link_fault(head, changed, org.public) is not None
 
 
 class TestVerifyChain:
@@ -366,7 +431,7 @@ class TestCanonicalNdjson:
             FileChange(path=f"meta/f{i}", content=c) for i, c in enumerate(contents)
         )
         changeset = Changeset(changes=changes, author=author)
-        entry = ledger.make_entry(0, 7, ZERO_HASH, changeset)
+        entry = ledger.next_entry(None, changeset, 7)
         line = dump_entry(entry)
         assert load_chain(line + b"\n") == [entry]
 
