@@ -6,7 +6,9 @@ target reads each body with `CompetitionHost.read(route)` on the file and
 submits through `service.answer`, as `serve` does, so the commands parse
 the same bytes and statuses from either.  Organizer commands (init,
 challenge add) are local-only: privileged entries are signed with the
-organizer key, which never belongs on the wire.
+organizer key, which never belongs on the wire.  `challenge add` makes
+no rule of its own: the host refuses a second release of an id
+(`ORG_REWRITE`), as `flagless audit` flags one.
 
 `init` creates the ledger file; every later entry is appended by the one
 `CompetitionHost` holding the file (`serve`, `challenge add`, or a local
@@ -260,8 +262,6 @@ def cmd_challenge_add(args) -> int:
         categories=tuple(args.category),
     )
     with CompetitionHost.open(args.ledger) as host:
-        if any(d["id"] == args.id for d in parse_json(host.read("/challenges"))):
-            raise CliError(f"challenge {args.id!r} already released")
         entry = host.apply_organizer(challenge_changeset(descriptor), secret.seed)
     if args.json:
         print(canonical_dumps({"entry": entry.index, "id": args.id}))
@@ -355,7 +355,7 @@ def cmd_audit(args) -> int:
         print(canonical_dumps(report.to_json_dict()))
     else:
         for finding in report.findings:
-            print(f"entry {finding.index}: {finding.code}: {finding.message}")
+            print(finding)
         status = "clean" if report.ok else f"{len(report.findings)} finding(s)"
         print(f"audited {report.entries} entries: {status}")
     return 0 if report.ok else 1

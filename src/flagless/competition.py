@@ -47,7 +47,8 @@ from .canonical import (
     to_b64, to_hex,
 )
 from .ledger import (
-    NO_GENESIS, ChainError, Changeset, FileChange, LedgerEntry, link_fault, organizer_key
+    NO_GENESIS, ORGANIZER_KEY_PATH, ChainError, Changeset, FileChange, LedgerEntry, link_fault,
+    organizer_key,
 )
 from . import sigproof
 from ._ed25519_core import decoded_key
@@ -530,6 +531,11 @@ class AuditFinding(Record, what="audit finding"):
     def __init__(self, index: int, code: str, message: str) -> None:
         Record.__init__(self, index, code, message)
 
+    def __str__(self) -> str:
+        """The finding as `flagless audit` prints it and the host's
+        `ChainError` says it: `entry <index>: <code>: <message>`."""
+        return f"entry {self.index}: {self.code}: {self.message}"
+
 
 class AuditReport(Record):
     __slots__ = ("findings", "scoreboard", "entries")
@@ -560,10 +566,13 @@ def audit_entry(state: CompetitionState, entry: LedgerEntry) -> list[AuditFindin
     comes alone, and nothing after it can be checked.  Genesis may write
     only `meta/` and must publish an organizer key (GENESIS_SCOPE,
     GENESIS_KEY).  A later organizer-signed entry may write only
-    `challenges/` and `meta/` (ORG_SCOPE), and only well-formed
-    descriptors, each its own canonical bytes, under `challenges/`
-    (BAD_DESCRIPTOR).  Team entries have no rule here: `validate_changeset`
-    below is theirs.
+    `challenges/` and `meta/` (ORG_SCOPE), and never a `challenges/` path
+    or the genesis key (`meta/organizer.pub`) the state already holds: a
+    release is never rewritten, whichever field would change
+    (ORG_REWRITE, the one finding for that path).  Each other write under
+    `challenges/` must be a well-formed descriptor, its own canonical
+    bytes (BAD_DESCRIPTOR).  Other `meta/` paths may be rewritten.  Team
+    entries have no rule here: `validate_changeset` below is theirs.
     """
     head = state.head
     org_key = organizer_key(entry) if head is None else state.organizer_key
@@ -581,7 +590,11 @@ def audit_entry(state: CompetitionState, entry: LedgerEntry) -> list[AuditFindin
             findings.append(AuditFinding(0, "GENESIS_KEY", "missing or invalid organizer key"))
     elif entry.org_sig is not None:
         for change in entry.changeset.changes:
-            if change.path.startswith(CHALLENGE_PREFIX):
+            release = change.path.startswith(CHALLENGE_PREFIX) or change.path == ORGANIZER_KEY_PATH
+            if release and change.path in state:
+                message = f"{change.path!r} is already released"
+                findings.append(AuditFinding(entry.index, "ORG_REWRITE", message))
+            elif change.path.startswith(CHALLENGE_PREFIX):
                 try:
                     match = _CHALLENGE_PATH_RE.match(change.path)
                     if not match:
@@ -612,87 +625,74 @@ class ReasonCode(enum.Enum):
 
 
 class ValidationVerdict(Record):
-    __slots__ = ("accepted", "code", "message")
+    """Why a team changeset is refused: the rule it breaks (`code`) and the
+    detail (`message`, by default the code's own text).  An accepted
+    changeset has no verdict: `validate_changeset` returns None."""
 
-    def __init__(self, accepted: bool, code: ReasonCode | None = None, message: str = "") -> None:
-        Record.__init__(self, accepted, code, message)
+    __slots__ = ("code", "message")
 
-    def __bool__(self) -> bool:
-        return self.accepted
+    def __init__(self, code: ReasonCode, message: str = "") -> None:
+        Record.__init__(self, code, message or code.value)
 
-    @classmethod
-    def accept(cls) -> "ValidationVerdict":
-        return cls(accepted=True)
-
-    @classmethod
-    def reject(cls, code: ReasonCode, message: str = "") -> "ValidationVerdict":
-        return cls(accepted=False, code=code, message=message or code.value)
-
-
-ACCEPT = ValidationVerdict.accept()
 
 _NOT_CANONICAL = "record is not in canonical form"
 
 
 def _validate_registration(
     state: CompetitionState, content: bytes, team_id: str
-) -> ValidationVerdict:
+) -> ValidationVerdict | None:
     try:
         record = TeamRecord.from_json_dict(parse_json(content))
     except ValueError as exc:
-        return ValidationVerdict.reject(ReasonCode.MALFORMED_RECORD, str(exc))
+        return ValidationVerdict(ReasonCode.MALFORMED_RECORD, str(exc))
     if record.id != team_id:
-        return ValidationVerdict.reject(
+        return ValidationVerdict(
             ReasonCode.MALFORMED_RECORD, f"record id {record.id!r} does not match path"
         )
     if record.id != slugify(record.name):
-        return ValidationVerdict.reject(
+        return ValidationVerdict(
             ReasonCode.MALFORMED_RECORD,
             f"id {record.id!r} is not the slug of name {record.name!r}",
         )
     existing = state.team_with_key(record.public_key)
     if existing is not None:
-        return ValidationVerdict.reject(
+        return ValidationVerdict(
             ReasonCode.DUPLICATE_TEAM,
             f"public key already registered to {existing.id!r}",
         )
     if record.serialize() != content:
-        return ValidationVerdict.reject(ReasonCode.MALFORMED_RECORD, _NOT_CANONICAL)
-    return ACCEPT
+        return ValidationVerdict(ReasonCode.MALFORMED_RECORD, _NOT_CANONICAL)
+    return None
 
 
 def _validate_submission(
     state: CompetitionState, content: bytes, team_id: str, challenge_id: str
-) -> ValidationVerdict:
+) -> ValidationVerdict | None:
     team = state.team(team_id)
     if team is None:
-        return ValidationVerdict.reject(ReasonCode.UNKNOWN_TEAM, f"team {team_id!r}")
+        return ValidationVerdict(ReasonCode.UNKNOWN_TEAM, f"team {team_id!r}")
     challenge = state.challenge(challenge_id)
     if challenge is None:
-        return ValidationVerdict.reject(
-            ReasonCode.UNKNOWN_CHALLENGE, f"challenge {challenge_id!r}"
-        )
+        return ValidationVerdict(ReasonCode.UNKNOWN_CHALLENGE, f"challenge {challenge_id!r}")
     try:
         record = SubmissionRecord.from_json_dict(parse_json(content))
     except ValueError as exc:
-        return ValidationVerdict.reject(ReasonCode.MALFORMED_RECORD, str(exc))
+        return ValidationVerdict(ReasonCode.MALFORMED_RECORD, str(exc))
     if record.team_id != team_id or record.challenge_id != challenge_id:
-        return ValidationVerdict.reject(
-            ReasonCode.MALFORMED_RECORD, "record ids do not match the path"
-        )
+        return ValidationVerdict(ReasonCode.MALFORMED_RECORD, "record ids do not match the path")
     if not sigproof.verify_proof(
         team.public_key,
         challenge.public_key,
         challenge_id.encode("ascii"),
         record.proof,
     ):
-        return ValidationVerdict.reject(ReasonCode.INVALID_PROOF)
+        return ValidationVerdict(ReasonCode.INVALID_PROOF)
     if record.serialize() != content:
-        return ValidationVerdict.reject(ReasonCode.MALFORMED_RECORD, _NOT_CANONICAL)
-    return ACCEPT
+        return ValidationVerdict(ReasonCode.MALFORMED_RECORD, _NOT_CANONICAL)
+    return None
 
 
-def validate_changeset(state: CompetitionState, changeset: Changeset) -> ValidationVerdict:
+def validate_changeset(state: CompetitionState, changeset: Changeset) -> ValidationVerdict | None:
     """Decide whether a team-originated changeset may be appended to the
     chain that `state` folds.  Costs two signature verifies for a
     submission and one point decompression for a registration, plus one
@@ -704,38 +704,39 @@ def validate_changeset(state: CompetitionState, changeset: Changeset) -> Validat
 
     Two rules come last, so each turns only an accept into a rejection:
     the record's content must be its canonical form (`serialize()`), and
-    the changeset's author must be the team its path names.  Every
-    outcome is a verdict; nothing here raises on untrusted input.
+    the changeset's author must be the team its path names.  Returns None
+    when every rule holds, or the first refusal; nothing here raises on
+    untrusted input.
     """
     for change in changeset.changes:
         match = _TEAM_PATH_RE.match(change.path) or _SUBMISSION_PATH_RE.match(change.path)
         if change.path in state:
             if match is None:
-                return ValidationVerdict.reject(
+                return ValidationVerdict(
                     ReasonCode.IMMUTABLE_PATH, f"{change.path!r} is already committed"
                 )
             if match.re is _TEAM_PATH_RE:
-                return ValidationVerdict.reject(
+                return ValidationVerdict(
                     ReasonCode.DUPLICATE_TEAM, f"team {match.group(1)!r} already registered"
                 )
-            return ValidationVerdict.reject(
+            return ValidationVerdict(
                 ReasonCode.DUPLICATE_SUBMISSION,
                 f"{match.group(1)!r} already solved {match.group(2)!r}",
             )
         if match is None:
-            return ValidationVerdict.reject(
+            return ValidationVerdict(
                 ReasonCode.BAD_PATH, f"{change.path!r} is not a team-writable path"
             )
     # every change that gets here is an action: one on a team-writable path
     if len(changeset.changes) != 1:
-        return ValidationVerdict.reject(
+        return ValidationVerdict(
             ReasonCode.MIXED_CONCERNS,
             f"changeset carries {len(changeset.changes)} actions, expected 1",
         )
     validate = _validate_registration if match.re is _TEAM_PATH_RE else _validate_submission
     verdict = validate(state, change.content, *match.groups())
-    if verdict and changeset.author != match.group(1):
-        return ValidationVerdict.reject(ReasonCode.MALFORMED_RECORD, "author is not the team")
+    if verdict is None and changeset.author != match.group(1):
+        return ValidationVerdict(ReasonCode.MALFORMED_RECORD, "author is not the team")
     return verdict
 
 
@@ -770,7 +771,7 @@ def audit_all(chain: Iterable[LedgerEntry]) -> AuditReport:
                 break
             if entry.index > 0 and entry.org_sig is None:
                 verdict = validate_changeset(state, entry.changeset)
-                if not verdict:
+                if verdict is not None:
                     findings.append(AuditFinding(entry.index, verdict.code.name, verdict.message))
             state.fold(entry)
     except ChainError as exc:

@@ -61,6 +61,8 @@ def validate_path(path: str) -> str:
         raise ValueError(f"path has empty segments: {path!r}")
     if any(seg == ".." for seg in segments):
         raise ValueError(f"path traversal not allowed: {path!r}")
+    if any(seg == "." for seg in segments):  # a second name for the path without it
+        raise ValueError(f"path has a '.' segment: {path!r}")
     return path
 
 

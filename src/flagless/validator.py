@@ -83,7 +83,8 @@ class CompetitionHost:
     and `read` read the file.
 
     The host refuses any entry that breaks a rule of
-    `competition.audit_entry`: the chain, genesis and organizer rules.
+    `competition.audit_entry`: the chain, genesis and organizer rules,
+    among them that no organizer entry rewrites a release.
     Loading a chain, or a ledger file, raises `ChainError` at its first
     finding, and at an empty ledger; an append whose entry has a finding
     raises `ChainError` and writes nothing.  Team entries are validated
@@ -189,7 +190,7 @@ class CompetitionHost:
     def _check(self, entry: LedgerEntry) -> None:
         """Raise `ChainError` at `entry`'s first `audit_entry` finding."""
         if findings := audit_entry(self._state, entry):
-            raise ledger.ChainError("entry {0.index}: {0.code}: {0.message}".format(findings[0]))
+            raise ledger.ChainError(str(findings[0]))
 
     def _append(
         self, changeset: Changeset, timestamp: int | None, org_secret: bytes | None = None
@@ -219,10 +220,11 @@ class CompetitionHost:
     def apply(
         self, changeset: Changeset, timestamp: int | None = None
     ) -> LedgerEntry | ValidationVerdict:
-        """Team-originated append: validate, then extend atomically."""
+        """Team-originated append: the appended entry, or the refusal
+        (`validate_changeset`'s verdict) with nothing appended."""
         with self._lock:
             verdict = validate_changeset(self._state, changeset)
-            if not verdict:
+            if verdict is not None:
                 return verdict
             return self._append(changeset, timestamp)
 

@@ -11,12 +11,13 @@ after every entry: its body is the state's kept ranking, spliced per solve.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from flagless import ledger, sigproof, validator
 from flagless.canonical import canonical_bytes, parse_json, to_hex
 from flagless.competition import (
-    ACCEPT,
     AuditFinding,
     ChallengeDescriptor,
     CompetitionState,
@@ -31,13 +32,15 @@ from flagless.competition import (
     audit_all,
     build_submission,
     challenge_path,
+    new_challenge,
     register_team,
     slugify,
     submission_path,
     team_path,
     validate_changeset,
 )
-from flagless.ledger import Changeset, FileChange
+from flagless.ledger import ORGANIZER_KEY_PATH, Changeset, FileChange
+from flagless.sigproof import keypair_from_seed
 from flagless.validator import CompetitionHost
 
 from helpers import load_host, read_body, scoreboard_json, simulate
@@ -119,20 +122,22 @@ def oracle_scoreboard(files: dict[str, bytes], chain) -> list[ScoreboardRow]:
 
 
 def _reject(code, message=""):
-    return ValidationVerdict.reject(code, message)
+    return ValidationVerdict(code, message)
 
 
-def _last_rules(changeset: Changeset, team_id: str, record, content: bytes) -> ValidationVerdict:
-    """An accept for a changeset whose record's content is its canonical
+def _last_rules(
+    changeset: Changeset, team_id: str, record, content: bytes
+) -> ValidationVerdict | None:
+    """No refusal for a changeset whose record's content is its canonical
     form and whose author is the team its path names."""
     if record.serialize() != content:
         return _reject(ReasonCode.MALFORMED_RECORD, "record is not in canonical form")
     if changeset.author != team_id:
         return _reject(ReasonCode.MALFORMED_RECORD, "author is not the team")
-    return ValidationVerdict.accept()
+    return None
 
 
-def oracle_validate(files: dict[str, bytes], changeset: Changeset) -> ValidationVerdict:
+def oracle_validate(files: dict[str, bytes], changeset: Changeset) -> ValidationVerdict | None:
     actions = []
     for change in changeset.changes:
         team_match = _TEAM_PATH_RE.match(change.path)
@@ -300,6 +305,34 @@ def repointed_challenge(forge, rng):
     forge.org_entry(challenge_path(sorted(forge.sim.descriptors)[-1]), b"not json")
 
 
+def rekeyed_release(forge, rng):
+    # a released challenge's key derived again from a flag handed to one
+    # team, which then registers and solves with it
+    old = forge.sim.descriptors[sorted(forge.sim.descriptors)[-1]]
+    rekeyed = new_challenge(
+        old.id, "flag{handed-out}", old.title, old.points, old.kdf, old.description,
+        old.categories, rng=rng,
+    )
+    forge.org_entry(challenge_path(old.id), rekeyed.serialize())
+    record, secret, registration = register_team("Insider", rng=rng)
+    _, solve = build_submission(secret, rekeyed, "flag{handed-out}")
+    for changeset in (registration, solve):
+        forge.team_entry(changeset.changes[0].path, changeset.changes[0].content, record.id)
+    forge.extra_secrets[record.id] = secret
+
+
+def rekeyed_organizer(forge, rng):
+    # the genesis key rewritten, then a release signed with the new key;
+    # that last entry is the one whose signature `verify_chain` refuses
+    seed = rng.randbytes(32)
+    forge.org_entry(ORGANIZER_KEY_PATH, to_hex(keypair_from_seed(seed).public).encode())
+    descriptor = ChallengeDescriptor.from_json_dict(
+        {**forge.sim.descriptors[sorted(forge.sim.descriptors)[0]].to_json_dict(), "id": "backdoor"}
+    )
+    changeset = Changeset((FileChange(challenge_path("backdoor"), descriptor.serialize()),), "org")
+    ledger.append(forge.chain, changeset, forge.chain[-1].timestamp + 1, org_secret=seed)
+
+
 FORGERIES = [
     overwritten_team,
     organizer_team,
@@ -310,6 +343,7 @@ FORGERIES = [
     unknown_challenge,
     late_challenge,
     repointed_challenge,
+    rekeyed_release,
 ]
 
 
@@ -345,7 +379,7 @@ def assert_fold_matches_oracle(sim, chain, secrets, rng, monkeypatch):
     fold = CompetitionState()
     # One host takes every entry, as a host loading a ledger file does:
     # team entries unchecked.  It stops at the first entry it refuses.
-    monkeypatch.setattr(validator, "validate_changeset", lambda state, changeset: ACCEPT)
+    monkeypatch.setattr(validator, "validate_changeset", lambda state, changeset: None)
     host = CompetitionHost(chain[:1])
     for entry in chain:
         if entry.index > 0 and entry.org_sig is None:
@@ -426,13 +460,14 @@ def test_a_rewritten_team_frees_its_old_key(rng):
 
 
 # the audit codes of the rules the host applies to every entry it loads
-HOST_RULES = {"CHAIN", "GENESIS_SCOPE", "GENESIS_KEY", "ORG_SCOPE", "BAD_DESCRIPTOR"}
+HOST_RULES = {"CHAIN", "GENESIS_SCOPE", "GENESIS_KEY", "ORG_SCOPE", "ORG_REWRITE", "BAD_DESCRIPTOR"}
 
 
 @pytest.mark.parametrize(
     "forgeries",
-    [[forgery] for forgery in FORGERIES] + [FORGERIES],
-    ids=[forgery.__name__ for forgery in FORGERIES] + ["all"],
+    # rekeyed_organizer's last entry does not verify, so it is not in FORGERIES
+    [[forgery] for forgery in FORGERIES] + [FORGERIES, [rekeyed_organizer]],
+    ids=[forgery.__name__ for forgery in FORGERIES] + ["all", "rekeyed_organizer"],
 )
 def test_host_refuses_exactly_what_the_audit_flags_by_its_rules(rng, forgeries):
     sim = simulate(rng, n_challenges=2, n_teams=3, solve_prob=0.5)
@@ -443,12 +478,33 @@ def test_host_refuses_exactly_what_the_audit_flags_by_its_rules(rng, forgeries):
     for load in (lambda: CompetitionHost(forge.chain),
                  lambda: load_host(ledger.dump_chain(forge.chain))):
         if flagged:
-            first = f"entry {flagged[0].index}: {flagged[0].code}:"
-            with pytest.raises(ledger.ChainError, match=first):
+            with pytest.raises(ledger.ChainError, match=re.escape(str(flagged[0]))):
                 load()
         else:
             # team entries are not validated again at load
             assert read_body(load()) == ledger.dump_chain(forge.chain)
+
+
+# the codes of the findings at each entry a rewrite forgery appends, from its first
+REWRITE_FINDINGS = {
+    repointed_challenge: ["ORG_REWRITE", "ORG_REWRITE"],  # repriced, then not a descriptor
+    rekeyed_release: ["ORG_REWRITE"],  # the insider's registration and solve keep the team rules
+    rekeyed_organizer: ["ORG_REWRITE", "CHAIN"],
+}
+
+
+@pytest.mark.parametrize("forgery", REWRITE_FINDINGS, ids=lambda forgery: forgery.__name__)
+def test_a_rewritten_release_is_one_finding_before_any_it_causes(rng, forgery):
+    sim = simulate(rng, n_challenges=2, n_teams=3, solve_prob=0.5)
+    forge = Forge(sim)
+    start = len(forge.chain)
+    forgery(forge, rng)
+    # a SCOREBOARD finding, at the last entry, sums up the solves that no longer count
+    findings = [f for f in audit_all(forge.chain).findings if f.code != "SCOREBOARD"]
+    expected = list(enumerate(REWRITE_FINDINGS[forgery]))
+    assert [(f.index - start, f.code) for f in findings] == expected
+    for finding in findings:
+        assert finding.code != "ORG_REWRITE" or finding.message.endswith("is already released")
 
 
 def test_audit_stops_at_the_first_chain_finding_keeping_those_before(rng):

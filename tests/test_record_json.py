@@ -118,6 +118,9 @@ FAULTS = [
      "malformed submission record"),
     (SubmissionRecord, {**submission, "team_id": 1, "challenge_id": "Bad Id"},
      "submission ids must be valid slugs"),
+    # a second name for `meta/organizer.pub`, which no organizer may rewrite
+    (Changeset, {**changeset, "changes": [{**change, "path": "meta/./organizer.pub"}]},
+     "path has a '.' segment: 'meta/./organizer.pub'"),
 ]
 
 

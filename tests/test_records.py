@@ -74,8 +74,8 @@ SAMPLES = {
          "scoreboard": [ScoreboardRow(1, "alpha", 100, 1, 3)], "entries": 5},
     ),
     ValidationVerdict: (
-        {"accepted": True, "code": None, "message": ""},
-        {"accepted": False, "code": ReasonCode.BAD_PATH, "message": "no"},
+        {"code": ReasonCode.BAD_PATH, "message": "no"},
+        {"code": ReasonCode.MIXED_CONCERNS, "message": "two"},
     ),
 }
 

@@ -72,7 +72,7 @@ def test_a_registration_decodes_only_its_own_record(crowd, monkeypatch):
         content = TeamRecord("copy", "Copy", owner.keypair().public).serialize()
         changeset = Changeset((FileChange(team_path("copy"), content),), "copy")
         verdict = host.apply(changeset)
-    assert verdict == ValidationVerdict.reject(
+    assert verdict == ValidationVerdict(
         ReasonCode.DUPLICATE_TEAM, f"public key already registered to {owner.team_id!r}"
     )
     assert len(decoded) == 3 + 2

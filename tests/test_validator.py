@@ -9,11 +9,14 @@ import pytest
 from flagless import ledger
 from flagless.canonical import canonical_bytes, to_b64, to_hex
 from flagless.competition import (
+    AuditFinding,
+    ChallengeDescriptor,
     CompetitionState,
     ReasonCode,
     ValidationVerdict,
     audit_all,
     build_submission,
+    challenge_changeset,
     challenge_path,
     register_team,
     submission_path,
@@ -24,7 +27,7 @@ from flagless.ledger import Changeset, FileChange
 from flagless.sigproof import keypair_from_seed
 from flagless.validator import CompetitionHost
 
-from helpers import load_host, simulate
+from helpers import load_host, read_body, simulate
 
 
 def _single(path: str, content: bytes, author: str = "x") -> Changeset:
@@ -44,7 +47,7 @@ def state(sim):
 class TestRegistrationRules:
     def test_fresh_registration_accepted(self, state, rng):
         _, _, changeset = register_team("Newcomers", rng=rng)
-        assert validate_changeset(state, changeset)
+        assert validate_changeset(state, changeset) is None
 
     def test_duplicate_id_rejected(self, state, sim, rng):
         team_id = next(iter(sim.teams))
@@ -196,7 +199,7 @@ class TestAuthorRule:
         (cid,) = sim.descriptors
         _, changeset = build_submission(sim.secrets[team_a], sim.descriptors[cid], sim.flags[cid])
         state = CompetitionState.from_chain(sim.chain())
-        assert validate_changeset(state, changeset)
+        assert validate_changeset(state, changeset) is None
         verdict = validate_changeset(state, _authored_by(changeset, team_b))
         assert verdict.code is ReasonCode.MALFORMED_RECORD
 
@@ -274,7 +277,7 @@ class TestVerdictInvariants:
         length = len(chain)
         hashes = [e.hash for e in chain]
         result = sim.host.apply(_single("loot/x", b""), chain[-1].timestamp + 1)
-        assert isinstance(result, ValidationVerdict) and not result
+        assert isinstance(result, ValidationVerdict)
         chain = sim.chain()
         assert len(chain) == length and [e.hash for e in chain] == hashes
 
@@ -364,12 +367,47 @@ class TestHostRules:
     def test_organizer_key_is_the_one_genesis_published(self, sim, rng):
         seed = rng.randbytes(32)
         new_key = to_hex(keypair_from_seed(seed).public).encode()
-        sim.host.apply_organizer(_single(ledger.ORGANIZER_KEY_PATH, new_key), sim.org_seed)
+        rekey, notice = _single(ledger.ORGANIZER_KEY_PATH, new_key), _single("meta/notice", b"hi")
         chain = sim.chain()
-        with pytest.raises(ledger.ChainError, match="organizer signature invalid"):
-            sim.host.apply_organizer(_single("meta/notice", b"hi"), seed)
+        with pytest.raises(ledger.ChainError, match="ORG_REWRITE: 'meta/organizer.pub' is"):
+            sim.host.apply_organizer(rekey, sim.org_seed)
         assert sim.chain() == chain
-        assert sim.host.apply_organizer(_single("meta/notice", b"hi"), sim.org_seed).index == len(chain)
+        # a chain forged past the host: the rewrite is flagged, and the
+        # state still checks the next entry under genesis's key
+        forged = sim.chain()
+        ledger.append(forged, rekey, forged[-1].timestamp, org_secret=sim.org_seed)
+        ledger.append(forged, notice, forged[-1].timestamp, org_secret=seed)
+        assert audit_all(forged).findings == [
+            AuditFinding(len(chain), "ORG_REWRITE", "'meta/organizer.pub' is already released"),
+            AuditFinding(len(chain) + 1, "CHAIN", "organizer signature invalid"),
+        ]
+        assert sim.host.apply_organizer(notice, sim.org_seed).index == len(chain)
+
+    def test_a_solved_challenge_cannot_be_repriced(self, rng):
+        sim = simulate(rng, n_challenges=2, n_teams=2, solve_prob=0.0)
+        for team_id, cid in (("team-0", "chal-0"), ("team-1", "chal-1")):  # 100 and 200 points
+            secret, descriptor = sim.secrets[team_id], sim.descriptors[cid]
+            sim.host.apply(build_submission(secret, descriptor, sim.flags[cid])[1])
+        repriced = ChallengeDescriptor.from_json_dict(
+            {**sim.descriptors["chal-0"].to_json_dict(), "points": 1000}
+        )
+        reprice = challenge_changeset(repriced)
+        # past the host, the rewrite would move team-0 from second to first
+        forged = sim.chain()
+        ledger.append(forged, reprice, forged[-1].timestamp, org_secret=sim.org_seed)
+
+        def ranking(chain):
+            return [row.team_id for row in CompetitionState.from_chain(chain).scoreboard()]
+
+        assert ranking(sim.chain()) == ["team-1", "team-0"]
+        assert ranking(forged) == ["team-0", "team-1"]
+        message = "'challenges/chal-0.json' is already released"
+        assert audit_all(forged).findings == [AuditFinding(len(forged) - 1, "ORG_REWRITE", message)]
+        with load_host(ledger.dump_chain(sim.chain())) as host:
+            held, board = read_body(host), read_body(host, "/scoreboard")
+            with pytest.raises(ledger.ChainError, match="ORG_REWRITE: 'challenges/chal-0.json' is"):
+                host.apply_organizer(reprice, sim.org_seed)
+            assert read_body(host) == held and read_body(host, "/scoreboard") == board
 
     def test_timestamp_may_not_regress(self, sim, rng):
         chain = sim.chain()
